@@ -35,7 +35,6 @@ from .lattice import (
     isotropic_line,
     lift_of_coset,
     overlattice_witness,
-    quadratic_value,
     representation_count,
     short_vectors,
     theta_series,
@@ -60,9 +59,6 @@ from .qseries import (
     eisenstein,
     j_series,
     lattice_binomial,
-    lattice_series_mul,
-    series_invert,
-    series_mul,
 )
 from .weil import (
     WeilRepData,
@@ -87,9 +83,8 @@ __all__ = [
     "discriminant_form", "divide_by_24delta", "e", "eisenstein",
     "embedding_trick", "enumerate_walls", "fourier_splitting_holds",
     "glue_lattice", "is_integral", "is_maximal", "isotropic_line", "j_series",
-    "lattice_binomial", "lattice_series_mul", "lift_of_coset", "milgram_sum",
-    "modularity_pairing", "overlattice_witness", "product_expand", "pullback",
-    "pullback_expr", "quadratic_value", "reduce_f0", "relation_ideal",
-    "representation_count", "series_invert", "series_mul", "short_vectors",
+    "lattice_binomial", "lift_of_coset", "milgram_sum", "modularity_pairing",
+    "overlattice_witness", "product_expand", "pullback", "pullback_expr",
+    "reduce_f0", "relation_ideal", "representation_count", "short_vectors",
     "sqrt_positive_int", "theta_series", "vectors_below", "zeta_mu",
 ]

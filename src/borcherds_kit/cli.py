@@ -34,7 +34,6 @@ class JobConfig:
     chamber_point: tuple = ()
     weyl: tuple = ()
     out: str = None
-    threads: int = 1
 
 
 def _parse_coords(text):
@@ -217,7 +216,6 @@ def build_parser():
 
     for p_ in sub.choices.values():
         p_.add_argument("--out", default=None)
-        p_.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -238,7 +236,6 @@ def config_from_args(args):
     if getattr(args, "weyl", None):
         cfg.weyl = _parse_coords(args.weyl)
     cfg.out = args.out
-    cfg.threads = args.threads
     return cfg
 
 

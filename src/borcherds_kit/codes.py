@@ -64,27 +64,3 @@ def ternary_golay_generators():
         parity = (-sum(row)) % 3
         out.append(tuple(row) + (parity,))
     return out
-
-
-def span(generators, modulus):
-    """All words of the code generated by the given rows over Z/modulus."""
-    length = len(generators[0])
-    words = {(0,) * length}
-    frontier = [(0,) * length]
-    while frontier:
-        w = frontier.pop()
-        for g in generators:
-            nw = tuple((a + b) % modulus for a, b in zip(w, g))
-            if nw not in words:
-                words.add(nw)
-                frontier.append(nw)
-    return sorted(words)
-
-
-def weight_enumerator(words):
-    """Map weight -> number of words of that Hamming weight."""
-    out = {}
-    for w in words:
-        wt = sum(1 for x in w if x != 0)
-        out[wt] = out.get(wt, 0) + 1
-    return out

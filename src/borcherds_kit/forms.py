@@ -51,9 +51,6 @@ class WHForm:
     def principal_part(self):
         return {k: v for k, v in self.coefficients.items() if k[0] < 0}
 
-    def nonneg_part(self):
-        return {k: v for k, v in self.coefficients.items() if k[0] >= 0}
-
     def max_pole_order(self):
         pp = self.principal_part()
         return max((-m for (m, _) in pp), default=Fraction(0))

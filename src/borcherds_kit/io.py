@@ -11,6 +11,11 @@ emitted file re-parses to an equal value.
     form:    {kind, lattice, weight: [num, den], precision: [num, den],
               terms: [[m_num, m_den, [coset...], coeff_num, coeff_den], ...]}
 
+A glued lattice is rebuilt on load by `lattice.glue_lattice` from its block
+names and code generators (each block must have discriminant group
+Z/modulus), and its `gram` must equal that function's Hermite-normal-form
+Gram matrix; a mismatch or a non-isotropic code raises FileFormatError.
+
 The environment variable BORCHERDS_DATA overrides the bundled data directory.
 """
 
@@ -20,7 +25,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .forms import WHForm
-from .lattice import GlueData, GramLattice, discriminant_form
+from .lattice import GramLattice, discriminant_form, glue_lattice
 from .qseries import FracQSeries
 
 HEADER = "borcherds-kit v1"
@@ -73,12 +78,13 @@ def resolve_data_path(ref, relative_to=None):
                             f"{data_directory()}")
 
 
-_LATTICE_CACHE = {}
+_LATTICE_CACHE = {}  # (resolved path, st_mtime_ns, st_size) -> GramLattice
 
 
 def load_lattice(ref, relative_to=None):
     path = resolve_data_path(ref, relative_to)
-    key = str(path.resolve())
+    stat = path.stat()
+    key = (str(path.resolve()), stat.st_mtime_ns, stat.st_size)
     if key in _LATTICE_CACHE:
         return _LATTICE_CACHE[key]
     body = _read_body(path)
@@ -89,31 +95,36 @@ def load_lattice(ref, relative_to=None):
     if len(flat) != rank * rank:
         raise FileFormatError(f"{path}: gram needs {rank * rank} entries")
     gram = [flat[i * rank:(i + 1) * rank] for i in range(rank)]
-    glue = None
     if "glue" in body:
-        spec = body["glue"]
-        blocks = [load_lattice(name, relative_to=path.parent)
-                  for name in spec["blocks"]]
-        modulus = spec["modulus"]
-        generators = []
-        for row in spec["code_generators"]:
-            if len(row) != len(blocks):
-                raise FileFormatError(f"{path}: glue word length mismatch")
-            generators.append(tuple((int(c) % modulus,) for c in row))
-        discs = [b.discriminant_form() for b in blocks]
-        zero_word = tuple(d.zero for d in discs)
-        words = {zero_word}
-        frontier = [zero_word]
-        while frontier:
-            w = frontier.pop()
-            for g in generators:
-                nw = tuple(d.add(a, b) for d, a, b in zip(discs, w, g))
-                if nw not in words:
-                    words.add(nw)
-                    frontier.append(nw)
-        glue = GlueData(blocks, sorted(words), generators)
-    lat = GramLattice(gram, name=body.get("name"), glue=glue)
+        lat = _load_glued(path, body, gram)
+    else:
+        lat = GramLattice(gram, name=body.get("name"))
     _LATTICE_CACHE[key] = lat
+    return lat
+
+
+def _load_glued(path, body, gram):
+    """The glued lattice a file specifies, checked against the file's gram."""
+    spec = body["glue"]
+    blocks = [load_lattice(name, relative_to=path.parent)
+              for name in spec["blocks"]]
+    modulus = spec["modulus"]
+    for name, block in zip(spec["blocks"], blocks):
+        if block.discriminant_form().invariant_factors != (modulus,):
+            raise FileFormatError(f"{path}: glue block {name} does not have "
+                                  f"discriminant group Z/{modulus}")
+    generators = []
+    for row in spec["code_generators"]:
+        if len(row) != len(blocks):
+            raise FileFormatError(f"{path}: glue word length mismatch")
+        generators.append(tuple((int(c) % modulus,) for c in row))
+    try:
+        lat = glue_lattice(blocks, generators, name=body.get("name"))
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
+    if [list(row) for row in lat.gram] != gram:
+        raise FileFormatError(f"{path}: gram does not match the Gram matrix "
+                              f"glue_lattice builds from the glue spec")
     return lat
 
 

@@ -118,11 +118,6 @@ class GramLattice:
         return self._disc
 
 
-def quadratic_value(lattice, x):
-    """Q(x) for a rational coordinate vector x on the given lattice."""
-    return lattice.q(x)
-
-
 class DiscriminantForm:
     """The finite quadratic group L^dual / L with Q taking values in Q/Z.
 
@@ -300,19 +295,15 @@ def _overlattice(lattice, glue_vectors, name=None, glue=None):
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     rows += [[Fraction(x) for x in v] for v in glue_vectors]
     den = lcm(*(x.denominator for row in rows for x in row))
-    int_rows = [[int(x * den) for x in row] for row in rows]
-    h = hermite_normal_form(int_rows)
+    h = hermite_normal_form([[int(x * den) for x in row] for row in rows])
     if len(h) != n:
         raise ValueError("glue vectors do not span a full-rank lattice")
-    basis = [[Fraction(x, den) for x in row] for row in h]
-    gram = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            val = sum(basis[i][a] * lattice.gram[a][b] * basis[j][b]
-                      for a in range(n) for b in range(n))
-            if val.denominator != 1:
-                raise ValueError("glue vectors do not give an integral lattice")
-            gram[i][j] = int(val)
+    # Gram of the basis h / den, computed as h G h^T / den^2 in integers
+    scaled = mat_mul(mat_mul(h, lattice.gram), transpose(h))
+    den2 = den * den
+    if any(x % den2 for row in scaled for x in row):
+        raise ValueError("glue vectors do not give an integral lattice")
+    gram = [[x // den2 for x in row] for row in scaled]
     return GramLattice(gram, name=name, glue=glue)
 
 
@@ -335,7 +326,6 @@ def direct_sum(lattices, name=None):
 
 def _qf_prepare(a, shift):
     """Scaled-integer Fincke-Pohst data for y = shift + x, value y^T a y."""
-    from math import isqrt  # noqa: F401  (re-exported via closure users)
     n = len(a)
     if shift is None:
         shift = [Fraction(0)] * n
@@ -610,14 +600,43 @@ class GlueData:
         self.generators = tuple(generators)
 
 
+def _span(generators, factors):
+    """The subgroup H of Z/f_1 x ... x Z/f_n generated by flat words.
+
+    Incremental closure: for each generator g not yet in H, H grows by the
+    cosets H + k*g for k = 1, 2, ... while k*g is not in H (tested before the
+    coset is built).  Returns (the words of H, the generators that enlarged
+    H); the latter generate H.
+    """
+    zero = (0,) * len(factors)
+    words = [zero]
+    members = {zero}
+    basis = []
+    for g in generators:
+        if g in members:
+            continue
+        basis.append(g)
+        old = len(words)
+        kg = g
+        while kg not in members:
+            for w in words[:old]:
+                nw = tuple((a + b) % f for a, b, f in zip(w, kg, factors))
+                words.append(nw)
+                members.add(nw)
+            kg = tuple((a + b) % f for a, b, f in zip(kg, g, factors))
+    return words, basis
+
+
 def glue_lattice(blocks, generators=None, name=None, code=None):
     """Overlattice of an orthogonal block sum defined by a glue code.
 
     `generators` are words (one coset per block, each a coset tuple) whose
     span is the code; alternatively `code` supplies the full word set, which
     must then be a subgroup of the product of discriminant groups.  The code
-    must be isotropic for the total Q mod 1; the result is an even lattice
-    with |det| = prod |D_i| / |code|^2.
+    must be isotropic for the total Q mod 1; since Q(x + y) = Q(x) + Q(y) +
+    [x, y], it is checked on the generators that span it: Q(g_i) = 0 and
+    [g_i, g_j] = 0 mod 1.  The result is an even lattice with
+    |det| = prod |D_i| / |code|^2.
     """
     blocks = tuple(blocks)
     discs = [b.discriminant_form() for b in blocks]
@@ -630,36 +649,34 @@ def glue_lattice(blocks, generators=None, name=None, code=None):
         return tuple(d.normalize(c) for d, c in zip(discs, word))
 
     gens = [normalize_word(w) for w in (generators if code is None else code)]
-    zero_word = tuple(d.zero for d in discs)
-    words = {zero_word}
-    frontier = [zero_word]
-    while frontier:
-        w = frontier.pop()
-        for g in gens:
-            nw = tuple(d.add(a, b) for d, a, b in zip(discs, w, g))
-            if nw not in words:
-                words.add(nw)
-                frontier.append(nw)
-    if code is not None and words != set(gens) | {zero_word}:
+    factors = [f for d in discs for f in d.invariant_factors]
+    flat_gens = [sum(g, ()) for g in gens]
+    words, basis = _span(flat_gens, factors)
+    # `code` must be all of its span; words[0] is the zero word
+    if code is not None and len(words) != len(set(flat_gens) | {words[0]}):
         raise ValueError("glue code is not a subgroup of the product of "
                          "discriminant groups")
-    for w in words:
-        qtot = sum((d.q(c) for d, c in zip(discs, w)), start=Fraction(0))
-        if _mod1(qtot) != 0:
-            raise ValueError("glue code is not isotropic for the total Q mod 1")
+
+    cuts = list(itertools.accumulate((len(d.invariant_factors) for d in discs),
+                                     initial=0))
+    pieces = {}  # one shared tuple per block coset keeps the word list small
+
+    def nest(flat):
+        return tuple(pieces.setdefault(flat[a:b], flat[a:b])
+                     for a, b in zip(cuts, cuts[1:]))
 
     base = direct_sum(blocks)
-    lifts = []
-    for g in gens:
-        vec = []
-        for d, c in zip(discs, g):
-            vec.extend(d.rep(c))
-        lifts.append(vec)
+    lifts = [[x for d, c in zip(discs, nest(g)) for x in d.rep(c)] for g in basis]
+    for i, x in enumerate(lifts):
+        if _mod1(base.q(x)) != 0 or any(_mod1(base.bilinear(x, y)) != 0
+                                        for y in lifts[:i]):
+            raise ValueError("glue code is not isotropic for the total Q mod 1")
     order = 1
     for d in discs:
         order *= d.order
     code_size = len(words)
-    glue = GlueData(blocks, sorted(words), gens)
+    words.sort()
+    glue = GlueData(blocks, [nest(w) for w in words], gens)
     lat = _overlattice(base, lifts, name=name, glue=glue)
     if abs(lat.det) * code_size * code_size != order:
         raise AssertionError("glue determinant bookkeeping failed")

@@ -5,7 +5,7 @@ point anywhere.  Matrices are lists (or tuples) of rows.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 
 def identity(n):
@@ -378,13 +378,3 @@ def rational_gcd(values):
             g = Fraction(gcd(g.numerator * f.denominator, f.numerator * g.denominator),
                          g.denominator * f.denominator)
     return g
-
-
-def floor_sqrt_quotient(a, nsq, m):
-    """floor((a + sqrt(nsq)) / m) for integers a, nsq >= 0, m > 0."""
-    return (a + isqrt(nsq)) // m
-
-
-def ceil_sqrt_quotient(a, nsq, m):
-    """ceil((a - sqrt(nsq)) / m) for integers a, nsq >= 0, m > 0."""
-    return -((-a + isqrt(nsq)) // m)

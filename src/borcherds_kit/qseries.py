@@ -191,16 +191,6 @@ class FracQSeries:
         return " + ".join(terms) + f" + O(q^{self.prec})"
 
 
-def series_mul(a, b):
-    """Cauchy product truncated at the tightest sound precision."""
-    return a * b
-
-
-def series_invert(a):
-    """Two-sided inverse of a series with nonzero leading coefficient."""
-    return a.inverse()
-
-
 def _sigma(n, k):
     total = 0
     for d in range(1, int(n ** 0.5) + 1):
@@ -444,8 +434,3 @@ def lattice_binomial(lattice, w, cutoff, alpha, zeta, e):
         k += 1
         zeta_pow = zeta_pow * zeta
     return LatticeQSeries(lattice, w, cutoff, out)
-
-
-def lattice_series_mul(a, b):
-    """Product of two lattice series sharing lattice and grading point."""
-    return a * b

@@ -1,3 +1,4 @@
+import json
 import os
 from fractions import Fraction
 
@@ -43,6 +44,63 @@ def test_bundled_niemeier_matches_reconstruction():
         rebuilt = glue_lattice(lat.glue.blocks, lat.glue.generators)
         assert rebuilt.gram == lat.gram
 
+
+def _write_glued_copy(tmp_path, edit):
+    """A copy of niemeier-a2.json whose JSON body went through `edit`."""
+    header, body = (data_directory() / "niemeier-a2.json").read_text(
+        encoding="utf-8").split("\n", 1)
+    body = json.loads(body)
+    edit(body)
+    path = tmp_path / "edited.json"
+    path.write_text(header + "\n" + json.dumps(body) + "\n", encoding="utf-8")
+    return path
+
+
+def _set_gram_entry(body):
+    body["gram"][1] += 2
+
+
+def _replace_generator(body):
+    body["glue"]["code_generators"][0] = [1] + [0] * 11
+
+
+def _wrong_modulus(body):
+    body["glue"]["modulus"] = 2
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_set_gram_entry, "gram does not match"),
+    (_replace_generator, "not isotropic"),
+    (_wrong_modulus, "Z/2"),
+])
+def test_inconsistent_glue_file_fails(tmp_path, capsys, edit, message):
+    path = _write_glued_copy(tmp_path, edit)
+    with pytest.raises(FileFormatError, match=message):
+        load_lattice(path)
+    assert main(["lattice", "info", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_glued_copy_loads(tmp_path):
+    path = _write_glued_copy(tmp_path, lambda body: None)
+    assert load_lattice(path).gram == load_lattice("niemeier-a2").gram
+
+
+def test_lattice_cache_sees_rewritten_file(tmp_path):
+    path = tmp_path / "l.json"
+    save_lattice(path, GramLattice([[2, 1], [1, 4]], name="first"))
+    assert load_lattice(path).name == "first"
+    assert load_lattice(path) is load_lattice(path)
+    # a different size
+    save_lattice(path, GramLattice([[2, 1], [1, 4]], name="second-name"))
+    assert load_lattice(path).name == "second-name"
+    # the same size; a file system with coarse timestamps may keep the
+    # modification time, so it is moved forward explicitly
+    stat = path.stat()
+    save_lattice(path, GramLattice([[2, 1], [1, 6]], name="second-name"))
+    assert path.stat().st_size == stat.st_size
+    os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
+    assert load_lattice(path).gram == ((2, 1), (1, 6))
 
 def test_bundled_forms_load():
     f, lat = load_form("one-over-delta")
@@ -177,3 +235,10 @@ def test_cli_exit_codes(capsys, tmp_path):
     assert main(["expand", "--lattice", "a1", "--form", str(form_path),
                  "--chamber-point", "1", "--weyl", "0", "--cutoff", "2"]) == 1
     capsys.readouterr()
+
+
+def test_cli_rejects_threads(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["lattice", "info", "e8", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from borcherds_kit.lattice import (
     GramLattice,
+    _span,
     coset_reduce,
     coset_theta,
     cusp_data,
@@ -15,7 +16,6 @@ from borcherds_kit.lattice import (
     isotropic_line,
     lift_of_coset,
     overlattice_witness,
-    quadratic_value,
     representation_count,
     short_vectors,
     theta_series,
@@ -39,12 +39,12 @@ UU = direct_sum([U, U], name="U+U")
 
 
 def test_quadratic_value_examples():
-    assert quadratic_value(A1, (1,)) == 1
-    assert quadratic_value(E8, (0,) * 8) == 0
+    assert A1.q((1,)) == 1
+    assert E8.q((0,) * 8) == 0
     mins = short_vectors(E8, 1)
-    assert mins and all(quadratic_value(E8, v) == 1 for v in mins)
+    assert mins and all(E8.q(v) == 1 for v in mins)
     with pytest.raises(ValueError):
-        quadratic_value(A1, (1, 0))
+        A1.q((1, 0))
 
 
 def test_bilinear_identity_random():
@@ -243,6 +243,92 @@ def test_glue_full_code_variant():
     with pytest.raises(ValueError):
         glue_lattice([A1] * 4, gens, code=full)
 
+
+def _bfs_span(generators, factors):
+    """Reference span: breadth-first closure under adding generators."""
+    zero = (0,) * len(factors)
+    words = {zero}
+    frontier = [zero]
+    while frontier:
+        w = frontier.pop()
+        for g in generators:
+            nw = tuple((a + b) % f for a, b, f in zip(w, g, factors))
+            if nw not in words:
+                words.add(nw)
+                frontier.append(nw)
+    return words
+
+
+def _check_span(generators, factors):
+    words, basis = _span(generators, factors)
+    assert len(words) == len(set(words))
+    assert set(words) == _bfs_span(generators, factors)
+    assert all(g in generators for g in basis)
+    # every basis element enlarges the span of the ones before it
+    assert _span(basis, factors) == (words, basis)
+    return words, basis
+
+
+def test_span_matches_bfs_on_golay_codes():
+    from borcherds_kit.codes import binary_golay_generators, ternary_golay_generators
+    rng = random.Random(11)
+    for gens, modulus, size in ((binary_golay_generators(), 2, 4096),
+                                (ternary_golay_generators(), 3, 729)):
+        factors = [modulus] * len(gens[0])
+        words, basis = _check_span(gens, factors)
+        assert len(words) == size and len(basis) == len(gens)
+        # repeats and redundant sums change neither the span nor the basis size
+        sums = [tuple((a + b) % modulus for a, b in zip(g, h))
+                for g, h in zip(gens, gens[1:])]
+        noisy = gens + sums + gens[:3]
+        rng.shuffle(noisy)
+        words2, basis2 = _check_span(noisy, factors)
+        assert set(words2) == set(words) and len(basis2) == len(gens)
+
+
+def test_span_matches_bfs_mixed_factors():
+    rng = random.Random(5)
+    factors = [4, 2, 2, 3, 6]
+    for _ in range(40):
+        gens = [tuple(rng.randrange(f) for f in factors)
+                for _ in range(rng.randint(0, 4))]
+        _check_span(gens, factors)
+
+
+def test_glue_code_path_matches_generators():
+    from borcherds_kit.codes import binary_golay_generators
+    gens = [tuple((c,) for c in row) for row in binary_golay_generators()]
+    by_generators = glue_lattice([A1] * 24, gens)
+    by_code = glue_lattice([A1] * 24, code=list(reversed(by_generators.glue.words)))
+    assert by_code.gram == by_generators.gram
+    assert by_code.glue.words == by_generators.glue.words
+    assert len(by_code.glue.words) == 4096
+
+
+def test_glue_mixed_invariant_factors():
+    # A3 has discriminant Z/4 with Q(2) = 1/2; A1 has Z/2 with Q(1) = 1/4
+    a3 = GramLattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], name="A3")
+    blocks = [a3, a3, A1, A1]
+    gens = [((2,), (2,), (0,), (0,)), ((2,), (0,), (1,), (1,))]
+    lat = glue_lattice(blocks, gens)
+    factors = [4, 4, 2, 2]
+    expected = _bfs_span([sum(g, ()) for g in gens], factors)
+    assert {sum(w, ()) for w in lat.glue.words} == expected
+    assert len(lat.glue.words) == 4 and abs(lat.det) == 4 * 4 * 2 * 2 // 16
+    redundant = gens + [((0,), (2,), (1,), (1,)), gens[0]]
+    assert glue_lattice(blocks, redundant).gram == lat.gram
+    th_glue = theta_series(lat, 3)
+    assert th_glue.coeffs == coset_theta(lat, None, 3).coeffs
+
+
+def test_glue_isotropy_checks_pairings():
+    # each word has Q = 4 * 1/4 = 1, but the two words pair to 1/2 mod 1
+    w1 = tuple((int(c),) for c in "11110000")
+    w2 = tuple((int(c),) for c in "10001110")
+    glue_lattice([A1] * 8, [w1])
+    glue_lattice([A1] * 8, [w2])
+    with pytest.raises(ValueError, match="not isotropic"):
+        glue_lattice([A1] * 8, [w1, w2])
 
 def test_isotropic_line():
     assert isotropic_line(U) == (1, 0)

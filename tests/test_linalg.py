@@ -4,9 +4,7 @@ from fractions import Fraction
 import pytest
 
 from borcherds_kit.linalg import (
-    ceil_sqrt_quotient,
     det_int,
-    floor_sqrt_quotient,
     hermite_normal_form,
     invert_rational,
     kernel_basis,
@@ -182,17 +180,3 @@ def test_rational_gcd():
     assert rational_gcd([Fraction(4, 3), Fraction(2, 3)]) == Fraction(2, 3)
     assert rational_gcd([0, Fraction(5, 7)]) == Fraction(5, 7)
     assert rational_gcd([]) == 0
-
-
-def test_sqrt_quotient_bounds():
-    rng = random.Random(7)
-    for _ in range(200):
-        a = rng.randint(-50, 50)
-        n = rng.randint(0, 2500)
-        m = rng.randint(1, 9)
-        lo = ceil_sqrt_quotient(a, n, m)
-        hi = floor_sqrt_quotient(a, n, m)
-        # x in [lo, hi] should be exactly the integers with (m*x - a)^2 <= n
-        for x in range(lo - 2, hi + 3):
-            inside = (m * x - a) ** 2 <= n
-            assert inside == (lo <= x <= hi)
