@@ -8,7 +8,6 @@ the embedding trick and the modularity-criterion pairing.
 
 from .cyclotomic import CycScalar, e, sqrt_positive_int
 from .divisors import (
-    DirectSumSplit,
     DivisorExpr,
     EmbeddingData,
     borcherds_relation,
@@ -73,7 +72,7 @@ from .weil import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CuspData", "CycScalar", "DirectSumSplit", "DiscriminantForm",
+    "CuspData", "CycScalar", "DiscriminantForm",
     "DivisorExpr", "EmbeddingData", "FracQSeries", "GlueData", "GramLattice",
     "LatticeQSeries", "PrecisionError", "ProductExpansion", "WHForm",
     "WeilRepData", "WeylChamber", "borcherds_relation", "braid_holds",

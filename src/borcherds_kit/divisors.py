@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .forms import divide_by_24delta
 from .lattice import coset_theta, theta_series
+from .linalg import row_reduce, solve_rational, transpose
 from .product import PrecisionError
 from .qseries import delta_series
 
@@ -138,66 +139,47 @@ def borcherds_relation(form):
     return out
 
 
-class DirectSumSplit:
-    """Coset identification for V-hat = V + Lambda with both factors explicit.
-
-    Cosets of D(V-hat) are pairs (mu1, mu2); the pullback convolution needs,
-    for a given target coset, the list of compatible (mu1, mu2) pairs.
-    """
-
-    def __init__(self, disc_v, disc_lambda):
-        self.disc_v = disc_v
-        self.disc_lambda = disc_lambda
-
-    def pairs(self, mu):
-        """All (mu1, mu2) with mu1 + mu2 equal to the given coset pair."""
-        mu1, mu2 = mu
-        return [(self.disc_v.normalize(mu1), self.disc_lambda.normalize(mu2))]
-
-
-def pullback(m, mu, lam, split):
+def pullback(m, mu, lam):
     """Pull a big-lattice divisor symbol back along V -> V + Lambda:
 
-        Z(m, mu) restricts to  sum over m1 + m2 = m, mu1 + mu2 in mu of
+        Z(m, (mu1, mu2)) restricts to  sum over m1 + m2 = m of
         r_Lambda(m2, mu2) * Z(m1, mu1),
 
-    with the m1 = 0 terms rewritten by the constant-term conventions.  The
-    inner sum is finite: m2 runs over values of Q on dual cosets of Lambda
-    inside [0, m].
+    with the m1 = 0 terms rewritten by the constant-term conventions.  mu is
+    the coset pair (mu1, mu2) of D(V) + D(Lambda); mu1 is taken as given and
+    mu2 is normalized in D(Lambda).  The inner sum is finite: m2 runs over
+    values of Q on the coset mu2 of Lambda inside [0, m].
     """
     m = Fraction(m)
     if m < 0:
         return DivisorExpr()
+    mu1, mu2 = mu
+    disc_l = lam.discriminant_form()
+    mu2 = disc_l.normalize(mu2)
+    if any(mu2):
+        theta = coset_theta(lam, disc_l.rep(mu2), math.ceil(m))
+    else:
+        theta = theta_series(lam, math.ceil(m))
     out = DivisorExpr()
-    disc_l = lam.discriminant_form() if lam.rank else None
-    for mu1, mu2 in split.pairs(mu):
-        if lam.rank == 0:
-            if m >= 0 and not any(mu2):
-                out._accumulate((m, mu1), 1)
-            continue
-        if any(mu2):
-            theta = coset_theta(lam, disc_l.rep(mu2), math.ceil(m))
-        else:
-            theta = theta_series(lam, math.ceil(m))
-        for m2, count in sorted(theta.coeffs.items()):
-            if m2 <= m:
-                out._accumulate((m - m2, mu1), count)
+    for m2, count in sorted(theta.coeffs.items()):
+        if m2 <= m:
+            out._accumulate((m - m2, mu1), count)
     return out
 
 
-def pullback_expr(expr, lam, split, lift_coset):
+def pullback_expr(expr, lam):
     """Pull back a whole DivisorExpr; omega restricts to omega.
 
-    lift_coset maps a big-lattice coset (as stored in expr) to the split
-    form used by `pullback`.
+    Each coset mu of V in expr lifts to (mu, 0) with 0 the zero of D(Lambda).
     """
+    zero = lam.discriminant_form().zero
     out = DivisorExpr()
     for key, coeff in expr.terms.items():
         if key == OMEGA:
             out._accumulate(OMEGA, coeff)
         else:
             m, mu = key
-            out = out + pullback(m, lift_coset(mu), lam, split) * coeff
+            out = out + pullback(m, (mu, zero), lam) * coeff
     return out
 
 
@@ -250,16 +232,8 @@ def embedding_trick(form, embedding):
         raise PrecisionError(
             "theta precision does not cover the principal part of form/(24 Delta)")
     relation = borcherds_relation(g)
-    disc = form.disc
-    split1 = DirectSumSplit(disc, embedding.lambda1.discriminant_form())
-    split2 = DirectSumSplit(disc, embedding.lambda2.discriminant_form())
-    zero2 = ()
-
-    def lift(mu):
-        return (mu, zero2)
-
-    pulled1 = pullback_expr(relation, embedding.lambda1, split1, lift)
-    pulled2 = pullback_expr(relation, embedding.lambda2, split2, lift)
+    pulled1 = pullback_expr(relation, embedding.lambda1)
+    pulled2 = pullback_expr(relation, embedding.lambda2)
     return pulled2 - pulled1
 
 
@@ -330,43 +304,19 @@ def relation_ideal(forms):
     keys = sorted({k for r in relations for k in r.terms},
                   key=lambda k: (1,) if k == OMEGA else (0, k[0], k[1]))
     rows = [[r.terms.get(k, Fraction(0)) for k in keys] for r in relations]
-    basis_rows = _row_reduce(rows)
+    reduced, pivots = row_reduce(rows, len(keys))
+    basis_rows = reduced[:len(pivots)]
     basis = []
     for row in basis_rows:
         expr = DivisorExpr()
         expr.terms = {k: v for k, v in zip(keys, row) if v != 0}
         basis.append(expr)
+    columns = transpose(basis_rows)
 
     def contains(expr):
-        extra = [k for k in expr.terms if k not in keys]
-        if extra:
+        if any(k not in keys for k in expr.terms):
             return False
         vec = [expr.terms.get(k, Fraction(0)) for k in keys]
-        for row in basis_rows:
-            piv = next(i for i, x in enumerate(row) if x != 0)
-            if vec[piv]:
-                f = vec[piv] / row[piv]
-                vec = [a - f * b for a, b in zip(vec, row)]
-        return all(x == 0 for x in vec)
+        return solve_rational(columns, vec) is not None
 
     return basis, contains
-
-
-def _row_reduce(rows):
-    rows = [list(r) for r in rows if any(r)]
-    out = []
-    cols = len(rows[0]) if rows else 0
-    r = 0
-    work = [list(r_) for r_ in rows]
-    for c in range(cols):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        work[r] = [x / work[r][c] for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                f = work[i][c]
-                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
-        r += 1
-    return [row for row in work[:r]]

@@ -48,10 +48,21 @@ def _read_body(path):
     if not lines or lines[0].strip() != HEADER:
         raise FileFormatError(f"{path}: line 1: expected header '{HEADER}'")
     try:
-        return json.loads(lines[1])
+        body = json.loads(lines[1])
     except json.JSONDecodeError as exc:
         raise FileFormatError(f"{path}: line {exc.lineno + 1}, column {exc.colno}: "
                               f"{exc.msg}") from exc
+    if not isinstance(body, dict):
+        raise FileFormatError(f"{path}: body must be a JSON object")
+    return body
+
+
+def _field(body, key, path):
+    """body[key], or FileFormatError naming the missing key."""
+    try:
+        return body[key]
+    except KeyError:
+        raise FileFormatError(f"{path}: missing key {key!r}") from None
 
 
 def _write_body(path, body):
@@ -78,43 +89,50 @@ def resolve_data_path(ref, relative_to=None):
                             f"{data_directory()}")
 
 
-_LATTICE_CACHE = {}  # (resolved path, st_mtime_ns, st_size) -> GramLattice
+# resolved path -> (st_mtime_ns, st_size, GramLattice); one entry per path,
+# replaced when the file changes
+_LATTICE_CACHE = {}
 
 
 def load_lattice(ref, relative_to=None):
     path = resolve_data_path(ref, relative_to)
     stat = path.stat()
-    key = (str(path.resolve()), stat.st_mtime_ns, stat.st_size)
-    if key in _LATTICE_CACHE:
-        return _LATTICE_CACHE[key]
+    key = str(path.resolve())
+    stamp = (stat.st_mtime_ns, stat.st_size)
+    cached = _LATTICE_CACHE.get(key)
+    if cached is not None and cached[:2] == stamp:
+        return cached[2]
     body = _read_body(path)
-    if body.get("kind") != "lattice":
+    if _field(body, "kind", path) != "lattice":
         raise FileFormatError(f"{path}: not a lattice file")
-    rank = body["rank"]
-    flat = body["gram"]
+    rank = _field(body, "rank", path)
+    flat = _field(body, "gram", path)
     if len(flat) != rank * rank:
         raise FileFormatError(f"{path}: gram needs {rank * rank} entries")
     gram = [flat[i * rank:(i + 1) * rank] for i in range(rank)]
     if "glue" in body:
         lat = _load_glued(path, body, gram)
     else:
-        lat = GramLattice(gram, name=body.get("name"))
-    _LATTICE_CACHE[key] = lat
+        try:
+            lat = GramLattice(gram, name=body.get("name"))
+        except ValueError as exc:
+            raise FileFormatError(f"{path}: {exc}") from exc
+    _LATTICE_CACHE[key] = stamp + (lat,)
     return lat
 
 
 def _load_glued(path, body, gram):
     """The glued lattice a file specifies, checked against the file's gram."""
     spec = body["glue"]
-    blocks = [load_lattice(name, relative_to=path.parent)
-              for name in spec["blocks"]]
-    modulus = spec["modulus"]
-    for name, block in zip(spec["blocks"], blocks):
+    names = _field(spec, "blocks", path)
+    blocks = [load_lattice(name, relative_to=path.parent) for name in names]
+    modulus = _field(spec, "modulus", path)
+    for name, block in zip(names, blocks):
         if block.discriminant_form().invariant_factors != (modulus,):
             raise FileFormatError(f"{path}: glue block {name} does not have "
                                   f"discriminant group Z/{modulus}")
     generators = []
-    for row in spec["code_generators"]:
+    for row in _field(spec, "code_generators", path):
         if len(row) != len(blocks):
             raise FileFormatError(f"{path}: glue word length mismatch")
         generators.append(tuple((int(c) % modulus,) for c in row))
@@ -142,12 +160,12 @@ def save_lattice(path, lattice, glue_spec=None):
 
 def load_series(path):
     body = _read_body(path)
-    if body.get("kind") != "series":
+    if _field(body, "kind", path) != "series":
         raise FileFormatError(f"{path}: not a series file")
-    den = body["denominator"]
-    prec = Fraction(*body["precision"])
+    den = _field(body, "denominator", path)
+    prec = Fraction(*_field(body, "precision", path))
     coeffs = {}
-    for expn, cnum, cden in body["terms"]:
+    for expn, cnum, cden in _field(body, "terms", path):
         coeffs[Fraction(expn, den)] = Fraction(cnum, cden)
     return FracQSeries(coeffs, prec, denominator=den)
 
@@ -169,14 +187,14 @@ def save_series(path, series):
 def load_form(path, relative_to=None):
     path = resolve_data_path(path, relative_to)
     body = _read_body(path)
-    if body.get("kind") != "form":
+    if _field(body, "kind", path) != "form":
         raise FileFormatError(f"{path}: not a form file")
-    lattice = load_lattice(body["lattice"], relative_to=path.parent)
+    lattice = load_lattice(_field(body, "lattice", path), relative_to=path.parent)
     disc = discriminant_form(lattice)
-    weight = Fraction(*body["weight"])
-    prec = Fraction(*body["precision"])
+    weight = Fraction(*_field(body, "weight", path))
+    prec = Fraction(*_field(body, "precision", path))
     coeffs = {}
-    for mnum, mden, coset, cnum, cden in body["terms"]:
+    for mnum, mden, coset, cnum, cden in _field(body, "terms", path):
         coeffs[(Fraction(mnum, mden), tuple(coset))] = Fraction(cnum, cden)
     form = WHForm(disc, weight, coeffs, prec)
     return form, lattice

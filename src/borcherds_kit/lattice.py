@@ -155,7 +155,6 @@ class DiscriminantForm:
         if self.order != abs(lattice.det):
             raise AssertionError("discriminant group order must equal |det|")
         self.signature_mod8 = (lattice.signature_pair[0] - lattice.signature_pair[1]) % 8
-        self._diag = None
 
     @property
     def zero(self):
@@ -196,12 +195,6 @@ class DiscriminantForm:
     def pairing(self, c1, c2):
         """[mu, nu] mod 1, as a Fraction in [0, 1)."""
         return _mod1(self.lattice.bilinear(self.rep(c1), self.rep(c2)))
-
-    @property
-    def q_values(self):
-        if self._diag is None:
-            self._diag = {c: self.q(c) for c in self.cosets()}
-        return self._diag
 
     def coset_of_dual(self, y):
         """The coset of a dual vector y (raises when y is not in the dual lattice)."""
@@ -780,7 +773,6 @@ def cusp_data(lattice, ell, k=None):
     [ell, k] = N may be supplied instead.  ell_* = k - (Q(k)/N) ell, which is
     isotropic and pairs to N with ell.
     """
-    n = lattice.rank
     ell = tuple(int(x) for x in ell)
     if lattice.q(ell) != 0:
         raise ValueError("ell must be isotropic")
@@ -822,12 +814,7 @@ def cusp_data(lattice, ell, k=None):
         raise AssertionError("failed to complete ell to a kernel basis")
     new_basis = mat_mul(m, kernel)
     lift_rows = new_basis[1:]
-    k0 = len(lift_rows)
-    gram0 = [[0] * k0 for _ in range(k0)]
-    for i in range(k0):
-        for j in range(k0):
-            gram0[i][j] = int(sum(lift_rows[i][a] * lattice.gram[a][b] * lift_rows[j][b]
-                                  for a in range(n) for b in range(n)))
+    gram0 = mat_mul(mat_mul(lift_rows, lattice.gram), transpose(lift_rows))
     v0 = GramLattice(gram0, name=(f"{lattice.name}/cusp" if lattice.name else None))
     return CuspData(lattice, ell, n_value, k, ell_star, v0, lift_rows)
 
@@ -839,6 +826,14 @@ def coset_reduce(mu, data):
     [rep + v, ell] = 0 with v integral, solvable exactly when N divides
     [rep, ell].
     """
+    lifted = lift_of_coset(mu, data)
+    if lifted is None:
+        return None
+    return _project_to_v0_coset(lifted, data)
+
+
+def lift_of_coset(mu, data):
+    """A lift of mu into ell-perp intersect (mu + L), or None when none exists."""
     disc = data.disc_v
     rep = disc.rep(disc.normalize(mu))
     r = sum(a * b for a, b in zip(rep, data._gl))
@@ -848,25 +843,12 @@ def coset_reduce(mu, data):
     if r % data.n_value != 0:
         return None
     v = solve_int([data._gl], [-r])
-    lifted = tuple(a + b for a, b in zip(rep, v))
-    return _project_to_v0_coset(lifted, data)
-
-
-def lift_of_coset(mu, data):
-    """A lift of mu into ell-perp intersect (mu + L), or None when none exists."""
-    disc = data.disc_v
-    rep = disc.rep(disc.normalize(mu))
-    r = int(sum(a * b for a, b in zip(rep, data._gl)))
-    if r % data.n_value != 0:
-        return None
-    v = solve_int([data._gl], [-r])
     return tuple(a + b for a, b in zip(rep, v))
 
 
 def _project_to_v0_coset(vec, data):
     """Express a vector of ell-perp as c*ell + sum lambda_i b_i; return the
     V0 coset of (lambda_i)."""
-    n = data.lattice.rank
     cols = [list(data.ell)] + [list(r) for r in data.lift_rows]
     sol = solve_rational(transpose(cols), list(vec))
     if sol is None:

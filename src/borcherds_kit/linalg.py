@@ -195,49 +195,51 @@ def solve_int(m, b):
     return mat_vec(v, y)
 
 
-def solve_rational(m, b):
-    """Solution of m x = b over the rationals, or None when inconsistent."""
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    a = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(m, b)]
+def row_reduce(rows, ncols):
+    """Reduced row echelon form over Q by Gauss-Jordan elimination.
+
+    Pivots are searched in the first ncols columns only, so augmented columns
+    ride along.  Returns (a, pivots): a holds the rows as Fractions, row i <
+    len(pivots) has a 1 in column pivots[i] and every other row a 0 there,
+    and the rows from len(pivots) on are zero in the first ncols columns.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
         a[r] = [x / a[r][c] for x in a[r]]
-        for i in range(rows):
+        for i in range(len(a)):
             if i != r and a[i][c] != 0:
                 f = a[i][c]
                 a[i] = [x - f * y for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
+    return a, pivots
+
+
+def solve_rational(m, b):
+    """Solution of m x = b over the rationals, or None when inconsistent."""
+    cols = len(m[0]) if m else 0
+    a, pivots = row_reduce([list(row) + [bi] for row, bi in zip(m, b)], cols)
+    if any(row[cols] != 0 for row in a[len(pivots):]):
+        return None
     x = [Fraction(0)] * cols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][cols]
+    for row, c in zip(a, pivots):
+        x[c] = row[cols]
     return x
 
 
 def invert_rational(m):
     """Inverse of a nonsingular square matrix, entries Fraction."""
     n = len(m)
-    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(m)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        a[c], a[piv] = a[piv], a[c]
-        a[c] = [x / a[c][c] for x in a[c]]
-        for i in range(n):
-            if i != c and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    a, pivots = row_reduce([list(row) + [int(i == j) for j in range(n)]
+                            for i, row in enumerate(m)], n)
+    if len(pivots) < n:
+        raise ZeroDivisionError("singular matrix")
     return [row[n:] for row in a]
 
 

@@ -10,7 +10,7 @@ consumers must check `.prec` rather than assume.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
 
 class FracQSeries:
@@ -137,35 +137,28 @@ class FracQSeries:
         """Series b with self * b = 1 up to the sound precision.
 
         Requires a nonzero leading coefficient.  The result has leading
-        exponent -m_min and precision prec - 2*m_min.
+        exponent -m_min and precision prec - 2*m_min.  Writing self =
+        a0 q^m0 (1 + sum_k u_k q^(k/L)), the coefficients of 1/(1 + ...) on
+        the exponent grid (1/L)Z follow the reciprocal recurrence b_0 = 1,
+        b_t = -sum_{0<k<=t} u_k b_{t-k} (Knuth, TAOCP Vol. 2, 4.7).
         """
         if not self.coeffs:
             raise ZeroDivisionError("cannot invert the zero series")
         m0 = self.m_min
         a0 = self.coeffs[m0]
-        # normalized tail u with self = a0 q^m0 (1 + u), u supported in (0, prec - m0)
-        u = {e - m0: c / a0 for e, c in self.coeffs.items() if e != m0}
-        span = self.prec - m0  # u known below span
-        step = min(u) if u else span
-        inv = {Fraction(0): Fraction(1)}
-        if u:
-            # accumulate 1 - u + u^2 - ... ; terms beyond span/step vanish
-            power = {Fraction(0): Fraction(1)}
-            k = 0
-            while k * step < span:
-                k += 1
-                nxt = {}
-                for e1, c1 in power.items():
-                    for e2, c2 in u.items():
-                        e = e1 + e2
-                        if e < span:
-                            nxt[e] = nxt.get(e, Fraction(0)) + c1 * c2
-                power = nxt
-                if not power:
+        grid = self.denominator
+        span = self.prec - m0  # the normalized tail is known below span
+        u = sorted((int((e - m0) * grid), c / a0)
+                   for e, c in self.coeffs.items() if e != m0)
+        b = [Fraction(1)]
+        for t in range(1, ceil(span * grid)):
+            acc = 0
+            for k, uk in u:
+                if k > t:
                     break
-                for e, c in power.items():
-                    inv[e] = inv.get(e, Fraction(0)) + (-1) ** k * c
-        out = {e - m0: c / a0 for e, c in inv.items()}
+                acc -= uk * b[t - k]
+            b.append(acc)
+        out = {Fraction(t, grid) - m0: bt / a0 for t, bt in enumerate(b) if bt}
         return FracQSeries(out, span - m0)
 
     def _coerce(self, other):
@@ -219,70 +212,13 @@ def delta_series(b):
     """The discriminant cusp form q * prod (1-q^n)^24 with terms through q^b."""
     if b < 1:
         raise ValueError("need b >= 1")
-    euler = _euler_product_power(24, b)
-    return FracQSeries({e + 1: c for e, c in euler.items()}, b + 1)
-
-
-def _euler_product_power(exponent, b):
-    """Coefficients of prod_{n>=1} (1-q^n)^exponent through q^b (exponent in Z)."""
-    # prod (1-q^n) via Euler's pentagonal number theorem, then integer power
+    # prod (1-q^n) through q^(b-1) by Euler's pentagonal number theorem
     pent = {0: 1}
     m = 1
-    while True:
-        p1 = m * (3 * m - 1) // 2
-        p2 = m * (3 * m + 1) // 2
-        if p1 > b and p2 > b:
-            break
-        if p1 <= b:
-            pent[p1] = (-1) ** m
-        if p2 <= b:
-            pent[p2] = (-1) ** m
+    while m * (3 * m - 1) // 2 < b:
+        pent[m * (3 * m - 1) // 2] = pent[m * (3 * m + 1) // 2] = (-1) ** m
         m += 1
-    if exponent >= 0:
-        out = {0: 1}
-        base = dict(pent)
-        e = exponent
-        while e:
-            if e & 1:
-                out = _poly_mul_trunc(out, base, b)
-            e >>= 1
-            if e:
-                base = _poly_mul_trunc(base, base, b)
-        return {Fraction(k): Fraction(v) for k, v in out.items()}
-    inv = _poly_invert_trunc(pent, b)
-    out = {0: Fraction(1)}
-    base = inv
-    e = -exponent
-    while e:
-        if e & 1:
-            out = _poly_mul_trunc(out, base, b)
-        e >>= 1
-        if e:
-            base = _poly_mul_trunc(base, base, b)
-    return {Fraction(k): Fraction(v) for k, v in out.items()}
-
-
-def _poly_mul_trunc(a, b, bound):
-    out = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
-            if e <= bound:
-                out[e] = out.get(e, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
-
-
-def _poly_invert_trunc(a, bound):
-    # a has a[0] = 1; inverse through degree `bound` by recursion
-    out = {0: Fraction(1)}
-    for n in range(1, bound + 1):
-        s = Fraction(0)
-        for k, c in a.items():
-            if 0 < k <= n:
-                s += c * out.get(n - k, Fraction(0))
-        if s:
-            out[n] = -s
-    return out
+    return (FracQSeries(pent, b) ** 24).shift(1)
 
 
 def j_series(b):

@@ -14,6 +14,7 @@ relation (rho_S rho_T)^3 = rho_S^2, checked in the test suite.
 from fractions import Fraction
 
 from .cyclotomic import CycScalar, e, sqrt_positive_int
+from .linalg import mat_mul
 
 
 class WeilRepData:
@@ -70,36 +71,16 @@ def conjugate_rep(rep):
     return WeilRepData(rep.disc, (-rep.sig8) % 8, conj(rep.rho_t), conj(rep.rho_s))
 
 
-def mat_mul_cyc(a, b):
-    n = len(a)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = CycScalar.from_rational(0)
-            for k in range(n):
-                acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
-def mat_eq_cyc(a, b):
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def braid_holds(rep):
     """(rho_S rho_T)^3 == rho_S^2, exactly."""
-    st = mat_mul_cyc(rep.rho_s, rep.rho_t)
-    lhs = mat_mul_cyc(mat_mul_cyc(st, st), st)
-    rhs = mat_mul_cyc(rep.rho_s, rep.rho_s)
-    return mat_eq_cyc(lhs, rhs)
+    st = mat_mul(rep.rho_s, rep.rho_t)
+    return mat_mul(mat_mul(st, st), st) == mat_mul(rep.rho_s, rep.rho_s)
 
 
 def s_fourth_power_scalar(rep):
     """rho_S^4 as a scalar (it must be e(-sig8/2) times the identity)."""
-    s2 = mat_mul_cyc(rep.rho_s, rep.rho_s)
-    s4 = mat_mul_cyc(s2, s2)
+    s2 = mat_mul(rep.rho_s, rep.rho_s)
+    s4 = mat_mul(s2, s2)
     n = len(s4)
     scalar = s4[0][0]
     for i in range(n):

@@ -5,7 +5,6 @@ import pytest
 from borcherds_kit.codes import binary_golay_generators, ternary_golay_generators
 from borcherds_kit.divisors import (
     OMEGA,
-    DirectSumSplit,
     DivisorExpr,
     EmbeddingData,
     borcherds_relation,
@@ -110,19 +109,17 @@ def test_borcherds_relation_requires_integral():
 
 def test_pullback_rank_zero():
     zero_lat = GramLattice([])
-    split = DirectSumSplit(DISC_UU, discriminant_form(zero_lat))
-    pb = pullback(Fraction(3, 2), ((), ()), zero_lat, split)
+    pb = pullback(Fraction(3, 2), ((), ()), zero_lat)
     assert pb == DivisorExpr.z(Fraction(3, 2), ())
-    assert pullback(0, ((), ()), zero_lat, split) == DivisorExpr.omega(-1)
+    assert pullback(0, ((), ()), zero_lat) == DivisorExpr.omega(-1)
 
 
 def test_pullback_unimodular_omega_term(embedding):
     n1 = embedding.lambda1
-    split = DirectSumSplit(DISC_UU, n1.discriminant_form())
-    assert pullback(0, ((), ()), n1, split) == DivisorExpr.omega(-1)
-    pb = pullback(1, ((), ()), n1, split)
+    assert pullback(0, ((), ()), n1) == DivisorExpr.omega(-1)
+    pb = pullback(1, ((), ()), n1)
     assert pb == DivisorExpr.z(1, ()) + DivisorExpr.omega(-48)
-    pb2 = pullback(2, ((), ()), n1, split)
+    pb2 = pullback(2, ((), ()), n1)
     # r(0) Z(2) + r(1) Z(1) + r(2) Z(0) with Z(0,0) = -omega
     assert pb2.coefficient((2, ())) == 1
     assert pb2.coefficient((1, ())) == 48
@@ -132,14 +129,13 @@ def test_pullback_unimodular_omega_term(embedding):
 def test_pullback_nontrivial_coset():
     # Lambda = A1: D(V-hat) = D(A1) when V is unimodular; pulling back the
     # odd coset at m = Q + 1 picks up r_{A1}(1/4, g) Z(1, 0) + r_{A1}(5/4, g) Z(0,...)
-    split = DirectSumSplit(DISC_UU, discriminant_form(A1))
     m = Fraction(5, 4)
-    pb = pullback(m, ((), (1,)), A1, split)
+    pb = pullback(m, ((), (1,)), A1)
     # Q values on the odd A1 coset: 1/4 (2 vectors), 9/4 (2 vectors), ...
     assert pb.coefficient((1, ())) == 2
     assert pb.coefficient((Fraction(1, 4), ())) == 0  # 5/4 - 9/4 < 0 dropped
     assert pb.coefficient(OMEGA) == 0
-    pb2 = pullback(Fraction(9, 4), ((), (1,)), A1, split)
+    pb2 = pullback(Fraction(9, 4), ((), (1,)), A1)
     assert pb2.coefficient((2, ())) == 2
     assert pb2.coefficient((1, ())) == 0
     assert pb2.coefficient(OMEGA) == -2  # m2 = 9/4 gives Z(0,0) twice
@@ -147,8 +143,7 @@ def test_pullback_nontrivial_coset():
 
 def test_pullback_expr_respects_omega(embedding):
     expr = DivisorExpr.z(1, (), 2) + DivisorExpr.omega(7)
-    split = DirectSumSplit(DISC_UU, embedding.lambda1.discriminant_form())
-    out = pullback_expr(expr, embedding.lambda1, split, lambda mu: (mu, ()))
+    out = pullback_expr(expr, embedding.lambda1)
     assert out.coefficient((1, ())) == 2
     assert out.coefficient(OMEGA) == 7 - 2 * 48
 

@@ -1,12 +1,15 @@
+import importlib.util
 import json
 import os
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from borcherds_kit.cli import main
 from borcherds_kit.forms import WHForm
 from borcherds_kit.io import (
+    _LATTICE_CACHE,
     FileFormatError,
     data_directory,
     load_form,
@@ -68,10 +71,15 @@ def _wrong_modulus(body):
     body["glue"]["modulus"] = 2
 
 
+def _drop_modulus(body):
+    del body["glue"]["modulus"]
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set_gram_entry, "gram does not match"),
     (_replace_generator, "not isotropic"),
     (_wrong_modulus, "Z/2"),
+    (_drop_modulus, "missing key 'modulus'"),
 ])
 def test_inconsistent_glue_file_fails(tmp_path, capsys, edit, message):
     path = _write_glued_copy(tmp_path, edit)
@@ -88,6 +96,7 @@ def test_glued_copy_loads(tmp_path):
 
 def test_lattice_cache_sees_rewritten_file(tmp_path):
     path = tmp_path / "l.json"
+    size_before = len(_LATTICE_CACHE)
     save_lattice(path, GramLattice([[2, 1], [1, 4]], name="first"))
     assert load_lattice(path).name == "first"
     assert load_lattice(path) is load_lattice(path)
@@ -101,6 +110,84 @@ def test_lattice_cache_sees_rewritten_file(tmp_path):
     assert path.stat().st_size == stat.st_size
     os.utime(path, ns=(stat.st_atime_ns, stat.st_mtime_ns + 10**9))
     assert load_lattice(path).gram == ((2, 1), (1, 6))
+    # one entry per path: each rewrite replaced the entry before it
+    assert len(_LATTICE_CACHE) == size_before + 1
+    assert _LATTICE_CACHE[str(path.resolve())][2].gram == ((2, 1), (1, 6))
+
+
+def _write_body(path, body):
+    path.write_text("borcherds-kit v1\n" + json.dumps(body) + "\n", encoding="utf-8")
+    return path
+
+
+LATTICE_BODY = {"kind": "lattice", "name": "t", "rank": 2, "gram": [2, 1, 1, 2]}
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda body: body.update(gram=[2, 1, 0, 2]), "must be symmetric"),
+    (lambda body: body.update(gram=[1, 0, 0, 2]), "must be even"),
+    (lambda body: body.update(gram=[2, 2, 2, 2]), "nonsingular"),
+    (lambda body: body.pop("rank"), "missing key 'rank'"),
+    (lambda body: body.pop("gram"), "missing key 'gram'"),
+    (lambda body: body.pop("kind"), "missing key 'kind'"),
+])
+def test_malformed_lattice_file_exits_2(tmp_path, capsys, edit, message):
+    body = dict(LATTICE_BODY)
+    edit(body)
+    path = _write_body(tmp_path / "bad.json", body)
+    with pytest.raises(FileFormatError, match=message):
+        load_lattice(path)
+    assert main(["lattice", "info", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_non_object_body_exits_2(tmp_path, capsys):
+    path = _write_body(tmp_path / "bad.json", [1, 2])
+    with pytest.raises(FileFormatError, match="JSON object"):
+        load_lattice(path)
+    assert main(["lattice", "info", str(path)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key", ["kind", "lattice", "weight", "precision", "terms"])
+def test_form_file_missing_key_exits_2(tmp_path, capsys, key):
+    f, _ = load_form("one-over-delta")
+    path = tmp_path / "f.json"
+    save_form(path, f, "u-plus-u")
+    body = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[1])
+    del body[key]
+    _write_body(path, body)
+    with pytest.raises(FileFormatError, match=f"missing key '{key}'"):
+        load_form(path)
+    assert main(["relation", "--form", str(path)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key", ["kind", "denominator", "precision", "terms"])
+def test_series_file_missing_key_exits_2(tmp_path, capsys, key):
+    path = tmp_path / "s.json"
+    save_series(path, FracQSeries({Fraction(1, 2): 3}, 4))
+    body = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[1])
+    del body[key]
+    _write_body(path, body)
+    with pytest.raises(FileFormatError, match=f"missing key '{key}'"):
+        load_series(path)
+    assert main(["pair", "--form", "e4sq-over-delta", "--series", str(path)]) == 2
+    capsys.readouterr()
+
+
+def test_generate_data_reproduces_bundled_files(tmp_path):
+    script = Path(__file__).resolve().parent.parent / "tools" / "generate_data.py"
+    spec = importlib.util.spec_from_file_location("generate_data", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    module.main(tmp_path)
+    bundled = sorted(p.name for p in module.OUT.glob("*.json"))
+    assert len(bundled) == 14
+    assert sorted(p.name for p in tmp_path.glob("*.json")) == bundled
+    for name in bundled:
+        assert (tmp_path / name).read_bytes() == (module.OUT / name).read_bytes(), name
+
 
 def test_bundled_forms_load():
     f, lat = load_form("one-over-delta")

@@ -129,6 +129,90 @@ def test_solve_rational_and_inverse():
     assert solve_rational([[1, 1], [1, 1]], [0, 1]) is None
 
 
+def reference_solve_rational(m, b):
+    """The former stand-alone elimination behind solve_rational."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    a = [[Fraction(x) for x in row] + [Fraction(bi)] for row, bi in zip(m, b)]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, rows):
+        if a[i][cols] != 0:
+            return None
+    x = [Fraction(0)] * cols
+    for i, c in enumerate(pivots):
+        x[c] = a[i][cols]
+    return x
+
+
+def reference_invert_rational(m):
+    """The former stand-alone elimination behind invert_rational."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if a[i][c] != 0), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[c], a[piv] = a[piv], a[c]
+        a[c] = [x / a[c][c] for x in a[c]]
+        for i in range(n):
+            if i != c and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return [row[n:] for row in a]
+
+
+def random_rational_matrix(rng, rows, cols):
+    return [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def test_row_reduce_matches_reference_eliminations():
+    rng = random.Random(23)
+    seen = {"square": 0, "rectangular": 0, "singular": 0, "inconsistent": 0}
+    for trial in range(300):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        m = random_rational_matrix(rng, rows, cols)
+        if trial % 3 == 0 and rows > 1:
+            # a dependent row: the last row repeats a combination of two others
+            f = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+            m[-1] = [x + f * y for x, y in zip(m[0], m[rows // 2])]
+        if trial % 5 == 0:
+            m[rng.randrange(rows)] = [Fraction(0)] * cols
+        b = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(rows)]
+        x = solve_rational(m, b)
+        assert x == reference_solve_rational(m, b)
+        seen["inconsistent"] += x is None
+        if x is not None:
+            assert mat_vec(m, x) == b
+        if rows != cols:
+            seen["rectangular"] += 1
+            continue
+        seen["square"] += 1
+        try:
+            expected = reference_invert_rational(m)
+        except ZeroDivisionError:
+            seen["singular"] += 1
+            with pytest.raises(ZeroDivisionError):
+                invert_rational(m)
+        else:
+            assert invert_rational(m) == expected
+    assert all(count >= 10 for count in seen.values()), seen
+
+
 def test_signature():
     assert signature([[2]]) == (1, 0)
     assert signature([[-2]]) == (0, 1)

@@ -60,6 +60,13 @@ def test_delta_examples():
     assert delta_series(6).coefficient(6) == -6048
 
 
+def test_delta_ramanujan_tau():
+    tau = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920]
+    d = delta_series(10)
+    assert d.prec == 11
+    assert d.coeffs == {n: t for n, t in enumerate(tau, 1)}
+
+
 def test_delta_integral_and_multiplicative():
     d = delta_series(8)
     assert d.is_integral()
@@ -185,6 +192,58 @@ def test_inverse_is_two_sided_random():
         for n in range(int(min(left.prec, right.prec))):
             assert left.coefficient(n) == (1 if n == 0 else 0)
             assert right.coefficient(n) == (1 if n == 0 else 0)
+
+
+def reference_inverse(series):
+    """The former inverse: the geometric sum 1 - u + u^2 - ... of the tail."""
+    m0 = series.m_min
+    a0 = series.coeffs[m0]
+    u = {e - m0: c / a0 for e, c in series.coeffs.items() if e != m0}
+    span = series.prec - m0
+    step = min(u) if u else span
+    inv = {Fraction(0): Fraction(1)}
+    if u:
+        power = {Fraction(0): Fraction(1)}
+        k = 0
+        while k * step < span:
+            k += 1
+            nxt = {}
+            for e1, c1 in power.items():
+                for e2, c2 in u.items():
+                    e = e1 + e2
+                    if e < span:
+                        nxt[e] = nxt.get(e, Fraction(0)) + c1 * c2
+            power = nxt
+            if not power:
+                break
+            for e, c in power.items():
+                inv[e] = inv.get(e, Fraction(0)) + (-1) ** k * c
+    out = {e - m0: c / a0 for e, c in inv.items()}
+    return FracQSeries(out, span - m0)
+
+
+def test_inverse_matches_geometric_sum_reference():
+    rng = random.Random(31)
+    seen = set()
+    for trial in range(120):
+        den = rng.choice([1, 2, 3, 4, 6])
+        m_min = Fraction(rng.randint(-3, 3), den)
+        lead = Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 7]))
+        coeffs = {m_min: lead}
+        for _ in range(rng.randint(0, 6)):
+            e = m_min + Fraction(rng.randint(1, 3 * den), den)
+            coeffs[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        prec = m_min + Fraction(rng.randint(1, 4 * den), den)
+        if trial % 4 == 0:
+            prec = m_min + Fraction(rng.randint(1, 9), 5)  # off the exponent grid
+        a = FracQSeries(coeffs, prec, denominator=den)
+        inv = a.inverse()
+        expected = reference_inverse(a)
+        assert inv.coeffs == expected.coeffs
+        assert inv.prec == expected.prec == a.prec - 2 * m_min
+        assert inv.denominator == expected.denominator
+        seen.add((den > 1, lead != 1, (m_min > 0) - (m_min < 0)))
+    assert {(True, True, -1), (True, True, 0), (True, True, 1)} <= seen
 
 
 U_GRAM = GramLattice(((0, 1), (1, 0)), name="U")

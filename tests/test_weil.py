@@ -6,6 +6,7 @@ import pytest
 from borcherds_kit.cyclotomic import CycScalar, e, sqrt_positive_int
 from borcherds_kit.forms import WHForm
 from borcherds_kit.lattice import GramLattice, direct_sum, discriminant_form
+from borcherds_kit.linalg import mat_mul
 from borcherds_kit.qseries import delta_series
 from borcherds_kit.weil import (
     braid_holds,
@@ -13,8 +14,6 @@ from borcherds_kit.weil import (
     check_form_support,
     conjugate_rep,
     is_integral,
-    mat_eq_cyc,
-    mat_mul_cyc,
     milgram_sum,
     s_fourth_power_scalar,
 )
@@ -133,8 +132,8 @@ def test_conjugate_rep():
     assert conj.rho_t[1][1] == -i
     assert braid_holds(conj)
     double = conjugate_rep(conj)
-    assert mat_eq_cyc(double.rho_t, rep.rho_t)
-    assert mat_eq_cyc(double.rho_s, rep.rho_s)
+    assert double.rho_t == rep.rho_t
+    assert double.rho_s == rep.rho_s
 
 
 def test_weil_rep_unitary_like():
@@ -143,7 +142,7 @@ def test_weil_rep_unitary_like():
         rep = build_weil_rep(discriminant_form(lat), sig)
         conj_t = [[rep.rho_s[j][i].conjugate() for j in range(len(rep.rho_s))]
                   for i in range(len(rep.rho_s))]
-        prod = mat_mul_cyc(rep.rho_s, conj_t)
+        prod = mat_mul(rep.rho_s, conj_t)
         for i in range(len(prod)):
             for j in range(len(prod)):
                 assert prod[i][j] == (1 if i == j else 0)
