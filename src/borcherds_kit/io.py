@@ -65,6 +65,44 @@ def _field(body, key, path):
         raise FileFormatError(f"{path}: missing key {key!r}") from None
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require(ok, path, message):
+    if not ok:
+        raise FileFormatError(f"{path}: {message}")
+
+
+def _int_field(body, key, path, minimum):
+    value = _field(body, key, path)
+    _require(_is_int(value) and value >= minimum, path,
+             f"{key!r} must be an integer >= {minimum}")
+    return value
+
+
+def _ratio(value, what, path):
+    """A [numerator, denominator] pair of integers as a Fraction."""
+    _require(isinstance(value, list) and len(value) == 2 and all(map(_is_int, value))
+             and value[1] != 0, path,
+             f"{what} must be a pair [numerator, nonzero denominator] of integers")
+    return Fraction(*value)
+
+
+def _rows(value, width, what, path):
+    """A list of rows of `width` entries each."""
+    _require(isinstance(value, list)
+             and all(isinstance(row, list) and len(row) == width for row in value),
+             path, f"{what} must be a list of rows of {width} entries")
+    return value
+
+
+def _int_list(value, what, path):
+    _require(isinstance(value, list) and all(map(_is_int, value)), path,
+             f"{what} must be a list of integers")
+    return value
+
+
 def _write_body(path, body):
     text = HEADER + "\n" + json.dumps(body, sort_keys=True, indent=1) + "\n"
     Path(path).write_text(text, encoding="utf-8")
@@ -105,8 +143,10 @@ def load_lattice(ref, relative_to=None):
     body = _read_body(path)
     if _field(body, "kind", path) != "lattice":
         raise FileFormatError(f"{path}: not a lattice file")
-    rank = _field(body, "rank", path)
-    flat = _field(body, "gram", path)
+    rank = _int_field(body, "rank", path, 0)
+    flat = _int_list(_field(body, "gram", path), "'gram'", path)
+    name = body.get("name")
+    _require(name is None or isinstance(name, str), path, "'name' must be a string")
     if len(flat) != rank * rank:
         raise FileFormatError(f"{path}: gram needs {rank * rank} entries")
     gram = [flat[i * rank:(i + 1) * rank] for i in range(rank)]
@@ -114,7 +154,7 @@ def load_lattice(ref, relative_to=None):
         lat = _load_glued(path, body, gram)
     else:
         try:
-            lat = GramLattice(gram, name=body.get("name"))
+            lat = GramLattice(gram, name=name)
         except ValueError as exc:
             raise FileFormatError(f"{path}: {exc}") from exc
     _LATTICE_CACHE[key] = stamp + (lat,)
@@ -124,18 +164,21 @@ def load_lattice(ref, relative_to=None):
 def _load_glued(path, body, gram):
     """The glued lattice a file specifies, checked against the file's gram."""
     spec = body["glue"]
+    _require(isinstance(spec, dict), path, "'glue' must be a JSON object")
     names = _field(spec, "blocks", path)
+    _require(isinstance(names, list) and all(isinstance(n, str) for n in names), path,
+             "'blocks' must be a list of lattice names")
     blocks = [load_lattice(name, relative_to=path.parent) for name in names]
-    modulus = _field(spec, "modulus", path)
+    modulus = _int_field(spec, "modulus", path, 1)
     for name, block in zip(names, blocks):
         if block.discriminant_form().invariant_factors != (modulus,):
             raise FileFormatError(f"{path}: glue block {name} does not have "
                                   f"discriminant group Z/{modulus}")
     generators = []
-    for row in _field(spec, "code_generators", path):
-        if len(row) != len(blocks):
-            raise FileFormatError(f"{path}: glue word length mismatch")
-        generators.append(tuple((int(c) % modulus,) for c in row))
+    for row in _rows(_field(spec, "code_generators", path), len(blocks),
+                     "'code_generators'", path):
+        _int_list(row, "a code generator", path)
+        generators.append(tuple((c % modulus,) for c in row))
     try:
         lat = glue_lattice(blocks, generators, name=body.get("name"))
     except ValueError as exc:
@@ -162,11 +205,12 @@ def load_series(path):
     body = _read_body(path)
     if _field(body, "kind", path) != "series":
         raise FileFormatError(f"{path}: not a series file")
-    den = _field(body, "denominator", path)
-    prec = Fraction(*_field(body, "precision", path))
+    den = _int_field(body, "denominator", path, 1)
+    prec = _ratio(_field(body, "precision", path), "'precision'", path)
     coeffs = {}
-    for expn, cnum, cden in _field(body, "terms", path):
-        coeffs[Fraction(expn, den)] = Fraction(cnum, cden)
+    for row in _rows(_field(body, "terms", path), 3, "'terms'", path):
+        expn, cnum, cden = _int_list(row, "a series term", path)
+        coeffs[Fraction(expn, den)] = _ratio([cnum, cden], "a series coefficient", path)
     return FracQSeries(coeffs, prec, denominator=den)
 
 
@@ -189,13 +233,20 @@ def load_form(path, relative_to=None):
     body = _read_body(path)
     if _field(body, "kind", path) != "form":
         raise FileFormatError(f"{path}: not a form file")
-    lattice = load_lattice(_field(body, "lattice", path), relative_to=path.parent)
+    ref = _field(body, "lattice", path)
+    _require(isinstance(ref, str), path, "'lattice' must be a lattice name")
+    lattice = load_lattice(ref, relative_to=path.parent)
     disc = discriminant_form(lattice)
-    weight = Fraction(*_field(body, "weight", path))
-    prec = Fraction(*_field(body, "precision", path))
+    weight = _ratio(_field(body, "weight", path), "'weight'", path)
+    prec = _ratio(_field(body, "precision", path), "'precision'", path)
     coeffs = {}
-    for mnum, mden, coset, cnum, cden in _field(body, "terms", path):
-        coeffs[(Fraction(mnum, mden), tuple(coset))] = Fraction(cnum, cden)
+    for mnum, mden, coset, cnum, cden in _rows(_field(body, "terms", path), 5,
+                                               "'terms'", path):
+        m = _ratio([mnum, mden], "a form term exponent", path)
+        coset = _int_list(coset, "a form term coset", path)
+        _require(len(coset) == len(disc.invariant_factors), path,
+                 f"a form term coset must have {len(disc.invariant_factors)} entries")
+        coeffs[(m, tuple(coset))] = _ratio([cnum, cden], "a form coefficient", path)
     form = WHForm(disc, weight, coeffs, prec)
     return form, lattice
 

@@ -7,6 +7,7 @@ Q(x) = x^T G x / 2 and the bilinear form [x, y] = x^T G y, so that
 
 import itertools
 import warnings
+from collections import OrderedDict
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -479,7 +480,27 @@ def short_vectors(lattice, m, coset_rep=None):
     return [v for v, val in vectors_below(lattice, m, coset_rep) if val == m]
 
 
-_REP_COUNT_CACHE = {}
+class _BoundedCache(OrderedDict):
+    """A dict of at most `size` entries; storing past that drops the oldest.
+
+    An entry counts as stored when its key was last assigned.
+    """
+
+    def __init__(self, size):
+        super().__init__()
+        self.size = size
+
+    def __setitem__(self, key, value):
+        if key in self:
+            self.move_to_end(key)
+        super().__setitem__(key, value)
+        if len(self) > self.size:
+            self.popitem(last=False)
+
+
+# (gram, coset representative) -> (m, {value: count}); one pass of the test
+# suite stores about 120 keys, a benchmark workload at most a few
+_REP_COUNT_CACHE = _BoundedCache(256)
 
 
 def representation_count(lattice, m, coset_rep=None):
@@ -507,7 +528,8 @@ def representation_count(lattice, m, coset_rep=None):
 # theta series
 # ---------------------------------------------------------------------------
 
-_THETA_CACHE = {}
+# gram -> theta series; the test suite stores about 8 lattices
+_THETA_CACHE = _BoundedCache(32)
 
 
 def coset_theta(lattice, coset_rep, bound):

@@ -5,26 +5,62 @@ The standard-generator matrices act on C[D] by
     rho(T) phi_mu = e(Q(mu)) phi_mu
     rho(S) phi_mu = e(-sig8/8)/sqrt(|D|) * sum_nu e(-[mu, nu]) phi_nu
 
-with all scalars exact cyclotomic numbers.  The convention is pinned by two
-self-verifying identities rather than by external reference: the Milgram sum
-sum_mu e(Q(mu)) = sqrt(|D|) e(sig8/8), checked at construction, and the braid
-relation (rho_S rho_T)^3 = rho_S^2, checked in the test suite.
+and are stored as integer exponents of zeta_N = e(1/N), N the level of D:
+
+    rho_T = diag(zeta_N^t_mu),   t_mu = N Q(mu) mod N,
+    rho_S = c * Z,  Z = (zeta_N^z_mu_nu),   z_mu_nu = -N [mu, nu] mod N,
+
+with the one scalar c = e(-sig8/8)/sqrt(|D|).  The exact cyclotomic matrices
+`rho_t` and `rho_s` are derived from the exponents on first access.
+
+The convention is pinned by two self-verifying identities rather than by
+external reference: the Milgram sum sum_mu e(Q(mu)) = sqrt(|D|) e(sig8/8),
+checked at construction, and the braid relation (rho_S rho_T)^3 = rho_S^2.
+Because rho_S = c Z with c != 0, the braid relation holds exactly when
+
+    e(-sig8/8) (Z T)^3 = sqrt(|D|) Z^2
+
+entry by entry, where T = diag(zeta_N^t_mu).  `braid_holds` computes every
+entry of (Z T)^3 and Z^2 as integer counts over Z/N (T is diagonal, so a
+product step only adds exponents) and compares the two sides in the one
+field Q(zeta_M), M = lcm(N, 8, conductor of sqrt(|D|)), as integer vectors
+over a common denominator.
 """
 
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 from .cyclotomic import CycScalar, e, sqrt_positive_int
-from .linalg import mat_mul
 
 
 class WeilRepData:
-    """Exact S/T matrices of the Weil representation attached to (D, sig8)."""
+    """The Weil representation attached to (D, sig8), as exponents of zeta_N.
 
-    def __init__(self, disc, sig8, rho_t, rho_s):
+    `level` is N, `t` the tuple of t_mu and `z` the matrix of z_mu_nu, both
+    indexed by `disc.cosets()` order.
+    """
+
+    def __init__(self, disc, sig8, level, t, z):
         self.disc = disc
         self.sig8 = sig8 % 8
-        self.rho_t = rho_t
-        self.rho_s = rho_s
+        self.level = level
+        self.t = tuple(t)
+        self.z = tuple(tuple(row) for row in z)
+
+    @cached_property
+    def rho_t(self):
+        n = len(self.t)
+        rho = [[CycScalar.from_rational(0)] * n for _ in range(n)]
+        for i, ti in enumerate(self.t):
+            rho[i][i] = e(Fraction(ti, self.level))
+        return rho
+
+    @cached_property
+    def rho_s(self):
+        front = e(Fraction(-self.sig8, 8)) / sqrt_positive_int(self.disc.order)
+        return [[front * e(Fraction(x, self.level)) for x in row] for row in self.z]
 
     @property
     def cosets(self):
@@ -37,58 +73,167 @@ class WeilRepData:
         return f"WeilRepData(|D|={self.disc.order}, sig8={self.sig8})"
 
 
+def _generator_forms(disc):
+    """(N, N Q(g_i) mod N, N [g_i, g_j] mod N) on the generators of D.
+
+    Q(sum a_i g_i) = sum a_i^2 Q(g_i) + sum_{i<j} a_i a_j [g_i, g_j], so
+    N = lcm of the denominators of these values is the level of D.
+    """
+    lat, gens = disc.lattice, disc.generators
+    q = [lat.q(g) for g in gens]
+    b = [[lat.bilinear(g, h) for h in gens] for g in gens]
+    level = lcm(1, *(x.denominator for x in q), *(x.denominator for row in b for x in row))
+    return (level, [int(x * level) % level for x in q],
+            [[int(x * level) % level for x in row] for row in b])
+
+
+def _q_exponents(cosets, level, nq, nb):
+    """t_mu = N Q(mu) mod N for each coset coordinate tuple mu."""
+    k = len(nq)
+    return [(sum(a[i] * a[i] * nq[i] for i in range(k))
+             + sum(a[i] * a[j] * nb[i][j] for i in range(k) for j in range(i + 1, k)))
+            % level for a in cosets]
+
+
 def milgram_sum(disc):
-    """The Gauss sum sum_mu e(Q(mu)) of the discriminant form."""
-    total = CycScalar.from_rational(0)
-    for c in disc.cosets():
-        total = total + e(disc.q(c))
-    return total
+    """The Gauss sum sum_mu e(Q(mu)) = sum_mu zeta_N^t_mu of the discriminant form."""
+    level, nq, nb = _generator_forms(disc)
+    counts = {}
+    for x in _q_exponents(disc.cosets(), level, nq, nb):
+        counts[x] = counts.get(x, 0) + 1
+    return CycScalar(level, counts)
 
 
 def build_weil_rep(disc, sig8):
-    """Weil representation matrices for a discriminant form and signature mod 8.
+    """Weil representation of a discriminant form and signature mod 8.
 
     Raises when the Milgram identity fails for the supplied signature, which
     catches any mismatch between the form and sig8.
     """
     sig8 = sig8 % 8
-    sqrt_d = sqrt_positive_int(disc.order)
-    if milgram_sum(disc) != sqrt_d * e(Fraction(sig8, 8)):
+    if milgram_sum(disc) != sqrt_positive_int(disc.order) * e(Fraction(sig8, 8)):
         raise ValueError("signature is inconsistent with the discriminant form "
                          "(Milgram check failed)")
+    level, nq, nb = _generator_forms(disc)
     cosets = list(disc.cosets())
-    rho_t = [[CycScalar.from_rational(0)] * len(cosets) for _ in cosets]
-    for i, c in enumerate(cosets):
-        rho_t[i][i] = e(disc.q(c))
-    front = e(Fraction(-sig8, 8)) / sqrt_d
-    rho_s = [[front * e(-disc.pairing(c1, c2)) for c2 in cosets] for c1 in cosets]
-    return WeilRepData(disc, sig8, rho_t, rho_s)
+    t = _q_exponents(cosets, level, nq, nb)
+    z = []
+    for a in cosets:
+        form = [sum(ai * row[j] for ai, row in zip(a, nb)) for j in range(len(nq))]
+        z.append([-sum(fj * bj for fj, bj in zip(form, b)) % level for b in cosets])
+    return WeilRepData(disc, sig8, level, t, z)
 
 
 def conjugate_rep(rep):
-    """Entrywise complex conjugation (zeta -> zeta^{-1}) of both matrices."""
-    conj = lambda m: [[x.conjugate() for x in row] for row in m]
-    return WeilRepData(rep.disc, (-rep.sig8) % 8, conj(rep.rho_t), conj(rep.rho_s))
+    """Complex conjugation (zeta -> zeta^{-1}): negate the exponents and sig8."""
+    n = rep.level
+    return WeilRepData(rep.disc, -rep.sig8, n, [(-x) % n for x in rep.t],
+                       [[(-x) % n for x in row] for row in rep.z])
+
+
+# An entry of a product of exponent matrices is a count vector (a_0, ..., a_{N-1})
+# over Z/N, standing for sum_r a_r zeta_N^r.  It is packed into one integer
+# sum_r a_r 2^(r w), so multiplying two entries is one integer product followed
+# by folding the fields r >= N onto r - N.  The width w, the bit length of
+# |D|^3, keeps every field of the at most four-fold products here below 2^w:
+# an entry of a product of k matrices of roots of unity has counts summing to
+# |D|^(k-1).
+
+def _pack_matrix(exponents, width):
+    return [[1 << (x * width) for x in row] for row in exponents]
+
+
+def _packed_mat_mul(a, b, level, width):
+    shift = level * width
+    mask = (1 << shift) - 1
+    cols = list(zip(*b))
+    out = []
+    for row in a:
+        new = []
+        for col in cols:
+            acc = sum(map(mul, row, col))
+            new.append((acc & mask) + (acc >> shift))
+        out.append(new)
+    return out
+
+
+def _unpack(packed, level, width):
+    mask = (1 << width) - 1
+    return [(packed >> (r * width)) & mask for r in range(level)]
+
+
+def _s_products(rep):
+    """Z^2 (packed) and the field width it was packed with."""
+    width = (rep.disc.order ** 3).bit_length()
+    zz = _pack_matrix(rep.z, width)
+    return _packed_mat_mul(zz, zz, rep.level, width), width
 
 
 def braid_holds(rep):
-    """(rho_S rho_T)^3 == rho_S^2, exactly."""
-    st = mat_mul(rep.rho_s, rep.rho_t)
-    return mat_mul(mat_mul(st, st), st) == mat_mul(rep.rho_s, rep.rho_s)
+    """(rho_S rho_T)^3 == rho_S^2, exactly, over every entry.
+
+    Entries are compared as pairs ((Z T)^3 entry, Z^2 entry); each distinct
+    pair is decided once.
+    """
+    n = rep.level
+    z2, width = _s_products(rep)
+    zt = _pack_matrix([[(x + tj) % n for x, tj in zip(row, rep.t)] for row in rep.z],
+                      width)
+    zt3 = _packed_mat_mul(_packed_mat_mul(zt, zt, n, width), zt, n, width)
+
+    sqrt_d = sqrt_positive_int(rep.disc.order)
+    m = lcm(n, 8, sqrt_d.conductor)
+    den = lcm(*(c.denominator for c in sqrt_d.coeffs.values()))
+    sqrt_terms = [(x * (m // sqrt_d.conductor), int(c * den))
+                  for x, c in sqrt_d.coeffs.items()]
+    step, turn = m // n, (-rep.sig8 * m // 8) % m
+    decided = {}
+
+    def sides_agree(lhs, rhs):
+        # den * e(-sig8/8) * lhs - (den * sqrt|D|) * rhs over Z/M, then mod Phi_M
+        diff = {}
+        for r, a in enumerate(_unpack(lhs, n, width)):
+            if a:
+                x = (r * step + turn) % m
+                diff[x] = diff.get(x, 0) + den * a
+        for r, b in enumerate(_unpack(rhs, n, width)):
+            if b:
+                for y, s in sqrt_terms:
+                    x = (r * step + y) % m
+                    diff[x] = diff.get(x, 0) - b * s
+        return CycScalar(m, diff).is_zero()
+
+    for row3, row2 in zip(zt3, z2):
+        for pair in zip(row3, row2):
+            agree = decided.get(pair)
+            if agree is None:
+                agree = decided[pair] = sides_agree(*pair)
+            if not agree:
+                return False
+    return True
 
 
 def s_fourth_power_scalar(rep):
-    """rho_S^4 as a scalar (it must be e(-sig8/2) times the identity)."""
-    s2 = mat_mul(rep.rho_s, rep.rho_s)
-    s4 = mat_mul(s2, s2)
-    n = len(s4)
-    scalar = s4[0][0]
-    for i in range(n):
-        for j in range(n):
-            expected = scalar if i == j else CycScalar.from_rational(0)
-            if not s4[i][j] == expected:
+    """rho_S^4 as a scalar (it must be e(-sig8/2) times the identity), else None.
+
+    rho_S^4 = c^4 Z^4 with c^4 = e(-sig8/2)/|D|^2.
+    """
+    n = rep.level
+    z2, width = _s_products(rep)
+    z4 = _packed_mat_mul(z2, z2, n, width)
+    values = {}
+
+    def value(packed):
+        if packed not in values:
+            values[packed] = CycScalar(n, dict(enumerate(_unpack(packed, n, width))))
+        return values[packed]
+
+    diagonal = value(z4[0][0])
+    for i, row in enumerate(z4):
+        for j, entry in enumerate(row):
+            if not value(entry) == (diagonal if i == j else 0):
                 return None
-    return scalar
+    return diagonal * e(Fraction(-rep.sig8, 2)) / rep.disc.order ** 2
 
 
 def check_form_support(form):

@@ -75,11 +75,36 @@ def _drop_modulus(body):
     del body["glue"]["modulus"]
 
 
+def _string_modulus(body):
+    body["glue"]["modulus"] = "3"
+
+
+def _short_generator(body):
+    body["glue"]["code_generators"][0] = body["glue"]["code_generators"][0][:-1]
+
+
+def _string_generator_entry(body):
+    body["glue"]["code_generators"][0][0] = "1"
+
+
+def _glue_not_object(body):
+    body["glue"] = [1, 2]
+
+
+def _block_not_name(body):
+    body["glue"]["blocks"][0] = 2
+
+
 @pytest.mark.parametrize("edit, message", [
     (_set_gram_entry, "gram does not match"),
     (_replace_generator, "not isotropic"),
     (_wrong_modulus, "Z/2"),
     (_drop_modulus, "missing key 'modulus'"),
+    (_string_modulus, "'modulus' must be an integer"),
+    (_short_generator, "'code_generators' must be a list of rows of 12 entries"),
+    (_string_generator_entry, "a code generator must be a list of integers"),
+    (_glue_not_object, "'glue' must be a JSON object"),
+    (_block_not_name, "'blocks' must be a list of lattice names"),
 ])
 def test_inconsistent_glue_file_fails(tmp_path, capsys, edit, message):
     path = _write_glued_copy(tmp_path, edit)
@@ -130,6 +155,13 @@ LATTICE_BODY = {"kind": "lattice", "name": "t", "rank": 2, "gram": [2, 1, 1, 2]}
     (lambda body: body.pop("rank"), "missing key 'rank'"),
     (lambda body: body.pop("gram"), "missing key 'gram'"),
     (lambda body: body.pop("kind"), "missing key 'kind'"),
+    (lambda body: body.update(rank="2"), "'rank' must be an integer"),
+    (lambda body: body.update(rank=True), "'rank' must be an integer"),
+    (lambda body: body.update(rank=-2), "'rank' must be an integer >= 0"),
+    (lambda body: body.update(gram=[2, 1, "1", 2]), "'gram' must be a list of integers"),
+    (lambda body: body.update(gram=[2, 1, 1.0, 2]), "'gram' must be a list of integers"),
+    (lambda body: body.update(gram="2112"), "'gram' must be a list of integers"),
+    (lambda body: body.update(name=7), "'name' must be a string"),
 ])
 def test_malformed_lattice_file_exits_2(tmp_path, capsys, edit, message):
     body = dict(LATTICE_BODY)
@@ -174,6 +206,56 @@ def test_series_file_missing_key_exits_2(tmp_path, capsys, key):
         load_series(path)
     assert main(["pair", "--form", "e4sq-over-delta", "--series", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda body: body["terms"].__setitem__(0, [1, 3]),
+     "'terms' must be a list of rows of 3 entries"),
+    (lambda body: body.update(terms=7), "'terms' must be a list of rows of 3 entries"),
+    (lambda body: body["terms"].__setitem__(0, [1, "3", 1]),
+     "a series term must be a list of integers"),
+    (lambda body: body["terms"].__setitem__(0, [1, 3, 0]),
+     "a series coefficient must be a pair"),
+    (lambda body: body.update(denominator="2"), "'denominator' must be an integer >= 1"),
+    (lambda body: body.update(denominator=0), "'denominator' must be an integer >= 1"),
+    (lambda body: body.update(precision=4), "'precision' must be a pair"),
+    (lambda body: body.update(precision=[4, 0]), "'precision' must be a pair"),
+])
+def test_malformed_series_file_exits_2(tmp_path, capsys, edit, message):
+    path = tmp_path / "s.json"
+    save_series(path, FracQSeries({Fraction(1, 2): 3}, 4))
+    body = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[1])
+    edit(body)
+    _write_body(path, body)
+    with pytest.raises(FileFormatError, match=message):
+        load_series(path)
+    assert main(["pair", "--form", "e4sq-over-delta", "--series", str(path)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda body: body["terms"].__setitem__(0, body["terms"][0][:4]),
+     "'terms' must be a list of rows of 5 entries"),
+    (lambda body: body["terms"][0].__setitem__(1, 0), "a form term exponent must be a pair"),
+    (lambda body: body["terms"][0].__setitem__(2, 0), "a form term coset must be a list"),
+    (lambda body: body["terms"][0].__setitem__(2, [0, 0]),
+     "a form term coset must have 0 entries"),
+    (lambda body: body["terms"][0].__setitem__(3, "1"), "a form coefficient must be a pair"),
+    (lambda body: body.update(weight="-12"), "'weight' must be a pair"),
+    (lambda body: body.update(precision=[1, 2, 3]), "'precision' must be a pair"),
+    (lambda body: body.update(lattice=3), "'lattice' must be a lattice name"),
+])
+def test_malformed_form_file_exits_2(tmp_path, capsys, edit, message):
+    f, _ = load_form("one-over-delta")
+    path = tmp_path / "f.json"
+    save_form(path, f, "u-plus-u")
+    body = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[1])
+    edit(body)
+    _write_body(path, body)
+    with pytest.raises(FileFormatError, match=message):
+        load_form(path)
+    assert main(["relation", "--form", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_generate_data_reproduces_bundled_files(tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from borcherds_kit import lattice as lattice_module
 from borcherds_kit.lattice import (
     GramLattice,
     _span,
@@ -217,6 +218,39 @@ def test_theta_matches_eisenstein_for_e8():
     th = theta_series(E8, 4)
     for n in range(5):
         assert th.coefficient(n) == e4.coefficient(n)
+
+
+@pytest.mark.parametrize("name", ["_THETA_CACHE", "_REP_COUNT_CACHE"])
+def test_caches_are_bounded_and_keep_warm_entries(monkeypatch, name):
+    module_cache = getattr(lattice_module, name)
+    size = module_cache.size
+    assert size >= 8
+    # a fresh cache of the same kind, so the test neither reads nor evicts
+    # entries that other tests stored
+    cache = type(module_cache)(size)
+    monkeypatch.setattr(lattice_module, name, cache)
+
+    def fill(lat):
+        if name == "_THETA_CACHE":
+            return theta_series(lat, 2)
+        return representation_count(lat, 1)
+
+    lats = [GramLattice([[2 * k]]) for k in range(1, size + 4)]
+    for lat in lats:
+        fill(lat)
+        assert len(cache) <= size
+    # oldest out: the first three are gone, the last `size` are held in order
+    held = [key if name == "_THETA_CACHE" else key[0] for key in cache]
+    assert held == [lat.gram for lat in lats[3:]]
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a warm entry must not be recomputed")
+
+    monkeypatch.setattr(lattice_module, "_qf_value_counts", no_enumeration)
+    assert fill(lats[-1]) == fill(lats[-1])  # hits, so no enumeration
+    assert fill(lats[3]) is not None  # the oldest entry still held
+    with pytest.raises(AssertionError, match="warm entry"):
+        fill(lats[0])  # evicted, so it is enumerated again
 
 
 def test_glue_identity_code():

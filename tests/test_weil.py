@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from borcherds_kit import weil
 from borcherds_kit.cyclotomic import CycScalar, e, sqrt_positive_int
 from borcherds_kit.forms import WHForm
 from borcherds_kit.lattice import GramLattice, direct_sum, discriminant_form
 from borcherds_kit.linalg import mat_mul
 from borcherds_kit.qseries import delta_series
 from borcherds_kit.weil import (
+    WeilRepData,
     braid_holds,
     build_weil_rep,
     check_form_support,
@@ -72,6 +74,128 @@ def test_gauss_sum_sign_conventions():
 
 
 SIG8 = {"U": (U, 0), "A1": (A1, 1), "A2": (A2, 2), "A1+A2": (A1A2, 3)}
+A1_CUBED = direct_sum([A1] * 3, name="A1^3")
+A4 = GramLattice([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+                 name="A4")
+D4 = GramLattice([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+                 name="D4")
+
+
+# The CycScalar-matrix Weil code that the exponent representation replaced,
+# kept as the reference of the differential tests below.
+
+def _reference_matrices(disc, sig8):
+    cosets = list(disc.cosets())
+    rho_t = [[CycScalar.from_rational(0)] * len(cosets) for _ in cosets]
+    for i, c in enumerate(cosets):
+        rho_t[i][i] = e(disc.q(c))
+    front = e(Fraction(-sig8, 8)) / sqrt_positive_int(disc.order)
+    rho_s = [[front * e(-disc.pairing(c1, c2)) for c2 in cosets] for c1 in cosets]
+    return rho_t, rho_s
+
+
+def _reference_milgram_sum(disc):
+    total = CycScalar.from_rational(0)
+    for c in disc.cosets():
+        total = total + e(disc.q(c))
+    return total
+
+
+def _reference_braid_holds(rho_t, rho_s):
+    st = mat_mul(rho_s, rho_t)
+    return mat_mul(mat_mul(st, st), st) == mat_mul(rho_s, rho_s)
+
+
+def _reference_s_fourth_power_scalar(rho_s):
+    s2 = mat_mul(rho_s, rho_s)
+    s4 = mat_mul(s2, s2)
+    n = len(s4)
+    scalar = s4[0][0]
+    for i in range(n):
+        for j in range(n):
+            expected = scalar if i == j else CycScalar.from_rational(0)
+            if not s4[i][j] == expected:
+                return None
+    return scalar
+
+
+DIFFERENTIAL = {**SIG8, "A1^3": (A1_CUBED, 3)}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL))
+def test_exponent_rep_matches_cyc_scalar_reference(name):
+    lat, sig = DIFFERENTIAL[name]
+    disc = discriminant_form(lat)
+    rep = build_weil_rep(disc, sig)
+    cosets = list(disc.cosets())
+    for i, mu in enumerate(cosets):
+        assert Fraction(rep.t[i], rep.level) == disc.q(mu)
+        for j, nu in enumerate(cosets):
+            assert Fraction(rep.z[i][j], rep.level) == (-disc.pairing(mu, nu)) % 1
+    assert repr(milgram_sum(disc)) == repr(_reference_milgram_sum(disc))
+    rho_t, rho_s = _reference_matrices(disc, sig)
+    # same conductors and coefficients, so the printed entries are identical
+    assert [[repr(x) for x in row] for row in rep.rho_t] == \
+        [[repr(x) for x in row] for row in rho_t]
+    assert [[repr(x) for x in row] for row in rep.rho_s] == \
+        [[repr(x) for x in row] for row in rho_s]
+    conj = conjugate_rep(rep)
+    assert [[repr(x) for x in row] for row in conj.rho_s] == \
+        [[repr(x.conjugate()) for x in row] for row in rho_s]
+    assert braid_holds(rep) is _reference_braid_holds(rho_t, rho_s) is True
+    assert repr(s_fourth_power_scalar(rep)) == \
+        repr(_reference_s_fourth_power_scalar(rho_s))
+    # a representation built with any other signature, and so with the wrong
+    # scalar e(-sig8/8)/sqrt|D|, fails the braid relation in both codes
+    for wrong in range(8):
+        if wrong == sig % 8:
+            continue
+        rho_t, rho_s = _reference_matrices(disc, wrong)
+        bad = WeilRepData(disc, wrong, rep.level, rep.t, rep.z)
+        assert braid_holds(bad) is _reference_braid_holds(rho_t, rho_s) is False
+
+
+def test_braid_fails_for_a_perturbed_t_exponent():
+    for lat, sig in (SIG8["A1"], SIG8["A2"], SIG8["A1+A2"], (A1_CUBED, 3)):
+        rep = build_weil_rep(discriminant_form(lat), sig)
+        for i in range(len(rep.t)):
+            t = list(rep.t)
+            t[i] = (t[i] + 1) % rep.level
+            assert not braid_holds(WeilRepData(rep.disc, rep.sig8, rep.level, t, rep.z))
+
+
+def test_braid_compares_every_entry(monkeypatch):
+    # one more zeta^0 in the last entry of each packed product, so only the
+    # last row of (ZT)^3 and Z^2 changes
+    real = weil._packed_mat_mul
+
+    def corrupt_last_entry(a, b, level, width):
+        out = real(a, b, level, width)
+        out[-1][-1] += 1
+        return out
+
+    rep = build_weil_rep(discriminant_form(A1A2), 3)
+    assert braid_holds(rep)
+    monkeypatch.setattr(weil, "_packed_mat_mul", corrupt_last_entry)
+    assert not braid_holds(rep)
+
+
+@pytest.mark.parametrize("blocks, order, sig", [
+    ([A2] * 4, 81, 0),
+    ([A4, A4, A2], 75, 2),
+    ([D4], 4, 4),
+])
+def test_weil_identities_at_larger_discriminant(blocks, order, sig):
+    disc = discriminant_form(direct_sum(blocks))
+    assert disc.order == order
+    assert disc.signature_mod8 == sig
+    assert milgram_sum(disc) == sqrt_positive_int(order) * e(Fraction(sig, 8))
+    rep = build_weil_rep(disc, sig)
+    assert braid_holds(rep)
+    assert s_fourth_power_scalar(rep) == e(Fraction(-sig, 2))
+    assert braid_holds(conjugate_rep(rep))
+    with pytest.raises(ValueError):
+        build_weil_rep(disc, sig + 1)
 
 
 def test_milgram_for_shipped_lattices():
@@ -134,6 +258,17 @@ def test_conjugate_rep():
     double = conjugate_rep(conj)
     assert double.rho_t == rep.rho_t
     assert double.rho_s == rep.rho_s
+
+
+def test_conjugate_rep_twice_is_identity_on_exponents():
+    for lat, sig in (*SIG8.values(), (A1_CUBED, 3)):
+        rep = build_weil_rep(discriminant_form(lat), sig)
+        conj = conjugate_rep(rep)
+        assert conj.sig8 == (-sig) % 8
+        assert conj.t == tuple((-x) % rep.level for x in rep.t)
+        double = conjugate_rep(conj)
+        assert (double.level, double.sig8, double.t, double.z) == \
+            (rep.level, rep.sig8, rep.t, rep.z)
 
 
 def test_weil_rep_unitary_like():
