@@ -9,7 +9,7 @@ import itertools
 import warnings
 from collections import OrderedDict
 from fractions import Fraction
-from math import gcd, lcm
+from math import floor, gcd, isqrt, lcm
 
 from .linalg import (
     det_int,
@@ -100,6 +100,13 @@ class GramLattice:
                 if g:
                     total += x[i] * g * x[j]
         return Fraction(total, 2)
+
+    def image(self, y):
+        """G y, so that [x, y] = x . (G y); integral entries are ints."""
+        if len(y) != self.rank:
+            raise ValueError("dimension mismatch")
+        out = (sum(g * c for g, c in zip(row, y) if g) for row in self.gram)
+        return tuple(int(v) if v.denominator == 1 else v for v in out)
 
     def bilinear(self, x, y):
         """[x, y] = x^T G y = Q(x+y) - Q(x) - Q(y)."""
@@ -202,10 +209,8 @@ class DiscriminantForm:
         n = self.lattice.rank
         if len(y) != n:
             raise ValueError("dimension mismatch")
-        gy = mat_vec([list(r) for r in self.lattice.gram], list(y))
-        for val in gy:
-            if Fraction(val).denominator != 1:
-                raise ValueError("vector is not in the dual lattice")
+        if any(v.denominator != 1 for v in self.lattice.image(y)):
+            raise ValueError("vector is not in the dual lattice")
         if n == 0:
             return ()
         # y = sum_i m_i * (column i of V) / d_i  with  m = D V^{-1} y
@@ -321,9 +326,7 @@ def direct_sum(lattices, name=None):
 def _qf_prepare(a, shift):
     """Scaled-integer Fincke-Pohst data for y = shift + x, value y^T a y."""
     n = len(a)
-    if shift is None:
-        shift = [Fraction(0)] * n
-    shift = [Fraction(x) for x in shift]
+    shift = [Fraction(x) for x in shift or [0] * n]
 
     if n >= 3:
         a_red, t = lll_reduce_gram(a)
@@ -355,28 +358,26 @@ def _qf_prepare(a, shift):
         zden = lcm(zden, d[i].denominator * scales[i] * scales[i])
     weights = [d[i].numerator * (zden // (d[i].denominator * scales[i] * scales[i]))
                for i in range(n)]
-    return t_t, shift_red, scales, lint, cint, zden, weights
+    return t_t, scales, lint, cint, zden, weights
 
 
 def _qf_walk(a, shift, bound, on_leaf):
     """Drive the all-integer Fincke-Pohst recursion.
 
-    Calls on_leaf(nonzero, x0, value_scaled, zden) for every solution, where
+    Calls on_leaf(nonzero, x0, value_scaled) for every solution, where
     `nonzero` is the list of (index, value) pairs at levels > 0 and x0 the
-    level-0 assignment; value_scaled / zden is the exact form value.
+    level-0 assignment.  Returns None for a negative bound, else (T, zden):
+    y = shift + T x (T None without LLL), with exact value value_scaled / zden.
     """
-    from math import isqrt
     n = len(a)
     bound = Fraction(bound)
     if bound < 0:
         return None
     if n == 0:
-        on_leaf([], 0, 0, 1)
-        return None
-    t_t, shift_red, scales, lint, cint, zden, weights = _qf_prepare(a, shift)
+        on_leaf([], 0, 0)
+        return None, 1
+    t_t, scales, lint, cint, zden, weights = _qf_prepare(a, shift)
     total_budget = (bound.numerator * zden) // bound.denominator
-    if total_budget < 0:
-        return t_t, shift_red, zden
 
     nonzero = []
 
@@ -393,7 +394,7 @@ def _qf_walk(a, shift, bound, on_leaf):
         if level == 0:
             for xv in range(lo, hi + 1):
                 p = s * xv + sk
-                on_leaf(nonzero, xv, total_budget - remaining + w * p * p, zden)
+                on_leaf(nonzero, xv, total_budget - remaining + w * p * p)
         else:
             for xv in range(lo, hi + 1):
                 p = s * xv + sk
@@ -406,58 +407,45 @@ def _qf_walk(a, shift, bound, on_leaf):
                     descend(level - 1, rem2)
 
     descend(n - 1, total_budget)
-    return t_t, shift_red, zden
+    return t_t, zden
 
 
 def _qf_value_counts(a, shift, bound):
-    """Map exact form value -> number of solutions, without reconstructing vectors."""
+    """Map exact form value -> number of solutions, tallied by integer budget."""
     counts = {}
 
-    def on_leaf(nonzero, x0, used, zden):
-        val = Fraction(used, zden)
-        counts[val] = counts.get(val, 0) + 1
+    def on_leaf(nonzero, x0, used):
+        counts[used] = counts.get(used, 0) + 1
 
-    _qf_walk(a, shift, bound, on_leaf)
-    return counts
+    walked = _qf_walk(a, shift, bound, on_leaf)  # None only when nothing counted
+    return {Fraction(used, walked[1]): c for used, c in counts.items()}
 
 
 def _qf_enumerate(a, shift, bound):
     """All (y, value) with y = shift + x, x integer, y^T a y <= bound.
 
-    Vector reconstruction through the LLL transform is done sparsely over the
-    nonzero assignments, in integer arithmetic.
+    The integer vector T x is summed sparsely over the nonzero assignments;
+    integral coordinates of y stay ints.
     """
     n = len(a)
     leaves = []
 
-    def on_leaf(nonzero, x0, used, zden):
-        leaves.append((tuple(nonzero), x0, used))
+    def on_leaf(nonzero, x0, used):
+        leaves.append((nonzero + [(0, x0)] if x0 else tuple(nonzero), used))
 
     walked = _qf_walk(a, shift, bound, on_leaf)
-    if n == 0:
-        return [((), Fraction(0))] if leaves else []
     if walked is None:
         return []
-    t_t, shift_red, zden = walked
-    if t_t is not None:
-        cols = transpose(t_t)  # cols[j] = column j of t_t
-        base = [sum(t_t[i][j] * shift_red[j] for j in range(n)) for i in range(n)]
-    else:
-        base = list(shift_red)
+    t_t, zden = walked
+    base = [int(c) if c.denominator == 1 else c for c in map(Fraction, shift or [0] * n)]
+    cols = transpose(t_t) if t_t else [[int(i == j) for i in range(n)] for j in range(n)]
     out = []
-    for nonzero, x0, used in leaves:
-        y = list(base)
-        entries = list(nonzero)
-        if x0:
-            entries.append((0, x0))
+    for entries, used in leaves:
+        tx = [0] * n
         for j, xj in entries:
-            if t_t is not None:
-                col = cols[j]
-                for i in range(n):
-                    y[i] += xj * col[i]
-            else:
-                y[j] += xj
-        out.append((tuple(Fraction(v) for v in y), Fraction(used, zden)))
+            for i, c in enumerate(cols[j]):
+                tx[i] += xj * c
+        out.append((tuple(b + t for b, t in zip(base, tx)), Fraction(used, zden)))
     return out
 
 
@@ -465,7 +453,7 @@ def vectors_below(lattice, bound, coset_rep=None):
     """All v in coset_rep + L with Q(v) <= bound, sorted lexicographically."""
     if not lattice.is_positive_definite:
         raise ValueError("enumeration requires a positive-definite lattice")
-    out = [(y, val / 2) for y, val in
+    out = [(tuple(Fraction(c) for c in y), val / 2) for y, val in
            _qf_enumerate([list(r) for r in lattice.gram], coset_rep,
                          2 * Fraction(bound))]
     out.sort(key=lambda pair: pair[0])
@@ -533,14 +521,27 @@ _THETA_CACHE = _BoundedCache(32)
 
 
 def coset_theta(lattice, coset_rep, bound):
-    """Theta series of one coset: sum over v in rep + L of q^Q(v), through q^bound."""
+    """Theta series of one coset: sum over v in rep + L of q^Q(v), through q^bound.
+
+    Q takes its values on the grid Q(rep) + (1/d)Z, d the denominator of
+    G rep (d = 1 for a dual vector); the precision is the first grid point
+    past bound, so bound + 1 for the zero coset and an integer bound.
+    """
     from .qseries import FracQSeries
     if not lattice.is_positive_definite:
         raise ValueError("theta series requires a positive-definite lattice")
     counts = _qf_value_counts([list(r) for r in lattice.gram], coset_rep,
                               2 * Fraction(bound))
     coeffs = {val / 2: c for val, c in counts.items()}
-    return FracQSeries(coeffs, Fraction(bound) + 1)
+    return FracQSeries(coeffs, _theta_prec(lattice, coset_rep, bound))
+
+
+def _theta_prec(lattice, coset_rep, bound):
+    """The first point past bound of the grid Q(rep) + (1/d)Z of coset_theta."""
+    rep = [Fraction(c) for c in coset_rep or [0] * lattice.rank]
+    q0 = lattice.q(rep)
+    d = lcm(*(c.denominator for c in lattice.image(rep)))
+    return q0 + Fraction(floor((Fraction(bound) - q0) * d) + 1, d)
 
 
 def theta_series(lattice, bound):
@@ -548,21 +549,22 @@ def theta_series(lattice, bound):
 
     Lattices built by `glue_lattice` are evaluated by summing coordinate-wise
     coset theta products over the glue code, which is exponentially faster
-    than direct enumeration in rank 24.  Results are cached per lattice.
+    than direct enumeration in rank 24.  Results are cached per lattice.  The
+    precision is that of `coset_theta` on the zero coset.
     """
-    bound = Fraction(bound)
+    prec = _theta_prec(lattice, None, bound)
     cached = _THETA_CACHE.get(lattice.gram)
-    if cached is not None and cached.prec >= bound + 1:
-        return cached.truncate(bound + 1)
+    if cached is not None and cached.prec >= prec:
+        return cached.truncate(prec)
     if lattice.glue is not None:
-        theta = _theta_by_glue(lattice.glue, bound)
+        theta = _theta_by_glue(lattice.glue, bound, prec)
     else:
         theta = coset_theta(lattice, None, bound)
     _THETA_CACHE[lattice.gram] = theta
     return theta
 
 
-def _theta_by_glue(glue, bound):
+def _theta_by_glue(glue, bound, prec):
     from .qseries import FracQSeries
     blocks = glue.blocks
     theta_cache = {}
@@ -587,7 +589,7 @@ def _theta_by_glue(glue, bound):
         cls = tuple(sorted(keys))
         class_counts[cls] = class_counts.get(cls, 0) + 1
 
-    total = FracQSeries.zero(Fraction(bound) + 1)
+    total = FracQSeries.zero(prec)
     for cls, count in class_counts.items():
         prod = None
         mult = {}
@@ -597,7 +599,7 @@ def _theta_by_glue(glue, bound):
             p = freeze_to_series[fz] ** e
             prod = p if prod is None else prod * p
         total = total + prod * count
-    return total.truncate(Fraction(bound) + 1)
+    return total.truncate(prec)
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +708,10 @@ def isotropic_line(lattice, budget=ISOTROPIC_SEARCH_BUDGET):
     """A primitive isotropic vector, or None when none exists (or is found).
 
     Definite lattices return None immediately.  Otherwise basis vectors with
-    zero norm are tried first, then shells of bounded coordinates.  If the
-    search budget runs out before the shell bound is exhausted, a warning is
-    issued and None is returned.
+    zero norm are tried first, then shells of bounded coordinates.  Indefinite
+    lattices of rank >= 5 are isotropic (Meyer): a search there that ends
+    without a vector raises ValueError.  Below rank 5, a search whose budget
+    runs out before the shell bound is exhausted warns and returns None.
     """
     n = lattice.rank
     if n == 0:
@@ -718,20 +721,20 @@ def isotropic_line(lattice, budget=ISOTROPIC_SEARCH_BUDGET):
         return None
     for i in range(n):
         if lattice.gram[i][i] == 0:
-            vec = tuple(int(i == j) for j in range(n))
-            return vec
+            return tuple(int(i == j) for j in range(n))
     bound = 4 * max(abs(x) for row in lattice.gram for x in row) * n
-    visited = 0
-    for shell in range(1, bound + 1):
-        for x in _shell_vectors(n, shell):
-            visited += 1
-            if visited > budget:
-                warnings.warn("isotropic search budget exhausted before the "
-                              "coordinate bound; returning None", RuntimeWarning)
-                return None
-            if lattice.q(x) == 0:
-                g = gcd(*(abs(c) for c in x))
-                return tuple(c // g for c in x)
+    shells = (x for shell in range(1, bound + 1) for x in _shell_vectors(n, shell))
+    for x in itertools.islice(shells, budget):
+        if lattice.q(x) == 0:
+            g = gcd(*(abs(c) for c in x))
+            return tuple(c // g for c in x)
+    if n >= 5:
+        raise ValueError(f"isotropic search exhausted (budget {budget}, coordinate "
+                         f"bound {bound}) on an indefinite lattice of rank {n}, "
+                         "which is isotropic (Meyer)")
+    if next(shells, None) is not None:
+        warnings.warn("isotropic search budget exhausted before the "
+                      "coordinate bound; returning None", RuntimeWarning)
     return None
 
 
@@ -762,7 +765,7 @@ class CuspData:
         self.ell_star = tuple(Fraction(x) for x in ell_star)
         self.v0 = v0
         self.lift_rows = tuple(tuple(int(x) for x in row) for row in lift_rows)
-        self._gl = mat_vec([list(r) for r in lattice.gram], list(self.ell))
+        self._gl = list(lattice.image(self.ell))
 
     @property
     def disc_v(self):
@@ -801,7 +804,7 @@ def cusp_data(lattice, ell, k=None):
     g = gcd(*(abs(c) for c in ell))
     if g != 1:
         raise ValueError("ell must be primitive")
-    gl = mat_vec([list(r) for r in lattice.gram], list(ell))
+    gl = list(lattice.image(ell))
     n_value = gcd(*(abs(v) for v in gl))
     if n_value == 0:
         raise ValueError("ell pairs to zero with the whole lattice")
@@ -815,8 +818,7 @@ def cusp_data(lattice, ell, k=None):
         pair = sum(a * b for a, b in zip(gl, k))
         if pair != n_value:
             raise ValueError("supplied k must satisfy [ell, k] = N")
-        gk = mat_vec([list(r) for r in lattice.gram], list(k))
-        if any(Fraction(x).denominator != 1 for x in gk):
+        if any(x.denominator != 1 for x in lattice.image(k)):
             raise ValueError("supplied k must lie in the dual lattice")
     qk = lattice.q(k)
     ell_star = tuple(Fraction(ki) - Fraction(qk, n_value) * li

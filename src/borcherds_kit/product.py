@@ -10,14 +10,20 @@ an interior point, and expand the product
 
 truncated by the grading [., w].  The Weyl-vector prefactor and the cusp
 constants are carried alongside, never multiplied in.
+
+Walls and product factors are both filtered from one walk of the cosets of
+V0 under the positive-definite majorant 2Q(x) + [x, w]^2 / |Q(w)|
+(`_cone_points`).  Pairings with w go through the vector G w, and Q(x) is
+read off the walk's exact majorant value instead of being recomputed.
 """
 
 from fractions import Fraction
+from operator import mul
 
 from .cyclotomic import CycScalar, e
 from .forms import WHForm
 from .lattice import _qf_enumerate, coset_reduce, lift_of_coset
-from .linalg import mat_vec, rational_gcd
+from .linalg import rational_gcd
 from .qseries import LatticeQSeries, lattice_binomial
 
 
@@ -28,9 +34,7 @@ class PrecisionError(ValueError):
 def reduce_f0(form, data):
     """The quotient-lattice form: c0(m, lam) = sum over mu ~ lam of c(m, mu)."""
     disc0 = data.disc_v0
-    reduction = {}
-    for mu in data.disc_v.cosets():
-        reduction[mu] = coset_reduce(mu, data)
+    reduction = {mu: coset_reduce(mu, data) for mu in data.disc_v.cosets()}
     out = {}
     for (m, mu), c in form.coefficients.items():
         lam = reduction[mu]
@@ -41,52 +45,53 @@ def reduce_f0(form, data):
     return WHForm(disc0, form.weight, out, form.prec)
 
 
-def _majorant_matrix(v0, w):
-    """Positive-definite matrix A with x^T A x = 2 Q(x) + [x, w]^2 / |Q(w)|."""
-    qw = v0.q(w)
-    if qw >= 0:
+def _pair(x, gw):
+    """[x, w] for gw = G w."""
+    return sum(map(mul, x, gw))
+
+
+def _cone_points(data, w, bounds):
+    """Yield (lam, x, Q(x), [x, w]) for the cosets lam of V0 in `bounds`.
+
+    Each coset is walked once, in sorted order, over the x in lam + V0 with
+    2Q(x) + [x, w]^2 / |Q(w)| <= bounds[lam].  The majorant is positive
+    definite because Q(w) < 0, and the walk returns its exact value, so
+    Q(x) = (value - [x, w]^2 / |Q(w)|) / 2.  Integral coordinates of x are
+    ints.
+    """
+    v0 = data.v0
+    nqw = -v0.q(w)
+    if nqw <= 0:
         raise ValueError("interior point must have Q(w) < 0")
-    gw = mat_vec([list(r) for r in v0.gram], list(w))
+    gw = v0.image(w)
     n = v0.rank
-    return [[Fraction(v0.gram[i][j]) + Fraction(gw[i] * gw[j], -qw)
-             for j in range(n)] for i in range(n)]
+    a = [[v0.gram[i][j] + gw[i] * gw[j] / nqw for j in range(n)] for i in range(n)]
+    for lam in sorted(bounds):
+        for x, val in _qf_enumerate(a, data.disc_v0.rep(lam), bounds[lam]):
+            pair = _pair(x, gw)
+            yield lam, x, (val - pair * pair / nqw) / 2, pair
 
 
 def enumerate_walls(f0, data, w, radius):
     """Wall vectors of the arrangement attached to f0's principal part.
 
     Returns all x in lam + V0 with Q(x) = m > 0, c0(-m, lam) != 0 and
-    [x, w]^2 <= radius^2 * m * |Q(w)|, sorted lexicographically.  The
-    enumeration is finite because Q plus the rank-one correction along w is
-    positive definite.
+    [x, w]^2 <= radius^2 * m * |Q(w)|, sorted lexicographically.  On that
+    set the majorant 2Q(x) + [x, w]^2 / |Q(w)| is at most (2 + radius^2) m,
+    so one walk of each coset under it finds every wall, with Q(x) taken
+    from the walk's exact value.
     """
-    v0 = data.v0
     w = tuple(Fraction(x) for x in w)
-    qw = v0.q(w)
-    if qw >= 0:
-        raise ValueError("interior point must have Q(w) < 0")
-    radius = Fraction(radius)
-    a = _majorant_matrix(v0, w)
-    disc0 = data.disc_v0
-    walls = []
+    r2 = Fraction(radius) ** 2
     by_coset = {}
     for (m, lam), c in f0.principal_part().items():
         if c != 0:
             by_coset.setdefault(lam, []).append(-m)
-    for lam, ms in sorted(by_coset.items()):
-        rep = disc0.rep(lam)
-        mmax = max(ms)
-        # on the wall set, 2Q(x) + [x,w]^2/|Q(w)| <= 2m + r^2 m <= (2 + r^2) mmax
-        bound = (2 + radius * radius) * mmax
-        for x, val in _qf_enumerate(a, rep, bound):
-            qx = v0.q(x)
-            if qx not in ms:
-                continue
-            pair = v0.bilinear(x, w)
-            if pair * pair <= radius * radius * qx * (-qw):
-                walls.append(x)
-    walls.sort()
-    return walls
+    bounds = {lam: (2 + r2) * max(ms) for lam, ms in by_coset.items()}
+    nqw = -data.v0.q(w)
+    return sorted(tuple(Fraction(c) for c in x)
+                  for lam, x, qx, pair in _cone_points(data, w, bounds)
+                  if qx in by_coset[lam] and pair * pair <= r2 * qx * nqw)
 
 
 class WeylChamber:
@@ -107,11 +112,11 @@ def chamber_of(w, f0, data, radius=2):
     Raises when w lies on one of the enumerated walls; the caller must
     perturb and retry.
     """
-    v0 = data.v0
     w = tuple(Fraction(x) for x in w)
+    gw = data.v0.image(w)
     signs = {}
     for x in enumerate_walls(f0, data, w, radius):
-        s = v0.bilinear(x, w)
+        s = _pair(x, gw)
         if s == 0:
             raise ValueError(f"chamber point lies on the wall through {x}")
         signs[x] = 1 if s > 0 else -1
@@ -145,10 +150,7 @@ def zeta_mu(mu, data):
     lifted = lift_of_coset(mu, data)
     if lifted is None:
         raise ValueError("coset admits no lift into ell-perp")
-    val = sum(Fraction(a) * b for a, b in
-              zip(mat_vec([list(r) for r in data.lattice.gram], list(lifted)),
-                  data.k))
-    return e(val)
+    return e(_pair(data.lattice.image(lifted), data.k))
 
 
 def check_weyl_integrality(rho, data):
@@ -156,8 +158,7 @@ def check_weyl_integrality(rho, data):
     v0 = data.v0
     if len(rho) != v0.rank:
         return False
-    image = mat_vec([list(r) for r in v0.gram], [Fraction(x) for x in rho])
-    return all(Fraction(x).denominator == 1 for x in image)
+    return all(g.denominator == 1 for g in v0.image([Fraction(c) for c in rho]))
 
 
 class ProductExpansion:
@@ -213,8 +214,9 @@ def product_expand(form, data, chamber, weyl_vector, cutoff):
     qw = v0.q(w)
     if qw >= 0:
         raise ValueError("chamber point must have Q(w) < 0")
+    gw = v0.image(w)
     for x, sign in chamber.wall_signs.items():
-        s = v0.bilinear(x, w)
+        s = _pair(x, gw)
         if s == 0 or (1 if s > 0 else -1) != sign:
             raise ValueError("chamber data is inconsistent with its interior point")
 
@@ -241,31 +243,23 @@ def product_expand(form, data, chamber, weyl_vector, cutoff):
         zr = z.try_rational()
         by_lam.setdefault(lam, []).append((mu, zr if zr is not None else z))
 
-    max_pole = form.max_pole_order()
-
-    a = _majorant_matrix(v0, w)
-    bound = 2 * max_pole + cutoff_abs * cutoff_abs / (-qw)
-    disc0 = data.disc_v0
+    bound = 2 * form.max_pole_order() + cutoff_abs * cutoff_abs / (-qw)
     factors = []
     skipped = 0
-    for lam in sorted(by_lam):
-        rep = disc0.rep(lam)
-        for x, _ in _qf_enumerate(a, rep, bound):
-            g = v0.bilinear(x, w)
-            if g <= 0 or g > cutoff_abs:
+    for lam, x, qx, g in _cone_points(data, w, dict.fromkeys(by_lam, bound)):
+        if g <= 0 or g > cutoff_abs:
+            continue
+        if -qx >= form.prec:
+            raise PrecisionError("enumerated exponent needs a coefficient "
+                                 "beyond the form's precision")
+        for mu, zeta in by_lam[lam]:
+            c = form.coefficient(-qx, mu)
+            if c == 0:
+                skipped += 1
                 continue
-            qx = v0.q(x)
-            if -qx >= form.prec:
-                raise PrecisionError("enumerated exponent needs a coefficient "
-                                     "beyond the form's precision")
-            for mu, zeta in by_lam[lam]:
-                c = form.coefficient(-qx, mu)
-                if c == 0:
-                    skipped += 1
-                    continue
-                if c.denominator != 1:
-                    raise ValueError("product exponents must be integers")
-                factors.append((x, mu, zeta, int(c)))
+            if c.denominator != 1:
+                raise ValueError("product exponents must be integers")
+            factors.append((x, mu, zeta, int(c)))
     factors.sort(key=lambda f: (f[0], f[1]))
     for x, _, zeta, expo in factors:
         body = body * lattice_binomial(v0, w, cutoff_abs, x, zeta, expo)

@@ -11,6 +11,7 @@ consumers must check `.prec` rather than assume.
 
 from fractions import Fraction
 from math import ceil, lcm
+from operator import mul
 
 
 class FracQSeries:
@@ -236,16 +237,18 @@ class LatticeQSeries:
     by the pairing [alpha, w] against a fixed interior point w of the light
     cone (Q(w) < 0); every stored exponent has grading in (0, cutoff] except
     the constant term.  The grading point is part of the value: two series
-    combine only when their lattices, w and cutoff agree.
+    combine only when their lattices, w and cutoff agree.  Gradings are dot
+    products with G w, which is computed once per series.
     """
 
-    __slots__ = ("lattice", "w", "cutoff", "coeffs")
+    __slots__ = ("lattice", "w", "cutoff", "coeffs", "_gw")
 
     def __init__(self, lattice, w, cutoff, coeffs):
         self.lattice = lattice
         self.w = tuple(Fraction(x) for x in w)
         if lattice.q(self.w) >= 0:
             raise ValueError("grading point must lie in the light cone")
+        self._gw = lattice.image(self.w)
         self.cutoff = Fraction(cutoff)
         out = {}
         for alpha, c in coeffs.items():
@@ -267,7 +270,7 @@ class LatticeQSeries:
         return cls(lattice, w, cutoff, {zero: Fraction(1)})
 
     def grading(self, alpha):
-        return self.lattice.bilinear(alpha, self.w)
+        return sum(map(mul, alpha, self._gw))
 
     def coefficient(self, alpha):
         alpha = tuple(Fraction(x) for x in alpha)
@@ -285,11 +288,12 @@ class LatticeQSeries:
                                   {a: c * other for a, c in self.coeffs.items()})
         self._check_compatible(other)
         cutoff = min(self.cutoff, other.cutoff)
+        right = [(a2, c2, other.grading(a2)) for a2, c2 in other.coeffs.items()]
         out = {}
         for a1, c1 in self.coeffs.items():
             g1 = self.grading(a1)
-            for a2, c2 in other.coeffs.items():
-                if g1 + other.grading(a2) > cutoff:
+            for a2, c2, g2 in right:
+                if g1 + g2 > cutoff:
                     continue
                 a = tuple(x + y for x, y in zip(a1, a2))
                 prod = c1 * c2
@@ -354,7 +358,6 @@ def lattice_binomial(lattice, w, cutoff, alpha, zeta, e):
     grading of alpha must be positive.
     """
     alpha = tuple(Fraction(x) for x in alpha)
-    w = tuple(Fraction(x) for x in w)
     g = lattice.bilinear(alpha, w)
     if g <= 0:
         raise ValueError("alpha must have positive grading")

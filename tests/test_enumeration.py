@@ -5,12 +5,13 @@ with r_i = g_ii - sum_{j != i} |g_ij| > 0, so a finite coordinate box
 provably contains every solution.  The oracle enumerates that box directly.
 """
 
+import itertools
 import random
 from fractions import Fraction
 from math import isqrt
 
 from borcherds_kit.lattice import GramLattice, _qf_enumerate, _qf_value_counts
-from borcherds_kit.linalg import lll_reduce_gram, mat_mul, transpose
+from borcherds_kit.linalg import invert_rational, lll_reduce_gram, mat_mul, transpose
 
 
 def dominant_gram(rng, n, slack=2):
@@ -108,3 +109,70 @@ def test_lll_on_rational_gram():
         from borcherds_kit.linalg import det_int
         assert abs(det_int(t)) == 1
         assert mat_mul(mat_mul(t, gram), transpose(t)) == g2
+
+
+def brute_force_pd(a, shift, bound):
+    """All y = shift + x, x integer, with y^T a y <= bound, for rational
+    positive-definite a.  On that ellipsoid y_i^2 <= bound * (a^-1)_ii, so a
+    coordinate box of that half-width holds every solution."""
+    n = len(a)
+    ainv = invert_rational(a)
+    ranges = []
+    for i in range(n):
+        r = isqrt(int(bound * ainv[i][i])) + 1  # |y_i| <= r
+        c = int(shift[i])
+        ranges.append(range(-r - c - 1, r - c + 2))
+    found = {}
+    for x in itertools.product(*ranges):
+        y = tuple(s + c for s, c in zip(shift, x))
+        val = sum(y[i] * a[i][j] * y[j] for i in range(n) for j in range(n))
+        if val <= bound:
+            found[y] = val
+    return found
+
+
+LORENTZIAN = [
+    [[0, 1], [1, 0]],                                   # U
+    [[0, 1, 0], [1, 0, 0], [0, 0, 2]],                  # U + A1
+    [[0, 2, 0], [2, 0, 0], [0, 0, 4]],                  # U(2) + (4)
+    [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]],  # U + A2
+]
+
+
+def test_enumeration_on_rational_majorants():
+    # a = G + (G w)(G w)^T / |Q(w)| for a Lorentzian G and rational w with
+    # Q(w) < 0: the shape of the product-expansion majorant, with rational
+    # entries and (for rank >= 3) the LLL path
+    rng = random.Random(80)
+    trials = points = 0
+    while trials < 30:
+        gram = rng.choice(LORENTZIAN)
+        lat = GramLattice(gram)
+        n = lat.rank
+        w = [Fraction(rng.randint(1, 4), rng.choice([1, 2, 3])),
+             -Fraction(rng.randint(1, 4), rng.choice([1, 2]))]
+        w += [Fraction(rng.randint(-2, 2), rng.choice([1, 2, 4])) for _ in range(n - 2)]
+        qw = lat.q(w)
+        if qw >= 0:
+            continue
+        gw = [sum(g * c for g, c in zip(row, w)) for row in gram]
+        a = [[gram[i][j] + gw[i] * gw[j] / -qw for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:
+            shift = [Fraction(0)] * n
+        else:
+            shift = [Fraction(rng.randint(-2, 2), rng.choice([1, 2, 4])) for _ in range(n)]
+        bound = Fraction(rng.randint(0, 12), rng.choice([1, 2]))
+        expected = brute_force_pd(a, shift, bound)
+        got = _qf_enumerate(a, shift, bound)
+        assert dict(got) == expected, (gram, w, shift, bound)
+        assert len(got) == len(expected)
+        points += len(got)
+        tally = {}
+        for val in expected.values():
+            tally[val] = tally.get(val, 0) + 1
+        assert _qf_value_counts(a, shift, bound) == tally
+        # integral coordinates come back as ints, the others as Fractions
+        for y, _ in got:
+            assert all(type(c) is int for c, s in zip(y, shift) if s.denominator == 1)
+        trials += 1
+    assert points > 300  # not vacuous

@@ -411,3 +411,24 @@ def test_cli_rejects_threads(capsys):
         main(["lattice", "info", "e8", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_cli_expand_rank5_search_exhausted_exits_1(tmp_path, capsys, monkeypatch):
+    # rank 5 and indefinite, so isotropic (Meyer): a search that runs out is
+    # an error, not "no isotropic line"
+    import functools
+
+    from borcherds_kit import cli
+    from borcherds_kit.lattice import isotropic_line
+    lat = GramLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
+                       [0, 0, 0, 2, 0], [0, 0, 0, 0, -14]], name="diag5")
+    save_lattice(tmp_path / "diag5.json", lat)
+    f = WHForm(discriminant_form(lat), 0, {(Fraction(0), discriminant_form(lat).zero): 1}, 2)
+    save_form(tmp_path / "f.json", f, "diag5.json")
+    monkeypatch.setattr(cli, "isotropic_line", functools.partial(isotropic_line, budget=20))
+    assert main(["expand", "--lattice", str(tmp_path / "diag5.json"),
+                 "--form", str(tmp_path / "f.json"), "--chamber-point", "1,0,0,0,1",
+                 "--weyl", "0,0,0", "--cutoff", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "isotropic search exhausted" in err and "Meyer" in err
+    assert "no isotropic line" not in err

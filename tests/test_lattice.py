@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import floor, lcm
 
 import pytest
 
@@ -538,3 +539,69 @@ def test_glue_theta_small_case():
     th_glue = theta_series(lat, 3)
     th_direct = coset_theta(lat, None, 3)
     assert th_glue.coeffs == th_direct.coeffs
+
+
+A3 = GramLattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], name="A3")
+
+
+@pytest.mark.parametrize("lat", [A1, A2, A3], ids=lambda lat: lat.name)
+@pytest.mark.parametrize("bound", [0, 1, 2, Fraction(5, 2), Fraction(7, 3), 3], ids=str)
+def test_coset_theta_precision_matches_representation_count(lat, bound):
+    # the claimed precision is the first point past `bound` of the grid
+    # Q(rep) + (1/d)Z, and every grid coefficient below it is a true count
+    disc = discriminant_form(lat)
+    reps = [disc.rep(c) for c in disc.cosets()]
+    reps.append(tuple(Fraction(k + 1, 3) for k in range(lat.rank)))  # not dual: d = 3
+    for rep in reps:
+        d = lcm(*(Fraction(sum(g * c for g, c in zip(row, rep))).denominator
+                  for row in lat.gram))
+        q0 = lat.q(rep)
+        th = coset_theta(lat, rep, bound)
+        assert th.prec > bound
+        assert th.prec - Fraction(1, d) <= bound
+        assert ((th.prec - q0) * d).denominator == 1
+        e = q0 - Fraction(floor(q0 * d), d)  # the smallest grid point >= 0
+        while e < th.prec:
+            assert th.coefficient(e) == representation_count(lat, e, rep), (rep, e)
+            e += Fraction(1, d)
+
+
+def test_coset_theta_claims_no_unenumerated_coefficient():
+    rep_a2 = discriminant_form(A2).rep((1,))
+    th = coset_theta(A2, rep_a2, 1)
+    assert th.prec == Fraction(4, 3)
+    assert representation_count(A2, Fraction(4, 3), rep_a2) == 3
+    with pytest.raises(ValueError):
+        th.coefficient(Fraction(4, 3))
+    rep_a1 = discriminant_form(A1).rep((1,))
+    assert coset_theta(A1, rep_a1, 2).prec == Fraction(9, 4)
+    assert coset_theta(A1, rep_a1, 3).coefficient(Fraction(9, 4)) == 2
+    assert representation_count(A1, Fraction(9, 4), rep_a1) == 2
+
+
+def test_lattice_theta_precision_rule(monkeypatch):
+    monkeypatch.setattr(lattice_module, "_THETA_CACHE", type(lattice_module._THETA_CACHE)(8))
+    assert theta_series(A2, 3).prec == 4  # integer bound: bound + 1, as before
+    assert theta_series(A2, Fraction(5, 2)).prec == 3  # a cache hit, truncated
+    assert theta_series(A1, Fraction(5, 2)).prec == 3
+    # the glue route follows the same rule: E8 as A1^8 glued by the
+    # extended Hamming code
+    rows = ["11110000", "00111100", "00001111", "01010101"]
+    e8 = glue_lattice([A1] * 8, [tuple((int(c),) for c in r) for r in rows])
+    assert abs(e8.det) == 1
+    for bound in (Fraction(5, 2), 2):
+        th = theta_series(e8, bound)
+        assert th.prec == 3
+        assert [th.coefficient(n) for n in range(3)] == [1, 240, 2160]
+
+
+def test_isotropic_line_rank5_never_returns_none():
+    # an indefinite form of rank >= 5 is isotropic (Meyer): a search that
+    # runs out raises instead of returning None
+    lat = GramLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
+                       [0, 0, 0, 2, 0], [0, 0, 0, 0, -14]])
+    with pytest.raises(ValueError, match="isotropic search exhausted"):
+        isotropic_line(lat, budget=20)
+    ell = isotropic_line(lat)
+    assert ell == (1, -2, -1, -1, -1)
+    assert lat.q(ell) == 0

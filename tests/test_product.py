@@ -7,6 +7,8 @@ from borcherds_kit.cyclotomic import e
 from borcherds_kit.forms import WHForm, divide_by_24delta
 from borcherds_kit.lattice import (
     GramLattice,
+    _qf_enumerate,
+    coset_reduce,
     cusp_data,
     direct_sum,
     discriminant_form,
@@ -22,7 +24,14 @@ from borcherds_kit.product import (
     reduce_f0,
     zeta_mu,
 )
-from borcherds_kit.qseries import FracQSeries, delta_series, j_series
+from borcherds_kit.linalg import rational_gcd
+from borcherds_kit.qseries import (
+    FracQSeries,
+    LatticeQSeries,
+    delta_series,
+    j_series,
+    lattice_binomial,
+)
 
 U = GramLattice([[0, 1], [1, 0]], name="U")
 A1 = GramLattice([[2]], name="A1")
@@ -371,3 +380,137 @@ def test_divide_by_24delta():
     f24 = WHForm.from_scalar_series(d, 0, delta_series(8).inverse() * 24)
     g24 = divide_by_24delta(f24)
     assert all(Fraction(c).denominator == 1 for c in g24.coefficients.values())
+
+
+# ---------------------------------------------------------------------------
+# differential check of the cone walk against the two-loop enumeration it
+# replaced: one majorant walk per caller, Q(x) and [x, w] recomputed per
+# point as Fraction sums
+# ---------------------------------------------------------------------------
+
+def _reference_majorant(v0, w):
+    qw = v0.q(w)
+    gw = [sum(Fraction(g) * c for g, c in zip(row, w)) for row in v0.gram]
+    return [[Fraction(v0.gram[i][j]) + gw[i] * gw[j] / -qw for j in range(v0.rank)]
+            for i in range(v0.rank)]
+
+
+def _reference_walls(f0, data, w, radius):
+    v0 = data.v0
+    w = tuple(Fraction(x) for x in w)
+    qw = v0.q(w)
+    radius = Fraction(radius)
+    a = _reference_majorant(v0, w)
+    walls = []
+    by_coset = {}
+    for (m, lam), c in f0.principal_part().items():
+        if c != 0:
+            by_coset.setdefault(lam, []).append(-m)
+    for lam, ms in sorted(by_coset.items()):
+        rep = data.disc_v0.rep(lam)
+        bound = (2 + radius * radius) * max(ms)
+        for x, _ in _qf_enumerate(a, rep, bound):
+            x = tuple(Fraction(c) for c in x)
+            qx = v0.q(x)
+            if qx not in ms:
+                continue
+            pair = v0.bilinear(x, w)
+            if pair * pair <= radius * radius * qx * (-qw):
+                walls.append(x)
+    walls.sort()
+    return walls
+
+
+def _reference_expansion(form, data, chamber, cutoff):
+    """The body and skipped count from the former factor loop."""
+    v0 = data.v0
+    w = chamber.w
+    qw = v0.q(w)
+    cutoff_abs = Fraction(cutoff) * rational_gcd(w)
+    by_lam = {}
+    for mu in data.disc_v.cosets():
+        lam = coset_reduce(mu, data)
+        if lam is not None:
+            z = zeta_mu(mu, data)
+            zr = z.try_rational()
+            by_lam.setdefault(lam, []).append((mu, zr if zr is not None else z))
+    a = _reference_majorant(v0, w)
+    bound = 2 * form.max_pole_order() + cutoff_abs * cutoff_abs / (-qw)
+    factors = []
+    skipped = 0
+    for lam in sorted(by_lam):
+        for x, _ in _qf_enumerate(a, data.disc_v0.rep(lam), bound):
+            x = tuple(Fraction(c) for c in x)
+            g = v0.bilinear(x, w)
+            if g <= 0 or g > cutoff_abs:
+                continue
+            qx = v0.q(x)
+            for mu, zeta in by_lam[lam]:
+                c = form.coefficient(-qx, mu)
+                if c == 0:
+                    skipped += 1
+                    continue
+                factors.append((x, mu, zeta, int(c)))
+    factors.sort(key=lambda f: (f[0], f[1]))
+    body = LatticeQSeries.one(v0, w, cutoff_abs)
+    for x, _, zeta, expo in factors:
+        body = body * lattice_binomial(v0, w, cutoff_abs, x, zeta, expo)
+    return body, skipped
+
+
+def _nontrivial_zeta_case():
+    lat = GramLattice([[0, 2, 0, 0, 0], [2, 0, 0, 0, 0], [0, 0, 0, 1, 0],
+                       [0, 0, 1, 0, 0], [0, 0, 0, 0, 4]])
+    d = discriminant_form(lat)
+    target = d.coset_of_dual((0, 0, 0, 0, Fraction(1, 2)))
+    # two poles in the zero coset, so the radius filter on [x, w] is not
+    # implied by the majorant bound
+    f = WHForm(d, Fraction(-1, 2), {(Fraction(-1, 2), target): 1,
+                                     (Fraction(-1), d.zero): 2,
+                                     (Fraction(-2), d.zero): 1}, 3)
+    data = cusp_data(lat, (1, 0, 0, 0, 0), k=(0, 1, 0, 0, Fraction(1, 4)))
+    # rational_gcd(w) = 1/14, so cutoff 42 bounds the grading by 3
+    return f, data, (Fraction(5, 2), -1, Fraction(1, 7)), 42
+
+
+def _e8_cusp_case():
+    from borcherds_kit.io import load_form, load_lattice
+    from borcherds_kit.lattice import isotropic_line
+    lat = load_lattice("e8-plus-2u")
+    form, _ = load_form("e4sq-over-delta")
+    data = cusp_data(lat, isotropic_line(lat))
+    w_star = (840, 1100, 1350, 910, 460, 680, 570, 290, 74, -1055)
+    return form, data, w_star, 6
+
+
+@pytest.mark.parametrize("case, radii", [
+    (lambda: (knz_form(), CUSP_UU, (2, -1), 5), (2, 3)),
+    (_nontrivial_zeta_case, (2, 3)),
+    (_e8_cusp_case, (1,)),
+], ids=["knz", "nontrivial-zeta", "e8-w-star"])
+def test_cone_walk_matches_former_loops(case, radii):
+    form, data, w, cutoff = case()
+    f0 = reduce_f0(form, data)
+    v0 = data.v0
+    for radius in radii:
+        walls = enumerate_walls(f0, data, w, radius)
+        assert repr(walls) == repr(_reference_walls(f0, data, w, radius))
+        assert walls
+        chamber = chamber_of(w, f0, data, radius)
+        assert chamber.wall_signs == {
+            x: 1 if v0.bilinear(x, chamber.w) > 0 else -1 for x in walls}
+    pe = product_expand(form, data, chamber, (0,) * v0.rank, cutoff)
+    body, skipped = _reference_expansion(form, data, chamber, cutoff)
+    assert pe.skipped == skipped
+    assert repr(list(pe.body.coeffs.items())) == repr(list(body.coeffs.items()))
+    assert len(pe.body.coeffs) > 1
+
+
+def test_product_expand_rejects_inconsistent_chamber():
+    # a hand-built chamber whose signs disagree with its interior point
+    f = knz_form()
+    f0 = reduce_f0(f, CUSP_UU)
+    good = chamber_of((2, -1), f0, CUSP_UU)
+    flipped = {x: -s for x, s in good.wall_signs.items()}
+    with pytest.raises(ValueError, match="inconsistent"):
+        product_expand(f, CUSP_UU, WeylChamber((2, -1), flipped, 2), (0, -1), 3)
