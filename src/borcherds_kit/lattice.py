@@ -7,7 +7,7 @@ Q(x) = x^T G x / 2 and the bilinear form [x, y] = x^T G y, so that
 
 import itertools
 import warnings
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from fractions import Fraction
 from math import floor, gcd, isqrt, lcm
 
@@ -323,21 +323,33 @@ def direct_sum(lattices, name=None):
 # short vector enumeration
 # ---------------------------------------------------------------------------
 
+def _qf_reduce(a):
+    """The shift-free Fincke-Pohst data of a matrix: (T^T, d, l), memoized.
+
+    T is the LLL transform (rank >= 3; T^T is None below that) and d, l the
+    LDL^T data of the reduced matrix T a T^T.  Every coset walked under the
+    same matrix shares one reduction.
+    """
+    key = tuple(tuple(row) for row in a)
+    cached = _QF_REDUCE_CACHE.get(key)
+    if cached is None:
+        if len(a) >= 3:
+            a_red, t = lll_reduce_gram(a)
+            t_t = transpose(t)
+        else:
+            a_red = [[Fraction(x) for x in row] for row in a]
+            t_t = None
+        cached = _QF_REDUCE_CACHE[key] = (t_t, *ldl_decomposition(a_red))
+    return cached
+
+
 def _qf_prepare(a, shift):
     """Scaled-integer Fincke-Pohst data for y = shift + x, value y^T a y."""
     n = len(a)
     shift = [Fraction(x) for x in shift or [0] * n]
+    t_t, d, lmat = _qf_reduce(a)
+    shift_red = shift if t_t is None else solve_rational(t_t, shift)
 
-    if n >= 3:
-        a_red, t = lll_reduce_gram(a)
-        t_t = transpose(t)
-        shift_red = solve_rational(t_t, shift)
-    else:
-        a_red = [[Fraction(x) for x in row] for row in a]
-        t_t = None
-        shift_red = shift
-
-    d, lmat = ldl_decomposition(a_red)
     consts = []
     for i in range(n):
         c = shift_red[i]
@@ -486,6 +498,11 @@ class _BoundedCache(OrderedDict):
             self.popitem(last=False)
 
 
+# matrix -> (T^T, d, l) of `_qf_reduce`; the test suite walks about 430
+# distinct matrices, most of them once, a benchmark pass at most 4
+_QF_REDUCE_CACHE = _BoundedCache(128)
+
+
 # (gram, coset representative) -> (m, {value: count}); one pass of the test
 # suite stores about 120 keys, a benchmark workload at most a few
 _REP_COUNT_CACHE = _BoundedCache(256)
@@ -547,10 +564,12 @@ def _theta_prec(lattice, coset_rep, bound):
 def theta_series(lattice, bound):
     """Theta series of the lattice with coefficients through q^bound.
 
-    Lattices built by `glue_lattice` are evaluated by summing coordinate-wise
-    coset theta products over the glue code, which is exponentially faster
-    than direct enumeration in rank 24.  Results are cached per lattice.  The
-    precision is that of `coset_theta` on the zero coset.
+    A lattice built by `glue_lattice` from blocks L_i and a glue code C has
+    theta_L = W_C(theta_{L_i + c}), the complete weight enumerator of C
+    evaluated at the blocks' coset theta series (Conway-Sloane, SPLAG,
+    ch. 7 sec. 2): exponentially faster than direct enumeration in rank 24.
+    Results are cached per lattice.  The precision is that of `coset_theta`
+    on the zero coset.
     """
     prec = _theta_prec(lattice, None, bound)
     cached = _THETA_CACHE.get(lattice.gram)
@@ -564,40 +583,43 @@ def theta_series(lattice, bound):
     return theta
 
 
+def _glue_classes(glue, bound):
+    """The glue code's words tallied by composition over distinct coset series.
+
+    Each distinct coset theta series gets an int id in order of first
+    appearance; equal series share one, also across block Grams (so the
+    cosets 1 and 2 of A2 share one).  Returns (series, classes): series[i]
+    has id i, and classes maps a composition (n_0, ..., n_{k-1}), n_i the
+    number of blocks of a word whose coset series has id i, to the number of
+    code words with it.
+    """
+    ids, by_coset = {}, {}  # series -> id, (block Gram, coset) -> id
+
+    def series_id(block, coset):
+        key = (block.gram, coset)
+        if key not in by_coset:
+            s = coset_theta(block, block.discriminant_form().rep(coset), bound)
+            by_coset[key] = ids.setdefault(s, len(ids))
+        return by_coset[key]
+
+    words = [[series_id(b, c) for b, c in zip(glue.blocks, word)] for word in glue.words]
+    return list(ids), Counter(tuple(map(w.count, range(len(ids)))) for w in words)
+
+
 def _theta_by_glue(glue, bound, prec):
+    """theta_L = W_C(theta_{L_i + c}) through q^bound, at precision prec.
+
+    For each composition class of the code, each coset series is raised to
+    its count and the powers multiplied once (SPLAG ch. 7 sec. 2).
+    """
     from .qseries import FracQSeries
-    blocks = glue.blocks
-    theta_cache = {}
-
-    def block_theta(bi, coset):
-        key = (blocks[bi].gram, coset)
-        if key not in theta_cache:
-            rep = blocks[bi].discriminant_form().rep(coset)
-            theta_cache[key] = coset_theta(blocks[bi], rep, bound)
-        return theta_cache[key]
-
-    # group code words by the multiset of coset theta series they involve
-    freeze_to_series = {}
-    class_counts = {}
-    for word in glue.words:
-        keys = []
-        for bi, coset in enumerate(word):
-            s = block_theta(bi, coset)
-            fz = (s.denominator, s.prec, tuple(sorted(s.coeffs.items())))
-            freeze_to_series[fz] = s
-            keys.append(fz)
-        cls = tuple(sorted(keys))
-        class_counts[cls] = class_counts.get(cls, 0) + 1
-
+    series, classes = _glue_classes(glue, bound)
     total = FracQSeries.zero(prec)
-    for cls, count in class_counts.items():
-        prod = None
-        mult = {}
-        for fz in cls:
-            mult[fz] = mult.get(fz, 0) + 1
-        for fz, e in mult.items():
-            p = freeze_to_series[fz] ** e
-            prod = p if prod is None else prod * p
+    for comp, count in classes.items():
+        prod = FracQSeries.one(prec)
+        for s, e in zip(series, comp):
+            if e:
+                prod = prod * s ** e
         total = total + prod * count
     return total.truncate(prec)
 

@@ -7,7 +7,10 @@ import pytest
 from borcherds_kit import lattice as lattice_module
 from borcherds_kit.lattice import (
     GramLattice,
+    _glue_classes,
     _span,
+    _theta_by_glue,
+    _theta_prec,
     coset_reduce,
     coset_theta,
     cusp_data,
@@ -542,6 +545,159 @@ def test_glue_theta_small_case():
 
 
 A3 = GramLattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], name="A3")
+
+
+def _niemeier(kind):
+    from borcherds_kit.codes import binary_golay_generators, ternary_golay_generators
+    block, rows = {"a1": (A1, binary_golay_generators()),
+                   "a2": (A2, ternary_golay_generators())}[kind]
+    return glue_lattice([block] * len(rows[0]), [tuple((c,) for c in r) for r in rows])
+
+
+def _former_theta_by_glue(glue, bound, prec):
+    """The glue theta as computed before the weight-enumerator form: every
+    word's coset series frozen and sorted, words grouped by that multiset."""
+    from borcherds_kit.qseries import FracQSeries
+    blocks = glue.blocks
+    theta_cache = {}
+
+    def block_theta(bi, coset):
+        key = (blocks[bi].gram, coset)
+        if key not in theta_cache:
+            rep = blocks[bi].discriminant_form().rep(coset)
+            theta_cache[key] = coset_theta(blocks[bi], rep, bound)
+        return theta_cache[key]
+
+    freeze_to_series = {}
+    class_counts = {}
+    for word in glue.words:
+        keys = []
+        for bi, coset in enumerate(word):
+            s = block_theta(bi, coset)
+            fz = (s.denominator, s.prec, tuple(sorted(s.coeffs.items())))
+            freeze_to_series[fz] = s
+            keys.append(fz)
+        cls = tuple(sorted(keys))
+        class_counts[cls] = class_counts.get(cls, 0) + 1
+
+    total = FracQSeries.zero(prec)
+    for cls, count in class_counts.items():
+        prod = None
+        mult = {}
+        for fz in cls:
+            mult[fz] = mult.get(fz, 0) + 1
+        for fz, e in mult.items():
+            p = freeze_to_series[fz] ** e
+            prod = p if prod is None else prod * p
+        total = total + prod * count
+    return total.truncate(prec)
+
+
+# A2 in the basis (e1, e1 + e2): an equal coset series from another Gram
+A2_REBASED = GramLattice([[2, 1], [1, 2]], name="A2'")
+# the tetracode glues A2^4 to E8; half its blocks re-based
+TETRACODE = [((1,), (1,), (1,), (0,)), ((0,), (1,), (2,), (1,))]
+
+
+def _glue_case(name):
+    if name.startswith("niemeier"):
+        return _niemeier(name[-2:])
+    if name == "a3-a1":
+        return glue_lattice([A3, A3, A1, A1], [((2,), (2,), (0,), (0,)),
+                                               ((2,), (0,), (1,), (1,))])
+    if name == "e8-hamming":
+        rows = ["11110000", "00111100", "00001111", "01010101"]
+        return glue_lattice([A1] * 8, [tuple((int(c),) for c in r) for r in rows])
+    return glue_lattice([A2, A2_REBASED, A2, A2_REBASED], TETRACODE)
+
+
+@pytest.mark.parametrize("name, bound", [
+    ("niemeier-a1", 3), ("niemeier-a1", Fraction(5, 2)),
+    ("niemeier-a2", 3), ("niemeier-a2", Fraction(5, 2)),
+    ("a3-a1", 3), ("e8-hamming", 3), ("a2-rebased", 3),
+], ids=str)
+def test_glue_theta_matches_former_grouping(name, bound):
+    lat = _glue_case(name)
+    prec = _theta_prec(lat, None, bound)
+    new = _theta_by_glue(lat.glue, bound, prec)
+    assert repr(new) == repr(_former_theta_by_glue(lat.glue, bound, prec))
+    if name in ("e8-hamming", "a2-rebased"):
+        assert abs(lat.det) == 1
+        assert [new.coefficient(n) for n in range(4)] == [1, 240, 2160, 6720]
+
+
+def test_glue_classes_are_the_golay_weight_enumerators():
+    # SPLAG ch. 3: W(y) = 1 + 759y^8 + 2576y^12 + 759y^16 + y^24 for the
+    # binary Golay code and 1 + 264y^6 + 440y^9 + 24y^12 for the ternary one;
+    # id 0 is the zero coset, the first block coset of the sorted zero word
+    series, classes = _glue_classes(_niemeier("a1").glue, 2)
+    assert len(series) == 2 and series[0].coefficient(0) == 1
+    assert classes == {(24 - k, k): n for k, n in
+                       ((0, 1), (8, 759), (12, 2576), (16, 759), (24, 1))}
+    series, classes = _glue_classes(_niemeier("a2").glue, 2)
+    assert len(series) == 2 and series[0].coefficient(0) == 1
+    assert classes == {(12 - k, k): n for k, n in
+                       ((0, 1), (6, 264), (9, 440), (12, 24))}
+    disc = discriminant_form(A2)
+    assert coset_theta(A2, disc.rep((1,)), 2) == series[1]
+    assert coset_theta(A2, disc.rep((2,)), 2) == series[1]
+
+
+def test_glue_classes_share_series_across_grams():
+    lat = _glue_case("a2-rebased")
+    series, classes = _glue_classes(lat.glue, 3)
+    assert len(series) == 2  # zero coset and one nonzero series for both Grams
+    assert classes == {(4, 0): 1, (1, 3): 8}
+
+
+@pytest.fixture
+def lll_calls(monkeypatch):
+    """A fresh `_qf_reduce` cache of 4 entries; the list holds one entry per
+    `lll_reduce_gram` call made since."""
+    calls = []
+    real = lattice_module.lll_reduce_gram
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lattice_module, "lll_reduce_gram", counted)
+    monkeypatch.setattr(lattice_module, "_QF_REDUCE_CACHE",
+                        type(lattice_module._QF_REDUCE_CACHE)(4))
+    monkeypatch.setattr(lattice_module, "_REP_COUNT_CACHE",
+                        type(lattice_module._REP_COUNT_CACHE)(8))
+    return calls
+
+
+def test_qf_reduce_once_per_matrix(lll_calls):
+    disc = discriminant_form(A3)
+    thetas = [coset_theta(A3, disc.rep(c), 2) for c in disc.cosets()]
+    assert len(thetas) == 4 and len(lll_calls) == 1
+    lattice_module._QF_REDUCE_CACHE.clear()
+    counts = [representation_count(A3, m) for m in (1, 2, 3)]
+    assert counts == [12, 6, 24] and len(lll_calls) == 2
+    # warm and cold walks agree
+    a = [list(r) for r in A3.gram]
+    warm = lattice_module._qf_enumerate(a, disc.rep((1,)), 4)
+    lattice_module._QF_REDUCE_CACHE.clear()
+    assert lattice_module._qf_enumerate(a, disc.rep((1,)), 4) == warm
+    assert len(lll_calls) == 3
+
+
+def test_qf_reduce_cache_is_bounded(lll_calls):
+    cache = lattice_module._QF_REDUCE_CACHE
+    grams = [[[2 * k, -1, 0], [-1, 2, -1], [0, -1, 2]] for k in range(2, cache.size + 5)]
+    for g in grams:
+        lattice_module._qf_value_counts(g, None, 4)
+        assert len(cache) <= cache.size
+    assert len(lll_calls) == len(grams)
+    # an equal matrix with Fraction entries hits, a different one misses
+    lattice_module._qf_value_counts([[Fraction(x) for x in r] for r in grams[-1]], None, 4)
+    assert len(lll_calls) == len(grams)
+    lattice_module._qf_value_counts(grams[0], None, 4)  # evicted
+    assert len(lll_calls) == len(grams) + 1
+    lattice_module._qf_value_counts(A3.gram, None, 4)
+    assert len(lll_calls) == len(grams) + 2
 
 
 @pytest.mark.parametrize("lat", [A1, A2, A3], ids=lambda lat: lat.name)

@@ -514,3 +514,32 @@ def test_product_expand_rejects_inconsistent_chamber():
     flipped = {x: -s for x, s in good.wall_signs.items()}
     with pytest.raises(ValueError, match="inconsistent"):
         product_expand(f, CUSP_UU, WeylChamber((2, -1), flipped, 2), (0, -1), 3)
+
+
+def test_one_reduction_per_majorant(monkeypatch):
+    # the cone walk of every V0 coset (here D(V0) = Z/4) shares one LLL and
+    # LDL reduction of the majorant
+    from borcherds_kit import lattice as lattice_module
+    calls = []
+    real = lattice_module.lll_reduce_gram
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    form, data, w, cutoff = _nontrivial_zeta_case()
+    assert data.v0.discriminant_form().order == 4
+    f0 = reduce_f0(form, data)
+    chambers = [chamber_of(w, f0, data),
+                chamber_of((Fraction(5, 2), -1, Fraction(1, 5)), f0, data)]
+    monkeypatch.setattr(lattice_module, "lll_reduce_gram", counted)
+    monkeypatch.setattr(lattice_module, "_QF_REDUCE_CACHE",
+                        type(lattice_module._QF_REDUCE_CACHE)(8))
+    rho = (0,) * data.v0.rank
+    product_expand(form, data, chambers[0], rho, cutoff)
+    assert len(calls) == 1
+    chamber_of(w, f0, data)  # the same majorant
+    product_expand(form, data, chambers[0], rho, cutoff)
+    assert len(calls) == 1
+    product_expand(form, data, chambers[1], rho, cutoff)  # a second one
+    assert len(calls) == 2
