@@ -16,7 +16,6 @@ from .linalg import (
     hermite_normal_form,
     invert_rational,
     kernel_basis,
-    ldl_decomposition,
     lll_reduce_gram,
     mat_mul,
     mat_vec,
@@ -36,7 +35,7 @@ class GramLattice:
     __slots__ = ("rank", "gram", "name", "glue", "_det", "_sig", "_disc")
 
     def __init__(self, gram, name=None, glue=None):
-        gram = tuple(tuple(int(x) for x in row) for row in gram)
+        gram = tuple(tuple(map(_exact_int, row)) for row in gram)
         rank = len(gram)
         for i, row in enumerate(gram):
             if len(row) != rank:
@@ -80,15 +79,12 @@ class GramLattice:
     @property
     def signature_pair(self):
         if self._sig is None:
-            if self.rank == 0:
-                object.__setattr__(self, "_sig", (0, 0))
-            else:
-                object.__setattr__(self, "_sig", signature(self.gram))
+            object.__setattr__(self, "_sig", signature(self.gram))
         return self._sig
 
     @property
     def is_positive_definite(self):
-        return self.signature_pair == (self.rank, 0) if self.rank else True
+        return self.signature_pair == (self.rank, 0)
 
     def q(self, x):
         """Q(x) = x^T G x / 2 for a rational coordinate vector."""
@@ -138,28 +134,19 @@ class DiscriminantForm:
             raise ValueError("singular gram matrix has no discriminant form")
         self.lattice = lattice
         n = lattice.rank
-        if n == 0:
-            self.invariant_factors = ()
-            self.generators = ()
-            self._vinv = ()
-            self._indices = ()
-            self._full_diag = ()
-            self.order = 1
-        else:
-            d, _, v = smith_normal_form(lattice.gram)
-            diag = [d[i][i] for i in range(n)]
-            self._vinv = tuple(tuple(int(x) for x in row)
-                               for row in _int_matrix(invert_rational(v)))
-            self._indices = tuple(i for i in range(n) if diag[i] > 1)
-            self._full_diag = tuple(diag)
-            self.invariant_factors = tuple(diag[i] for i in self._indices)
-            vt = transpose(v)
-            self.generators = tuple(
-                tuple(Fraction(vt[i][j], diag[i]) for j in range(n))
-                for i in self._indices)
-            self.order = 1
-            for f in diag:
-                self.order *= f
+        d, _, v = smith_normal_form(lattice.gram)
+        diag = [d[i][i] for i in range(n)]
+        self._vinv = tuple(map(tuple, _int_matrix(invert_rational(v))))
+        self._indices = tuple(i for i in range(n) if diag[i] > 1)
+        self._full_diag = tuple(diag)
+        self.invariant_factors = tuple(diag[i] for i in self._indices)
+        vt = transpose(v)
+        self.generators = tuple(
+            tuple(Fraction(vt[i][j], diag[i]) for j in range(n))
+            for i in self._indices)
+        self.order = 1
+        for f in diag:
+            self.order *= f
         if self.order != abs(lattice.det):
             raise AssertionError("discriminant group order must equal |det|")
         self.signature_mod8 = (lattice.signature_pair[0] - lattice.signature_pair[1]) % 8
@@ -186,7 +173,7 @@ class DiscriminantForm:
     def normalize(self, coset):
         if len(coset) != len(self.invariant_factors):
             raise ValueError("coset tuple has wrong length")
-        return tuple(int(a) % f for a, f in zip(coset, self.invariant_factors))
+        return tuple(_exact_int(a) % f for a, f in zip(coset, self.invariant_factors))
 
     def add(self, c1, c2):
         return tuple((a + b) % f for a, b, f in
@@ -211,8 +198,6 @@ class DiscriminantForm:
             raise ValueError("dimension mismatch")
         if any(v.denominator != 1 for v in self.lattice.image(y)):
             raise ValueError("vector is not in the dual lattice")
-        if n == 0:
-            return ()
         # y = sum_i m_i * (column i of V) / d_i  with  m = D V^{-1} y
         vy = mat_vec([list(r) for r in self._vinv], list(y))
         coords = []
@@ -235,17 +220,16 @@ def _mod1(x):
     return x - (x.numerator // x.denominator)
 
 
+def _exact_int(x):
+    """x as an int; raises ValueError when x is not an integer."""
+    i = int(x)
+    if i != x:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return i
+
+
 def _int_matrix(m):
-    out = []
-    for row in m:
-        new = []
-        for x in row:
-            f = Fraction(x)
-            if f.denominator != 1:
-                raise ValueError("expected an integer matrix")
-            new.append(int(f))
-        out.append(new)
-    return out
+    return [[_exact_int(x) for x in row] for row in m]
 
 
 def discriminant_form(lattice):
@@ -326,20 +310,15 @@ def direct_sum(lattices, name=None):
 def _qf_reduce(a):
     """The shift-free Fincke-Pohst data of a matrix: (T^T, d, l), memoized.
 
-    T is the LLL transform (rank >= 3; T^T is None below that) and d, l the
-    LDL^T data of the reduced matrix T a T^T.  Every coset walked under the
-    same matrix shares one reduction.
+    T is the LLL transform and d, l the LDL^T data of the reduced matrix
+    T a T^T, both from one `lll_reduce_gram` call.  Every coset walked under
+    the same matrix shares one reduction.
     """
     key = tuple(tuple(row) for row in a)
     cached = _QF_REDUCE_CACHE.get(key)
     if cached is None:
-        if len(a) >= 3:
-            a_red, t = lll_reduce_gram(a)
-            t_t = transpose(t)
-        else:
-            a_red = [[Fraction(x) for x in row] for row in a]
-            t_t = None
-        cached = _QF_REDUCE_CACHE[key] = (t_t, *ldl_decomposition(a_red))
+        t, d, l = lll_reduce_gram(a)
+        cached = _QF_REDUCE_CACHE[key] = (transpose(t), d, l)
     return cached
 
 
@@ -348,7 +327,7 @@ def _qf_prepare(a, shift):
     n = len(a)
     shift = [Fraction(x) for x in shift or [0] * n]
     t_t, d, lmat = _qf_reduce(a)
-    shift_red = shift if t_t is None else solve_rational(t_t, shift)
+    shift_red = solve_rational(t_t, shift)
 
     consts = []
     for i in range(n):
@@ -378,8 +357,8 @@ def _qf_walk(a, shift, bound, on_leaf):
 
     Calls on_leaf(nonzero, x0, value_scaled) for every solution, where
     `nonzero` is the list of (index, value) pairs at levels > 0 and x0 the
-    level-0 assignment.  Returns None for a negative bound, else (T, zden):
-    y = shift + T x (T None without LLL), with exact value value_scaled / zden.
+    level-0 assignment.  Returns None for a negative bound, else (T^T, zden):
+    y = shift + T^T x, with exact value value_scaled / zden.
     """
     n = len(a)
     bound = Fraction(bound)
@@ -387,7 +366,7 @@ def _qf_walk(a, shift, bound, on_leaf):
         return None
     if n == 0:
         on_leaf([], 0, 0)
-        return None, 1
+        return [], 1
     t_t, scales, lint, cint, zden, weights = _qf_prepare(a, shift)
     total_budget = (bound.numerator * zden) // bound.denominator
 
@@ -450,7 +429,7 @@ def _qf_enumerate(a, shift, bound):
         return []
     t_t, zden = walked
     base = [int(c) if c.denominator == 1 else c for c in map(Fraction, shift or [0] * n)]
-    cols = transpose(t_t) if t_t else [[int(i == j) for i in range(n)] for j in range(n)]
+    cols = transpose(t_t)
     out = []
     for entries, used in leaves:
         tx = [0] * n
@@ -666,35 +645,27 @@ def _span(generators, factors):
     return words, basis
 
 
-def glue_lattice(blocks, generators=None, name=None, code=None):
+def glue_lattice(blocks, generators, name=None):
     """Overlattice of an orthogonal block sum defined by a glue code.
 
     `generators` are words (one coset per block, each a coset tuple) whose
-    span is the code; alternatively `code` supplies the full word set, which
-    must then be a subgroup of the product of discriminant groups.  The code
-    must be isotropic for the total Q mod 1; since Q(x + y) = Q(x) + Q(y) +
-    [x, y], it is checked on the generators that span it: Q(g_i) = 0 and
-    [g_i, g_j] = 0 mod 1.  The result is an even lattice with
-    |det| = prod |D_i| / |code|^2.
+    span is the code.  The code must be isotropic for the total Q mod 1;
+    since Q(x + y) = Q(x) + Q(y) + [x, y], it is checked on the generators
+    that span it: Q(g_i) = 0 and [g_i, g_j] = 0 mod 1.  The result is an even
+    lattice with |det| = prod |D_i| / |code|^2.
     """
     blocks = tuple(blocks)
     discs = [b.discriminant_form() for b in blocks]
-    if (generators is None) == (code is None):
-        raise ValueError("supply exactly one of generators or code")
 
     def normalize_word(word):
         if len(word) != len(blocks):
             raise ValueError("glue word length must match the number of blocks")
         return tuple(d.normalize(c) for d, c in zip(discs, word))
 
-    gens = [normalize_word(w) for w in (generators if code is None else code)]
+    gens = [normalize_word(w) for w in generators]
     factors = [f for d in discs for f in d.invariant_factors]
     flat_gens = [sum(g, ()) for g in gens]
     words, basis = _span(flat_gens, factors)
-    # `code` must be all of its span; words[0] is the zero word
-    if code is not None and len(words) != len(set(flat_gens) | {words[0]}):
-        raise ValueError("glue code is not a subgroup of the product of "
-                         "discriminant groups")
 
     cuts = list(itertools.accumulate((len(d.invariant_factors) for d in discs),
                                      initial=0))
@@ -736,8 +707,6 @@ def isotropic_line(lattice, budget=ISOTROPIC_SEARCH_BUDGET):
     runs out before the shell bound is exhausted warns and returns None.
     """
     n = lattice.rank
-    if n == 0:
-        return None
     pos, neg = lattice.signature_pair
     if pos == n or neg == n:
         return None

@@ -306,65 +306,45 @@ def ldl_decomposition(gram):
     return d, l
 
 
-def lll_reduce_gram(gram, delta=Fraction(3, 4)):
-    """Exact LLL on a positive-definite Gram matrix.
+def lll_reduce_gram(gram):
+    """Exact LLL on a positive-definite Gram matrix, on one LDL^T.
 
-    Returns (gram', t) with gram' = t * gram * t^T and t unimodular.  Operates
-    on the Gram matrix alone; used to precondition short-vector enumeration.
+    Returns (t, d, l) with t unimodular and (d, l) the `ldl_decomposition`
+    of t * gram * t^T.  The Gram-Schmidt data mu[i][j] = l[j][i] and
+    d[i] = |b_i*|^2 start from `ldl_decomposition(gram)` and are kept current
+    through size reduction and the O(n) swap update of Cohen, GTM 138,
+    Alg. 2.6.3, so nothing is recomputed; exact arithmetic makes the update
+    equal to recomputation.  Preconditions short-vector enumeration.
     """
     n = len(gram)
-    if n <= 1:
-        return [list(r) for r in gram], identity(n)
-    g = [[Fraction(x) for x in row] for row in gram]
+    d, l = ldl_decomposition(gram)
     t = identity(n)
-
-    def gso():
-        mu = [[Fraction(0)] * n for _ in range(n)]
-        bstar = [Fraction(0)] * n
-        for i in range(n):
-            bi = Fraction(g[i][i])
-            for j in range(i):
-                m = Fraction(g[i][j])
-                for k2 in range(j):
-                    m -= mu[j][k2] * mu[i][k2] * bstar[k2]
-                mu[i][j] = m / bstar[j]
-                bi -= mu[i][j] ** 2 * bstar[j]
-            bstar[i] = bi
-        return mu, bstar
-
-    def row_op(i, j, r):
-        """basis_i -= r * basis_j, updating g and t."""
-        new_ii = g[i][i] - 2 * r * g[i][j] + r * r * g[j][j]
-        g[i] = [x - r * y for x, y in zip(g[i], g[j])]
-        for k2 in range(n):
-            if k2 != i:
-                g[k2][i] = g[i][k2]
-        g[i][i] = new_ii
-        t[i] = [x - r * y for x, y in zip(t[i], t[j])]
-
-    def swap(i, j):
-        g[i], g[j] = g[j], g[i]
-        for row in g:
-            row[i], row[j] = row[j], row[i]
-        t[i], t[j] = t[j], t[i]
-
-    mu, bstar = gso()
     k = 1
     while k < n:
         for j in range(k - 1, -1, -1):
-            r = round(mu[k][j])
+            r = round(l[j][k])
             if r:
-                row_op(k, j, r)
-                for jj in range(j):
-                    mu[k][jj] -= r * mu[j][jj]
-                mu[k][j] -= r
-        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+                t[k] = [x - r * y for x, y in zip(t[k], t[j])]
+                for i in range(j):
+                    l[i][k] -= r * l[i][j]
+                l[j][k] -= r
+        mu = l[k - 1][k]
+        if 4 * d[k] >= (3 - 4 * mu * mu) * d[k - 1]:  # Lovasz, delta = 3/4
             k += 1
-        else:
-            swap(k - 1, k)
-            mu, bstar = gso()
-            k = max(k - 1, 1)
-    return g, t
+            continue
+        # swap b_{k-1} and b_k
+        t[k - 1], t[k] = t[k], t[k - 1]
+        b = d[k] + mu * mu * d[k - 1]
+        l[k - 1][k] = mu * d[k - 1] / b
+        d[k - 1], d[k] = b, d[k - 1] * d[k] / b
+        for j in range(k - 1):
+            l[j][k - 1], l[j][k] = l[j][k], l[j][k - 1]
+        for i in range(k + 1, n):
+            m_ik = l[k][i]
+            l[k][i] = l[k - 1][i] - mu * m_ik
+            l[k - 1][i] = m_ik + l[k - 1][k] * l[k][i]
+        k = max(k - 1, 1)
+    return t, d, l
 
 
 def rational_gcd(values):

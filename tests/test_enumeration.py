@@ -105,7 +105,9 @@ def test_lll_on_rational_gram():
              for _ in range(n)]
         gram = [[sum(b[i][k] * b[j][k] for k in range(n)) + Fraction(int(i == j))
                  for j in range(n)] for i in range(n)]
-        g2, t = lll_reduce_gram(gram)
+        t, d, l = lll_reduce_gram(gram)
+        g2 = [[sum(l[k][i] * d[k] * l[k][j] for k in range(n)) for j in range(n)]
+              for i in range(n)]
         from borcherds_kit.linalg import det_int
         assert abs(det_int(t)) == 1
         assert mat_mul(mat_mul(t, gram), transpose(t)) == g2

@@ -70,6 +70,31 @@ def test_gram_validation():
         GramLattice([[2, 1], [0, 2]])  # not symmetric
 
 
+def test_non_integers_are_rejected_not_truncated():
+    with pytest.raises(ValueError, match="integer"):
+        GramLattice([[Fraction(5, 2)]])  # would truncate to A1
+    with pytest.raises(ValueError, match="integer"):
+        GramLattice([[2.9, 1], [1, 2]])  # would truncate to A2
+    d = discriminant_form(A2)
+    with pytest.raises(ValueError, match="integer"):
+        d.normalize((Fraction(1, 2),))  # would give (0,)
+    with pytest.raises(ValueError, match="integer"):
+        d.q((Fraction(4, 3),))  # would give Q of coset 1
+    # integral values of any type are still accepted
+    assert GramLattice([[2.0, Fraction(1)], [1, 2]]).gram == ((2, 1), (1, 2))
+    assert d.normalize((Fraction(4),)) == (1,) and d.q((4,)) == Fraction(1, 3)
+
+
+def test_rank_zero_lattice():
+    zero = GramLattice([])
+    assert zero.signature_pair == (0, 0) and zero.is_positive_definite
+    d = discriminant_form(zero)
+    assert d.order == 1 and list(d.cosets()) == [()]
+    assert d.coset_of_dual(()) == ()
+    assert isotropic_line(zero) is None
+    assert repr(theta_series(zero, 3)) == "1 + O(q^4)"
+
+
 def test_discriminant_form_examples():
     assert discriminant_form(E8).order == 1
     assert discriminant_form(U).order == 1
@@ -268,20 +293,6 @@ def test_glue_rejects_bad_code():
         glue_lattice([A1, A1], [((1,), (0,))])
 
 
-def test_glue_full_code_variant():
-    gens = [((1,), (1,), (1,), (1,))]
-    by_generators = glue_lattice([A1] * 4, gens)
-    full = [((0,),) * 4, ((1,), (1,), (1,), (1,))]
-    by_code = glue_lattice([A1] * 4, code=full)
-    assert by_code.gram == by_generators.gram
-    # a set that is not closed under addition is rejected
-    e8ish = [((0,),) * 4, ((1,), (1,), (0,), (0,)), ((0,), (0,), (1,), (1,))]
-    with pytest.raises(ValueError, match="subgroup"):
-        glue_lattice([A1] * 4, code=e8ish)
-    with pytest.raises(ValueError):
-        glue_lattice([A1] * 4, gens, code=full)
-
-
 def _bfs_span(generators, factors):
     """Reference span: breadth-first closure under adding generators."""
     zero = (0,) * len(factors)
@@ -331,16 +342,6 @@ def test_span_matches_bfs_mixed_factors():
         gens = [tuple(rng.randrange(f) for f in factors)
                 for _ in range(rng.randint(0, 4))]
         _check_span(gens, factors)
-
-
-def test_glue_code_path_matches_generators():
-    from borcherds_kit.codes import binary_golay_generators
-    gens = [tuple((c,) for c in row) for row in binary_golay_generators()]
-    by_generators = glue_lattice([A1] * 24, gens)
-    by_code = glue_lattice([A1] * 24, code=list(reversed(by_generators.glue.words)))
-    assert by_code.gram == by_generators.gram
-    assert by_code.glue.words == by_generators.glue.words
-    assert len(by_code.glue.words) == 4096
 
 
 def test_glue_mixed_invariant_factors():
@@ -682,6 +683,14 @@ def test_qf_reduce_once_per_matrix(lll_calls):
     lattice_module._QF_REDUCE_CACHE.clear()
     assert lattice_module._qf_enumerate(a, disc.rep((1,)), 4) == warm
     assert len(lll_calls) == 3
+
+
+def test_qf_reduce_below_rank_3(lll_calls):
+    # rank 1 and 2 take the same LLL route as every other rank
+    disc = discriminant_form(A2)
+    thetas = [coset_theta(A2, disc.rep(c), 3) for c in disc.cosets()]
+    assert thetas[1] == thetas[2] and len(lll_calls) == 1
+    assert representation_count(A1, 4) == 2 and len(lll_calls) == 2
 
 
 def test_qf_reduce_cache_is_bounded(lll_calls):

@@ -6,6 +6,7 @@ import pytest
 from borcherds_kit.linalg import (
     det_int,
     hermite_normal_form,
+    identity,
     invert_rational,
     kernel_basis,
     ldl_decomposition,
@@ -13,6 +14,7 @@ from borcherds_kit.linalg import (
     mat_mul,
     mat_vec,
     rational_gcd,
+    row_reduce,
     signature,
     smith_normal_form,
     solve_int,
@@ -250,12 +252,122 @@ def test_lll_preserves_lattice():
         if det_int(b) == 0:
             continue
         gram = mat_mul(b, transpose(b))
-        g2, t = lll_reduce_gram(gram)
+        t, d, l = lll_reduce_gram(gram)
+        g2 = ldl_product(d, l)
         assert abs(det_int(t)) == 1
         assert mat_mul(mat_mul(t, gram), transpose(t)) == g2
         # reduced basis should not be longer than the original on average:
         # at least check the first vector shrank or stayed comparable
         assert g2[0][0] <= max(gram[i][i] for i in range(4))
+
+
+def ldl_product(d, l):
+    """The matrix l^T diag(d) l whose `ldl_decomposition` is (d, l)."""
+    n = len(d)
+    return [[sum(l[k][i] * d[k] * l[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
+
+
+def former_lll_reduce_gram(gram, delta=Fraction(3, 4)):
+    """The former LLL: Gram bookkeeping, Gram-Schmidt recomputed per swap.
+
+    Returns (gram', t) with gram' = t * gram * t^T; the reference of
+    `test_lll_matches_former`.
+    """
+    n = len(gram)
+    if n <= 1:
+        return [list(r) for r in gram], identity(n)
+    g = [[Fraction(x) for x in row] for row in gram]
+    t = identity(n)
+
+    def gso():
+        mu = [[Fraction(0)] * n for _ in range(n)]
+        bstar = [Fraction(0)] * n
+        for i in range(n):
+            bi = Fraction(g[i][i])
+            for j in range(i):
+                m = Fraction(g[i][j])
+                for k2 in range(j):
+                    m -= mu[j][k2] * mu[i][k2] * bstar[k2]
+                mu[i][j] = m / bstar[j]
+                bi -= mu[i][j] ** 2 * bstar[j]
+            bstar[i] = bi
+        return mu, bstar
+
+    def row_op(i, j, r):
+        new_ii = g[i][i] - 2 * r * g[i][j] + r * r * g[j][j]
+        g[i] = [x - r * y for x, y in zip(g[i], g[j])]
+        for k2 in range(n):
+            if k2 != i:
+                g[k2][i] = g[i][k2]
+        g[i][i] = new_ii
+        t[i] = [x - r * y for x, y in zip(t[i], t[j])]
+
+    def swap(i, j):
+        g[i], g[j] = g[j], g[i]
+        for row in g:
+            row[i], row[j] = row[j], row[i]
+        t[i], t[j] = t[j], t[i]
+
+    mu, bstar = gso()
+    k = 1
+    while k < n:
+        for j in range(k - 1, -1, -1):
+            r = round(mu[k][j])
+            if r:
+                row_op(k, j, r)
+                for jj in range(j):
+                    mu[k][jj] -= r * mu[j][jj]
+                mu[k][j] -= r
+        if bstar[k] >= (delta - mu[k][k - 1] ** 2) * bstar[k - 1]:
+            k += 1
+        else:
+            swap(k - 1, k)
+            mu, bstar = gso()
+            k = max(k - 1, 1)
+    return g, t
+
+
+def random_rational_gram(rng, n):
+    """b b^T + s I for a random rational b and s in {0, 1/3, 1}: positive
+    definite, often far from reduced."""
+    while True:
+        b = [[Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3])) for _ in range(n)]
+             for _ in range(n)]
+        s = rng.choice([0, Fraction(1, 3), 1])
+        gram = [[sum(b[i][k] * b[j][k] for k in range(n)) + s * int(i == j)
+                 for j in range(n)] for i in range(n)]
+        if s or len(row_reduce(b, n)[1]) == n:
+            return gram
+
+
+def check_lll_against_former(gram):
+    n = len(gram)
+    t, d, l = lll_reduce_gram(gram)
+    g_ref, t_ref = former_lll_reduce_gram(gram)
+    reduced = mat_mul(mat_mul(t, gram), transpose(t))
+    assert t == t_ref
+    assert reduced == g_ref
+    assert (d, l) == ldl_decomposition(reduced)
+    for i in range(n):
+        assert all(abs(l[j][i]) <= Fraction(1, 2) for j in range(i))
+    for k in range(1, n):
+        assert d[k] >= (Fraction(3, 4) - l[k - 1][k] ** 2) * d[k - 1]
+
+
+def test_lll_matches_former():
+    # the O(n) swap update of (d, l) gives the former transform exactly
+    rng = random.Random(2024)
+    for case in range(300):
+        check_lll_against_former(random_rational_gram(rng, 1 + case % 7))
+
+
+def test_lll_matches_former_on_niemeier_a1():
+    from borcherds_kit.io import load_lattice
+    gram = [list(r) for r in load_lattice("niemeier-a1").gram]
+    check_lll_against_former(gram)
+    t, d, l = lll_reduce_gram(gram)
+    assert t != identity(24)
 
 
 def test_rational_gcd():
