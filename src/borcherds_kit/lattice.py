@@ -221,8 +221,11 @@ def _mod1(x):
 
 
 def _exact_int(x):
-    """x as an int; raises ValueError when x is not an integer."""
-    i = int(x)
+    """x as an int; raises ValueError when x is not an integer (or is inf/NaN)."""
+    try:
+        i = int(x)
+    except (OverflowError, ValueError):  # inf and NaN
+        i = None
     if i != x:
         raise ValueError(f"expected an integer, got {x!r}")
     return i
@@ -327,7 +330,8 @@ def _qf_prepare(a, shift):
     n = len(a)
     shift = [Fraction(x) for x in shift or [0] * n]
     t_t, d, lmat = _qf_reduce(a)
-    shift_red = solve_rational(t_t, shift)
+    # T is unimodular, so the zero shift reduces to zero without a solve
+    shift_red = solve_rational(t_t, shift) if any(shift) else shift
 
     consts = []
     for i in range(n):
@@ -412,32 +416,51 @@ def _qf_value_counts(a, shift, bound):
     return {Fraction(used, walked[1]): c for used, c in counts.items()}
 
 
-def _qf_enumerate(a, shift, bound):
-    """All (y, value) with y = shift + x, x integer, y^T a y <= bound.
+def _qf_leaves(a, shift, bound):
+    """The walk's leaves: (T^T, zden, [(entries, used)]), or None for a
+    negative bound.
 
-    The integer vector T x is summed sparsely over the nonzero assignments;
-    integral coordinates of y stay ints.
+    `entries` are the nonzero (index, value) pairs of the integer vector x;
+    the point y = shift + T^T x has exact value used / zden.
     """
-    n = len(a)
     leaves = []
 
     def on_leaf(nonzero, x0, used):
         leaves.append((nonzero + [(0, x0)] if x0 else tuple(nonzero), used))
 
     walked = _qf_walk(a, shift, bound, on_leaf)
+    return None if walked is None else (*walked, leaves)
+
+
+def _qf_base(shift, n):
+    """The shift as a coordinate list; integral coordinates are ints."""
+    return [int(c) if c.denominator == 1 else c for c in map(Fraction, shift or [0] * n)]
+
+
+def _qf_point(base, cols, entries):
+    """base + T^T x, summed sparsely over the nonzero entries of x
+    (`cols` = T, the columns of T^T)."""
+    y = list(base)
+    for j, xj in entries:
+        for i, c in enumerate(cols[j]):
+            if c:
+                y[i] += xj * c
+    return tuple(y)
+
+
+def _qf_enumerate(a, shift, bound):
+    """All (y, value) with y = shift + x, x integer, y^T a y <= bound.
+
+    Integral coordinates of y stay ints.
+    """
+    walked = _qf_leaves(a, shift, bound)
     if walked is None:
         return []
-    t_t, zden = walked
-    base = [int(c) if c.denominator == 1 else c for c in map(Fraction, shift or [0] * n)]
+    t_t, zden, leaves = walked
+    base = _qf_base(shift, len(a))
     cols = transpose(t_t)
-    out = []
-    for entries, used in leaves:
-        tx = [0] * n
-        for j, xj in entries:
-            for i, c in enumerate(cols[j]):
-                tx[i] += xj * c
-        out.append((tuple(b + t for b, t in zip(base, tx)), Fraction(used, zden)))
-    return out
+    return [(_qf_point(base, cols, entries), Fraction(used, zden))
+            for entries, used in leaves]
 
 
 def vectors_below(lattice, bound, coset_rep=None):

@@ -13,18 +13,23 @@ constants are carried alongside, never multiplied in.
 
 Walls and product factors are both filtered from one walk of the cosets of
 V0 under the positive-definite majorant 2Q(x) + [x, w]^2 / |Q(w)|
-(`_cone_points`).  Pairings with w go through the vector G w, and Q(x) is
-read off the walk's exact majorant value instead of being recomputed.
+(`_cone_points`).  After the walk everything stays in integers until a
+point is kept: [x, w] is an integer on the grading scale of the product's
+series (x scaled onto the dual grid, paired with an integer multiple of
+G w), Q(x) is read off the walk's exact integer majorant value, and both
+are compared against integer targets.  Wall signs come from the same
+integer pairing; the series multiply on integer exponents and gradings.
 """
 
 from fractions import Fraction
+from math import floor, lcm
 from operator import mul
 
 from .cyclotomic import CycScalar, e
 from .forms import WHForm
-from .lattice import _qf_enumerate, coset_reduce, lift_of_coset
-from .linalg import rational_gcd
-from .qseries import LatticeQSeries, lattice_binomial
+from .lattice import _qf_base, _qf_leaves, _qf_point, coset_reduce, lift_of_coset
+from .linalg import rational_gcd, transpose
+from .qseries import LatticeQSeries, _grading_scale, _on_grid, lattice_binomial
 
 
 class PrecisionError(ValueError):
@@ -50,26 +55,56 @@ def _pair(x, gw):
     return sum(map(mul, x, gw))
 
 
-def _cone_points(data, w, bounds):
-    """Yield (lam, x, Q(x), [x, w]) for the cosets lam of V0 in `bounds`.
+def _cone_points(data, w, bounds, qs=None, top=None):
+    """Yield (lam, x, Q(x), p) for the cosets lam of V0 in `bounds`.
 
     Each coset is walked once, in sorted order, over the x in lam + V0 with
-    2Q(x) + [x, w]^2 / |Q(w)| <= bounds[lam].  The majorant is positive
-    definite because Q(w) < 0, and the walk returns its exact value, so
-    Q(x) = (value - [x, w]^2 / |Q(w)|) / 2.  Integral coordinates of x are
-    ints.
+    2Q(x) + [x, w]^2 / |Q(w)| <= bounds[lam], a positive-definite majorant
+    because Q(w) < 0.  Kept are the x with Q(x) in qs[lam] (when qs is
+    given) and 0 < p <= top (when top is given), for the integer
+    p = unit * [x, w] of `_grading_scale`.  Both filters run on integers at
+    every leaf: p is (T x) . (s G w) summed over the nonzero entries of x,
+    and the walk's exact value used / zden gives 2Q(x) = k / den for the
+    integer k = used * den / zden - p^2 * den / (unit^2 |Q(w)|).  x
+    (integral coordinates as ints) and the Fraction Q(x) are built only for
+    the points kept.
     """
     v0 = data.v0
+    s, gwi, unit = _grading_scale(v0, w)
     nqw = -v0.q(w)
-    if nqw <= 0:
-        raise ValueError("interior point must have Q(w) < 0")
     gw = v0.image(w)
     n = v0.rank
     a = [[v0.gram[i][j] + gw[i] * gw[j] / nqw for j in range(n)] for i in range(n)]
+    pair_den = unit * unit * nqw.numerator
     for lam in sorted(bounds):
-        for x, val in _qf_enumerate(a, data.disc_v0.rep(lam), bounds[lam]):
-            pair = _pair(x, gw)
-            yield lam, x, (val - pair * pair / nqw) / 2, pair
+        rep = data.disc_v0.rep(lam)
+        walked = _qf_leaves(a, rep, bounds[lam])
+        if walked is None:
+            continue
+        t_t, zden, leaves = walked
+        cols = transpose(t_t)
+        base = _qf_base(rep, n)
+        p0 = int(s * sum(map(mul, rep, gwi)))
+        h = [s * sum(map(mul, col, gwi)) for col in cols]
+        den = lcm(zden, pair_den)
+        f_used = den // zden
+        f_pair = nqw.denominator * (den // pair_den)
+        targets = None if qs is None else {
+            int(2 * m * den): m for m in qs[lam] if (2 * m * den).denominator == 1}
+        for entries, used in leaves:
+            p = p0
+            for j, xj in entries:
+                p += xj * h[j]
+            if top is not None and not 0 < p <= top:
+                continue
+            k = used * f_used - p * p * f_pair
+            if targets is None:
+                qx = Fraction(k, 2 * den)
+            else:
+                qx = targets.get(k)
+                if qx is None:
+                    continue
+            yield lam, _qf_point(base, cols, entries), qx, p
 
 
 def enumerate_walls(f0, data, w, radius):
@@ -88,10 +123,20 @@ def enumerate_walls(f0, data, w, radius):
         if c != 0:
             by_coset.setdefault(lam, []).append(-m)
     bounds = {lam: (2 + r2) * max(ms) for lam, ms in by_coset.items()}
+    unit = _grading_scale(data.v0, w)[2]
     nqw = -data.v0.q(w)
-    return sorted(tuple(Fraction(c) for c in x)
-                  for lam, x, qx, pair in _cone_points(data, w, bounds)
-                  if qx in by_coset[lam] and pair * pair <= r2 * qx * nqw)
+    # [x, w]^2 <= r2 Q(x) |Q(w)|, with p = unit * [x, w]
+    lim = {m: floor(r2 * m * nqw * unit * unit) for ms in by_coset.values() for m in ms}
+    walls = sorted(x for lam, x, qx, p in _cone_points(data, w, bounds, qs=by_coset)
+                   if p * p <= lim[qx])
+    return [tuple(Fraction(c) for c in x) for x in walls]
+
+
+def _pairings(xs, v0, w):
+    """unit * [x, w] for each x, on integers: x scaled onto the dual grid,
+    paired with the integer multiple of G w of `_grading_scale`."""
+    s, gw, _ = _grading_scale(v0, w)
+    return [sum(_on_grid(c, s) * g for c, g in zip(x, gw)) for x in xs]
 
 
 class WeylChamber:
@@ -113,13 +158,12 @@ def chamber_of(w, f0, data, radius=2):
     perturb and retry.
     """
     w = tuple(Fraction(x) for x in w)
-    gw = data.v0.image(w)
+    walls = enumerate_walls(f0, data, w, radius)
     signs = {}
-    for x in enumerate_walls(f0, data, w, radius):
-        s = _pair(x, gw)
-        if s == 0:
+    for x, p in zip(walls, _pairings(walls, data.v0, w)):
+        if p == 0:
             raise ValueError(f"chamber point lies on the wall through {x}")
-        signs[x] = 1 if s > 0 else -1
+        signs[x] = 1 if p > 0 else -1
     return WeylChamber(w, signs, radius)
 
 
@@ -214,10 +258,9 @@ def product_expand(form, data, chamber, weyl_vector, cutoff):
     qw = v0.q(w)
     if qw >= 0:
         raise ValueError("chamber point must have Q(w) < 0")
-    gw = v0.image(w)
-    for x, sign in chamber.wall_signs.items():
-        s = _pair(x, gw)
-        if s == 0 or (1 if s > 0 else -1) != sign:
+    signs = chamber.wall_signs
+    for sign, p in zip(signs.values(), _pairings(signs, v0, w)):
+        if p == 0 or (1 if p > 0 else -1) != sign:
             raise ValueError("chamber data is inconsistent with its interior point")
 
     g_min = rational_gcd(w)
@@ -244,11 +287,10 @@ def product_expand(form, data, chamber, weyl_vector, cutoff):
         by_lam.setdefault(lam, []).append((mu, zr if zr is not None else z))
 
     bound = 2 * form.max_pole_order() + cutoff_abs * cutoff_abs / (-qw)
+    top = floor(cutoff_abs * _grading_scale(v0, w)[2])  # [x, w] <= cutoff_abs
     factors = []
     skipped = 0
-    for lam, x, qx, g in _cone_points(data, w, dict.fromkeys(by_lam, bound)):
-        if g <= 0 or g > cutoff_abs:
-            continue
+    for lam, x, qx, _ in _cone_points(data, w, dict.fromkeys(by_lam, bound), top=top):
         if -qx >= form.prec:
             raise PrecisionError("enumerated exponent needs a coefficient "
                                  "beyond the form's precision")

@@ -3,15 +3,18 @@
 FracQSeries holds a series with exponents in (1/L)*Z and exact rational
 coefficients, known strictly below its precision cutoff.  LatticeQSeries
 holds a truncated multivariate series over the dual of a Lorentzian lattice,
-graded by pairing against a fixed interior point of the light cone.
+graded by pairing against a fixed interior point of the light cone; it works
+on integers throughout (exponents scaled onto one integer grid, gradings as
+ints on a common scale) and builds Fractions only for what it returns.
 
 Every operation computes the tightest sound precision for its result;
 consumers must check `.prec` rather than assume.
 """
 
 from fractions import Fraction
-from math import ceil, lcm
-from operator import mul
+from functools import lru_cache
+from math import ceil, floor, lcm
+from operator import add, itemgetter, mul
 
 
 class FracQSeries:
@@ -230,51 +233,124 @@ def j_series(b):
     return j.truncate(b + 1)
 
 
+@lru_cache(maxsize=64)
+def _grading_scale(lattice, w):
+    """(s, gw, unit) for a light-cone point w: the integer grading data.
+
+    s is the exponent of the discriminant group of the lattice, so every
+    dual vector alpha has integer coordinates a = s * alpha (s = 1 for a
+    unimodular lattice), and gw is the integer vector d * G w for the least
+    such d.  Then [alpha, w] = (a . gw) / unit with unit = s * d.  Raises when
+    Q(w) >= 0.  Cached by value: the lattice compares by Gram matrix.
+    """
+    if lattice.q(w) >= 0:
+        raise ValueError("grading point must lie in the light cone")
+    s = max(lattice.discriminant_form().invariant_factors, default=1)
+    image = [Fraction(c) for c in lattice.image(w)]
+    d = lcm(*(c.denominator for c in image))
+    return s, tuple(int(c * d) for c in image), s * d
+
+
+def _on_grid(x, s):
+    """s * x as an int; raises ValueError when x is off the grid (1/s)Z."""
+    if not isinstance(x, (int, Fraction)):
+        x = Fraction(x)
+    q, r = divmod(s, x.denominator)
+    if r:
+        raise ValueError(f"exponent coordinate {x} is off the grid (1/{s})Z "
+                         f"of the dual lattice")
+    return x.numerator * q
+
+
+def _as_int(c):
+    """An integral Fraction as an int; every other coefficient unchanged."""
+    if isinstance(c, Fraction) and c.denominator == 1:
+        return c.numerator
+    return c
+
+
 class LatticeQSeries:
     """Truncated series over the dual of a Lorentzian exponent lattice.
 
-    Exponents are coordinate tuples in the lattice's basis.  Terms are graded
-    by the pairing [alpha, w] against a fixed interior point w of the light
-    cone (Q(w) < 0); every stored exponent has grading in (0, cutoff] except
-    the constant term.  The grading point is part of the value: two series
-    combine only when their lattices, w and cutoff agree.  Gradings are dot
-    products with G w, which is computed once per series.
+    Terms are graded by the pairing [alpha, w] against a fixed interior point
+    w of the light cone (Q(w) < 0); every stored exponent has grading in
+    (0, cutoff] except the constant term.  The grading point is part of the
+    value: two series combine only when their lattices, w and cutoff agree.
+
+    Exponents are stored as integer tuples a = s * alpha over one scaled
+    basis of the dual lattice, each with its grading as the int
+    a . gw = unit * [alpha, w] (see `_grading_scale`), and integral
+    coefficients as ints.  `coeffs` builds the Fraction exponents and
+    coefficients only for what it returns.  The public constructor validates
+    its terms; products and sums build their results from trusted terms.
     """
 
-    __slots__ = ("lattice", "w", "cutoff", "coeffs", "_gw")
+    __slots__ = ("lattice", "w", "cutoff", "_scale", "_gw", "_unit", "_cut",
+                 "_terms", "_coeffs")
 
     def __init__(self, lattice, w, cutoff, coeffs):
-        self.lattice = lattice
-        self.w = tuple(Fraction(x) for x in w)
-        if lattice.q(self.w) >= 0:
-            raise ValueError("grading point must lie in the light cone")
-        self._gw = lattice.image(self.w)
-        self.cutoff = Fraction(cutoff)
-        out = {}
+        w = tuple(Fraction(x) for x in w)
+        s, gw, unit = _grading_scale(lattice, w)
+        cutoff = Fraction(cutoff)
+        cut = floor(cutoff * unit)
+        terms = {}
         for alpha, c in coeffs.items():
-            alpha = tuple(Fraction(x) for x in alpha)
             if _is_zero_coeff(c):
                 continue
-            g = self.grading(alpha)
-            if any(alpha):
+            a = tuple(_on_grid(x, s) for x in alpha)
+            g = sum(map(mul, a, gw))
+            if any(a):
                 if g <= 0:
                     raise ValueError("exponent with nonpositive grading")
-                if g > self.cutoff:
+                if g > cut:
                     continue
-            out[alpha] = c
-        self.coeffs = out
+            terms[a] = (_as_int(c), g)
+        self.lattice = lattice
+        self.w = w
+        self._scale, self._gw, self._unit = s, gw, unit
+        self._set(cutoff, cut, terms)
+
+    def _set(self, cutoff, cut, terms):
+        self.cutoff = cutoff
+        self._cut = cut
+        self._terms = terms
+        self._coeffs = None
+
+    def _derive(self, cutoff, cut, terms):
+        """A series on this one's lattice and grading, with trusted terms."""
+        out = object.__new__(LatticeQSeries)
+        out.lattice, out.w = self.lattice, self.w
+        out._scale, out._gw, out._unit = self._scale, self._gw, self._unit
+        out._set(cutoff, cut, terms)
+        return out
 
     @classmethod
     def one(cls, lattice, w, cutoff):
-        zero = tuple([Fraction(0)] * lattice.rank)
-        return cls(lattice, w, cutoff, {zero: Fraction(1)})
+        return cls(lattice, w, cutoff, {(0,) * lattice.rank: 1})
+
+    @property
+    def coeffs(self):
+        """{alpha: coefficient}, sorted by alpha: Fraction coordinates, and
+        Fraction coefficients for the rational ones."""
+        if self._coeffs is None:
+            s = self._scale
+            self._coeffs = {
+                tuple(Fraction(x, s) for x in a): Fraction(c) if isinstance(c, int) else c
+                for a, (c, _) in sorted(self._terms.items(), key=itemgetter(0))}
+        return self._coeffs
 
     def grading(self, alpha):
-        return sum(map(mul, alpha, self._gw))
+        """[alpha, w] for a rational coordinate vector alpha."""
+        return sum(map(mul, alpha, self._gw)) * Fraction(self._scale, self._unit)
 
     def coefficient(self, alpha):
-        alpha = tuple(Fraction(x) for x in alpha)
-        return self.coeffs.get(alpha, Fraction(0))
+        """The coefficient of q^alpha; 0 for an alpha off the dual grid."""
+        try:
+            a = tuple(_on_grid(x, self._scale) for x in alpha)
+        except ValueError:
+            return Fraction(0)
+        c = self._terms.get(a, (0,))[0]
+        return Fraction(c) if isinstance(c, int) else c
 
     def _check_compatible(self, other):
         if self.lattice is not other.lattice and self.lattice != other.lattice:
@@ -282,37 +358,47 @@ class LatticeQSeries:
         if self.w != other.w:
             raise ValueError("grading points differ")
 
+    def _common_cutoff(self, other):
+        return ((self.cutoff, self._cut) if self.cutoff <= other.cutoff
+                else (other.cutoff, other._cut))
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return LatticeQSeries(self.lattice, self.w, self.cutoff,
-                                  {a: c * other for a, c in self.coeffs.items()})
+            terms = {a: (_as_int(c * other), g) for a, (c, g) in self._terms.items()}
+            return self._derive(self.cutoff, self._cut,
+                                {a: t for a, t in terms.items() if not _is_zero_coeff(t[0])})
         self._check_compatible(other)
-        cutoff = min(self.cutoff, other.cutoff)
-        right = [(a2, c2, other.grading(a2)) for a2, c2 in other.coeffs.items()]
+        cutoff, cut = self._common_cutoff(other)
+        right = sorted(((g, a, c) for a, (c, g) in other._terms.items()),
+                       key=itemgetter(0))
         out = {}
-        for a1, c1 in self.coeffs.items():
-            g1 = self.grading(a1)
-            for a2, c2, g2 in right:
-                if g1 + g2 > cutoff:
-                    continue
-                a = tuple(x + y for x, y in zip(a1, a2))
-                prod = c1 * c2
-                if a in out:
-                    out[a] = out[a] + prod
+        for a1, (c1, g1) in self._terms.items():
+            room = cut - g1
+            for g2, a2, c2 in right:
+                if g2 > room:
+                    break
+                a = tuple(map(add, a1, a2))
+                prev = out.get(a)
+                if prev is None:
+                    out[a] = (c1 * c2, g1 + g2)
                 else:
-                    out[a] = prod
-        return LatticeQSeries(self.lattice, self.w, cutoff, out)
+                    out[a] = (prev[0] + c1 * c2, prev[1])
+        return self._derive(cutoff, cut,
+                            {a: t for a, t in out.items() if not _is_zero_coeff(t[0])})
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def __add__(self, other):
         self._check_compatible(other)
-        cutoff = min(self.cutoff, other.cutoff)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, 0) + c
-        return LatticeQSeries(self.lattice, self.w, cutoff, out)
+        cutoff, cut = self._common_cutoff(other)
+        out = {a: t for a, t in self._terms.items() if t[1] <= cut}
+        for a, (c, g) in other._terms.items():
+            if g <= cut:
+                prev = out.get(a)
+                out[a] = (c, g) if prev is None else (prev[0] + c, g)
+        return self._derive(cutoff, cut,
+                            {a: t for a, t in out.items() if not _is_zero_coeff(t[0])})
 
     def __sub__(self, other):
         return self + (other * (-1))
@@ -321,16 +407,20 @@ class LatticeQSeries:
         if not isinstance(other, LatticeQSeries):
             return NotImplemented
         return (self.lattice == other.lattice and self.w == other.w
-                and self.cutoff == other.cutoff and self.coeffs == other.coeffs)
+                and self.cutoff == other.cutoff
+                and {a: c for a, (c, _) in self._terms.items()}
+                == {a: c for a, (c, _) in other._terms.items()})
 
     def truncate(self, cutoff):
         cutoff = Fraction(cutoff)
         if cutoff > self.cutoff:
             raise ValueError("cannot raise the cutoff by truncation")
-        return LatticeQSeries(self.lattice, self.w, cutoff, self.coeffs)
+        cut = floor(cutoff * self._unit)
+        return self._derive(cutoff, cut, {a: t for a, t in self._terms.items()
+                                          if t[1] <= cut})
 
     def __repr__(self):
-        n = len(self.coeffs)
+        n = len(self._terms)
         return f"LatticeQSeries({n} terms, cutoff={self.cutoff})"
 
 
@@ -341,35 +431,38 @@ def _is_zero_coeff(c):
 
 
 def _binomial(e, k):
-    """Binomial coefficient C(e, k) for integer e (possibly negative), k >= 0."""
+    """Binomial coefficient C(e, k) for integer e (possibly negative), k >= 0,
+    as an int."""
     num = 1
     for i in range(k):
         num *= e - i
     den = 1
     for i in range(2, k + 1):
         den *= i
-    return Fraction(num, den)
+    return _as_int(Fraction(num, den))
 
 
 def lattice_binomial(lattice, w, cutoff, alpha, zeta, e):
     """The expansion of (1 - zeta * q_alpha)^e truncated at the grading cutoff.
 
     Negative e expands by the generalized binomial (geometric) series; the
-    grading of alpha must be positive.
+    grading of alpha must be positive.  The terms are the multiples k * alpha
+    along the ray of alpha, built on the series' integer grid.
     """
-    alpha = tuple(Fraction(x) for x in alpha)
-    g = lattice.bilinear(alpha, w)
+    series = LatticeQSeries(lattice, w, cutoff, {})
+    a = tuple(_on_grid(x, series._scale) for x in alpha)
+    g = sum(map(mul, a, series._gw))
     if g <= 0:
         raise ValueError("alpha must have positive grading")
-    out = {}
+    terms = {}
     k = 0
     zeta_pow = 1
-    while k * g <= cutoff:
-        coeff = _binomial(e, k) * (-1) ** k * zeta_pow
+    while k * g <= series._cut:
+        coeff = _as_int(_binomial(e, k) * (-1) ** k * zeta_pow)
         if not _is_zero_coeff(coeff):
-            out[tuple(k * x for x in alpha)] = coeff
+            terms[tuple(k * x for x in a)] = (coeff, k * g)
         if e >= 0 and k == e:
             break
         k += 1
         zeta_pow = zeta_pow * zeta
-    return LatticeQSeries(lattice, w, cutoff, out)
+    return series._derive(series.cutoff, series._cut, terms)

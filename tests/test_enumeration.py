@@ -8,7 +8,7 @@ provably contains every solution.  The oracle enumerates that box directly.
 import itertools
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from borcherds_kit.lattice import GramLattice, _qf_enumerate, _qf_value_counts
 from borcherds_kit.linalg import invert_rational, lll_reduce_gram, mat_mul, transpose
@@ -34,6 +34,14 @@ def dominant_gram(rng, n, slack=2):
 
 
 def brute_force(gram, shift, bound):
+    """Every y in the box with Q(y) <= bound, as {y: Q(y)}.
+
+    All in integers: with den the common denominator of the shift, the point
+    y = shift + x is Y / den for the integer vector Y, and Q(y) <= bound
+    exactly when Y^T G Y <= floor(2 * bound * den^2).  The value Y^T G Y is
+    accumulated one coordinate at a time; Fractions are built only for the
+    points found.
+    """
     n = len(gram)
     radii = [gram[i][i] - sum(abs(gram[i][j]) for j in range(n) if j != i)
              for i in range(n)]
@@ -47,18 +55,24 @@ def brute_force(gram, shift, bound):
         lo = -r - 1
         hi = r + 1
         ranges.append(range(lo, hi + 1))
+    shift = [Fraction(s) for s in shift]
+    den = lcm(*(s.denominator for s in shift))
+    base = [s.numerator * (den // s.denominator) for s in shift]
+    bound = Fraction(bound)
+    limit = 2 * bound.numerator * den * den // bound.denominator
 
-    def rec(i, y):
+    def rec(i, big, value):
         if i == n:
-            val = Fraction(sum(y[a] * gram[a][b] * y[b]
-                               for a in range(n) for b in range(n)), 2)
-            if val <= bound:
-                found[tuple(y)] = val
+            if value <= limit:
+                found[tuple(Fraction(c, den) for c in big)] = Fraction(value, 2 * den * den)
             return
+        row = gram[i]
+        cross = 2 * sum(row[j] * big[j] for j in range(i))
         for x in ranges[i]:
-            rec(i + 1, y + [shift[i] + x])
+            yi = base[i] + den * x
+            rec(i + 1, big + [yi], value + yi * (row[i] * yi + cross))
 
-    rec(0, [])
+    rec(0, [], 0)
     return found
 
 

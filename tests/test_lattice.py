@@ -85,6 +85,36 @@ def test_non_integers_are_rejected_not_truncated():
     assert d.normalize((Fraction(4),)) == (1,) and d.q((4,)) == Fraction(1, 3)
 
 
+def test_infinite_and_nan_entries_are_rejected():
+    # int(inf) raises OverflowError and int(nan) a differently worded
+    # ValueError; both report a non-integer like every other entry
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match="expected an integer"):
+            GramLattice([[bad]])
+
+
+def test_zero_shift_walks_without_a_solve(monkeypatch):
+    # T is unimodular, so the zero coset needs no solve of T^T y = shift
+    calls = []
+    real = lattice_module.solve_rational
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lattice_module, "solve_rational", counted)
+    monkeypatch.setattr(lattice_module, "_REP_COUNT_CACHE",
+                        type(lattice_module._REP_COUNT_CACHE)(8))
+    assert representation_count(E8, 2) == 2160
+    assert representation_count(A2, 1, (0, 0)) == 6
+    assert coset_theta(A2, None, 3).coefficient(1) == 6
+    assert coset_theta(E8, (0,) * 8, 1).coefficient(1) == 240
+    assert calls == []
+    rep = discriminant_form(A2).rep((1,))
+    assert representation_count(A2, Fraction(1, 3), rep) == 3
+    assert len(calls) == 1  # a nonzero shift still solves
+
+
 def test_rank_zero_lattice():
     zero = GramLattice([])
     assert zero.signature_pair == (0, 0) and zero.is_positive_definite

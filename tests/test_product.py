@@ -543,3 +543,202 @@ def test_one_reduction_per_majorant(monkeypatch):
     assert len(calls) == 1
     product_expand(form, data, chambers[1], rho, cutoff)  # a second one
     assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# differential check of the integer cusp expansion against the Fraction code
+# it replaced: the former LatticeQSeries (exponent tuples of Fractions,
+# every term re-graded and re-validated), its lattice_binomial, and the
+# former wall filter and chamber signs on Fraction values of Q(x) and [x, w]
+# ---------------------------------------------------------------------------
+
+class FormerLatticeQSeries:
+    def __init__(self, lattice, w, cutoff, coeffs):
+        self.lattice = lattice
+        self.w = tuple(Fraction(x) for x in w)
+        if lattice.q(self.w) >= 0:
+            raise ValueError("grading point must lie in the light cone")
+        self._gw = lattice.image(self.w)
+        self.cutoff = Fraction(cutoff)
+        out = {}
+        for alpha, c in coeffs.items():
+            alpha = tuple(Fraction(x) for x in alpha)
+            if c == 0:
+                continue
+            g = self.grading(alpha)
+            if any(alpha):
+                if g <= 0:
+                    raise ValueError("exponent with nonpositive grading")
+                if g > self.cutoff:
+                    continue
+            out[alpha] = c
+        self.coeffs = out
+
+    def grading(self, alpha):
+        return sum(a * g for a, g in zip(alpha, self._gw))
+
+    def __mul__(self, other):
+        cutoff = min(self.cutoff, other.cutoff)
+        right = [(a2, c2, other.grading(a2)) for a2, c2 in other.coeffs.items()]
+        out = {}
+        for a1, c1 in self.coeffs.items():
+            g1 = self.grading(a1)
+            for a2, c2, g2 in right:
+                if g1 + g2 > cutoff:
+                    continue
+                a = tuple(x + y for x, y in zip(a1, a2))
+                out[a] = out[a] + c1 * c2 if a in out else c1 * c2
+        return FormerLatticeQSeries(self.lattice, self.w, cutoff, out)
+
+
+def former_lattice_binomial(lattice, w, cutoff, alpha, zeta, e):
+    alpha = tuple(Fraction(x) for x in alpha)
+    g = lattice.bilinear(alpha, w)
+    assert g > 0
+    out = {}
+    k = 0
+    zeta_pow = 1
+    while k * g <= cutoff:
+        binom = Fraction(1)
+        for i in range(k):
+            binom = binom * (e - i) / (i + 1)
+        out[tuple(k * x for x in alpha)] = binom * (-1) ** k * zeta_pow
+        if e >= 0 and k == e:
+            break
+        k += 1
+        zeta_pow = zeta_pow * zeta
+    return FormerLatticeQSeries(lattice, w, cutoff, out)
+
+
+def _former_cone_points(data, w, bounds):
+    v0 = data.v0
+    nqw = -v0.q(w)
+    gw = v0.image(w)
+    a = _reference_majorant(v0, w)
+    for lam in sorted(bounds):
+        for x, val in _qf_enumerate(a, data.disc_v0.rep(lam), bounds[lam]):
+            pair = sum(c * g for c, g in zip(x, gw))
+            yield lam, x, (val - pair * pair / nqw) / 2, pair
+
+
+def former_enumerate_walls(f0, data, w, radius):
+    w = tuple(Fraction(x) for x in w)
+    r2 = Fraction(radius) ** 2
+    by_coset = {}
+    for (m, lam), c in f0.principal_part().items():
+        if c != 0:
+            by_coset.setdefault(lam, []).append(-m)
+    bounds = {lam: (2 + r2) * max(ms) for lam, ms in by_coset.items()}
+    nqw = -data.v0.q(w)
+    return sorted(tuple(Fraction(c) for c in x)
+                  for lam, x, qx, pair in _former_cone_points(data, w, bounds)
+                  if qx in by_coset[lam] and pair * pair <= r2 * qx * nqw)
+
+
+def former_chamber_of(w, f0, data, radius=2):
+    w = tuple(Fraction(x) for x in w)
+    signs = {}
+    for x in former_enumerate_walls(f0, data, w, radius):
+        s = data.v0.bilinear(x, w)
+        if s == 0:
+            raise ValueError(f"chamber point lies on the wall through {x}")
+        signs[x] = 1 if s > 0 else -1
+    return WeylChamber(w, signs, radius)
+
+
+def former_body(form, data, chamber, cutoff):
+    """The former product loop, on the former series."""
+    v0 = data.v0
+    w = chamber.w
+    qw = v0.q(w)
+    cutoff_abs = Fraction(cutoff) * rational_gcd(w)
+    by_lam = {}
+    for mu in data.disc_v.cosets():
+        lam = coset_reduce(mu, data)
+        if lam is not None:
+            z = zeta_mu(mu, data)
+            zr = z.try_rational()
+            by_lam.setdefault(lam, []).append((mu, zr if zr is not None else z))
+    bound = 2 * form.max_pole_order() + cutoff_abs * cutoff_abs / (-qw)
+    factors = []
+    for lam, x, qx, g in _former_cone_points(data, w, dict.fromkeys(by_lam, bound)):
+        if 0 < g <= cutoff_abs:
+            for mu, zeta in by_lam[lam]:
+                c = form.coefficient(-qx, mu)
+                if c != 0:
+                    factors.append((x, mu, zeta, int(c)))
+    factors.sort(key=lambda f: (f[0], f[1]))
+    body = FormerLatticeQSeries(v0, w, cutoff_abs, {(0,) * v0.rank: Fraction(1)})
+    for x, _, zeta, expo in factors:
+        body = body * former_lattice_binomial(v0, w, cutoff_abs, x, zeta, expo)
+    return body
+
+
+def assert_same_series(new, former):
+    """The same terms, exponent types and coefficient types; `coeffs` lists
+    them sorted by exponent."""
+    assert repr(list(new.coeffs.items())) == \
+        repr(sorted(former.coeffs.items(), key=lambda t: t[0]))
+    assert new.cutoff == former.cutoff and new.w == former.w
+
+
+def _knz_bundled_case():
+    from borcherds_kit.io import load_form, load_lattice
+    form, _ = load_form("knz-input")
+    return form, cusp_data(load_lattice("u-plus-u"), (1, 0, 0, 0)), (2, -1), 12
+
+
+@pytest.mark.parametrize("case, radii", [
+    (_knz_bundled_case, (2, 3)),
+    (_nontrivial_zeta_case, (2, 3)),
+    (_e8_cusp_case, (2,)),
+], ids=["knz", "nontrivial-zeta", "e8-w-star"])
+def test_integer_cusp_matches_former_fraction_code(case, radii):
+    form, data, w, cutoff = case()
+    f0 = reduce_f0(form, data)
+    for radius in radii:
+        walls = enumerate_walls(f0, data, w, radius)
+        assert walls and repr(walls) == repr(former_enumerate_walls(f0, data, w, radius))
+        chamber = chamber_of(w, f0, data, radius)
+        former = former_chamber_of(w, f0, data, radius)
+        assert repr(chamber) == repr(former)
+        assert repr(chamber.wall_signs) == repr(former.wall_signs)
+        assert set(chamber.wall_signs.values()) == {-1, 1}
+    pe = product_expand(form, data, chamber, (0,) * data.v0.rank, cutoff)
+    assert len(pe.body.coeffs) > 3
+    assert_same_series(pe.body, former_body(form, data, chamber, cutoff))
+
+
+def test_lattice_binomial_products_match_former_fraction_code():
+    # zeta = e(1/3) with exponents of both signs, and on U + A1 (D = Z/2) a
+    # grid (1/2)Z and a grading point with G w off the integers; several
+    # products land exactly on the cutoff
+    zeta = e(Fraction(1, 3))
+    cases = [
+        (U, (2, -1), 6, [((1, 1), -2), ((-1, 1), 3), ((0, 1), -1), ((1, 2), 2)]),
+        (direct_sum([U, A1]), (Fraction(3, 2), -1, Fraction(1, 3)), Fraction(11, 2),
+         [((0, 1, Fraction(1, 2)), -1), ((-1, 1, 0), 2), ((0, 1, 0), -3),
+          ((Fraction(0), 0, Fraction(1, 2)), 1)]),
+    ]
+    at_cutoff = 0
+    for lat, w, cutoff, factors in cases:
+        new = LatticeQSeries.one(lat, w, cutoff)
+        former = FormerLatticeQSeries(lat, w, cutoff, {(0,) * lat.rank: Fraction(1)})
+        for z in (zeta, 1):
+            for alpha, expo in factors:
+                b_new = lattice_binomial(lat, w, cutoff, alpha, z, expo)
+                b_former = former_lattice_binomial(lat, w, cutoff, alpha, z, expo)
+                assert_same_series(b_new, b_former)
+                new, former = new * b_new, former * b_former
+                assert_same_series(new, former)
+        at_cutoff += sum(former.grading(a) == former.cutoff for a in former.coeffs)
+    assert at_cutoff >= 2
+
+
+def test_wall_on_the_radius_boundary_is_kept():
+    # x = (1, 1) at w = (4, -1): [x, w]^2 = 9 = (3/2)^2 * Q(x) * |Q(w)|
+    f0 = reduce_f0(one_over_delta_form(), CUSP_UU)
+    walls = enumerate_walls(f0, CUSP_UU, (4, -1), Fraction(3, 2))
+    assert (1, 1) in walls
+    assert walls == former_enumerate_walls(f0, CUSP_UU, (4, -1), Fraction(3, 2))
+    assert (1, 1) not in enumerate_walls(f0, CUSP_UU, (4, -1), Fraction(7, 5))

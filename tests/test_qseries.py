@@ -6,6 +6,7 @@ import pytest
 from borcherds_kit.lattice import GramLattice
 from borcherds_kit.qseries import (
     FracQSeries,
+    LatticeQSeries,
     delta_series,
     eisenstein,
     j_series,
@@ -303,3 +304,30 @@ def test_grading_mismatch_rejected():
         s * t
     with pytest.raises(ValueError):
         lattice_binomial(U_GRAM, W, 4, (1, 0), 1, 1)  # grading -1
+
+
+def test_lattice_series_validates_only_in_the_public_constructor(monkeypatch):
+    with pytest.raises(ValueError, match="nonpositive grading"):
+        LatticeQSeries(U_GRAM, W, 6, {(1, 0): 1})  # grading -1
+    with pytest.raises(ValueError, match="off the grid"):
+        LatticeQSeries(U_GRAM, W, 6, {(Fraction(1, 2), 1): 1})  # U is unimodular
+    with pytest.raises(ValueError, match="light cone"):
+        LatticeQSeries(U_GRAM, (1, 1), 6, {})
+    s = lattice_binomial(U_GRAM, W, 6, (1, 1), 1, -1)
+    assert s.coefficient((Fraction(1, 2), 1)) == 0
+    constructed = []
+    real_init = LatticeQSeries.__init__
+
+    def counted(self, *args):
+        constructed.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(LatticeQSeries, "__init__", counted)
+    prod = (s * s + s).truncate(4) * 3
+    assert constructed == []
+    # integer exponents and coefficients inside; Fractions in `coeffs`
+    assert all(type(x) is int for a in prod._terms for x in a)
+    assert all(type(c) is int and type(g) is int for c, g in prod._terms.values())
+    assert prod.coeffs == {(Fraction(k), Fraction(k)): Fraction(3 * (k + 2))
+                           for k in range(5)}
+    assert all(type(c) is Fraction for c in prod.coeffs.values())
