@@ -63,9 +63,7 @@ from .weil import (
     WeilRepData,
     braid_holds,
     build_weil_rep,
-    check_form_support,
     conjugate_rep,
-    is_integral,
     milgram_sum,
 )
 
@@ -76,12 +74,12 @@ __all__ = [
     "DivisorExpr", "EmbeddingData", "FracQSeries", "GlueData", "GramLattice",
     "LatticeQSeries", "PrecisionError", "ProductExpansion", "WHForm",
     "WeilRepData", "WeylChamber", "borcherds_relation", "braid_holds",
-    "build_weil_rep", "chamber_of", "check_form_support",
-    "check_weyl_integrality", "conjugate_rep", "constant_a", "coset_reduce",
+    "build_weil_rep", "chamber_of", "check_weyl_integrality", "conjugate_rep",
+    "constant_a", "coset_reduce",
     "coset_theta", "cusp_data", "delta_series", "direct_sum",
     "discriminant_form", "divide_by_24delta", "e", "eisenstein",
     "embedding_trick", "enumerate_walls", "fourier_splitting_holds",
-    "glue_lattice", "is_integral", "is_maximal", "isotropic_line", "j_series",
+    "glue_lattice", "is_maximal", "isotropic_line", "j_series",
     "lattice_binomial", "lift_of_coset", "milgram_sum", "modularity_pairing",
     "overlattice_witness", "product_expand", "pullback", "pullback_expr",
     "reduce_f0", "relation_ideal", "representation_count", "short_vectors",

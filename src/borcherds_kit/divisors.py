@@ -129,8 +129,7 @@ def borcherds_relation(form):
 
     the combination asserted to vanish rationally.
     """
-    from .weil import is_integral
-    if not is_integral(form):
+    if not form.is_integral():
         raise ValueError("relations require an integral form")
     out = DivisorExpr()
     for (m, mu), c in form.principal_part().items():
@@ -221,11 +220,10 @@ def embedding_trick(form, embedding):
     `form` must be integral and pre-scaled so that g is integral too
     (multiplying by 24 always suffices).
     """
-    from .weil import is_integral
-    if not is_integral(form):
+    if not form.is_integral():
         raise ValueError("embedding trick requires an integral form")
     g = divide_by_24delta(form)
-    if not is_integral(g):
+    if not g.is_integral():
         raise ValueError("form / (24 Delta) is not integral; rescale the "
                          "input by 24 first")
     if g.max_pole_order() >= embedding.precision:
@@ -242,7 +240,6 @@ def fourier_splitting_holds(form, embedding, through):
     coefficientwise for all exponents m <= through, three ways:
     convolution sums, series products, and the original coefficients.
     """
-    import math
     g = divide_by_24delta(form)
     pole = g.max_pole_order()
     if through >= g.prec or through + pole > embedding.precision:

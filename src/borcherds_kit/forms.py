@@ -2,10 +2,14 @@
 
 A WHForm stores finitely many principal-part coefficients (m < 0) and a
 truncated nonnegative part, one exact rational per (exponent, coset) pair.
-No analytic transformation property is checked here; support, integrality
-and the downstream product/relation identities are the validation surface.
+The constructor enforces the form's invariants, so every WHForm, including
+the results of `scale`, `+` and `divide_by_24delta`, has a positive
+precision and satisfies the support condition m = Q(mu) mod 1.
+`is_integral()` tells whether the relation and product code may use it.
+No analytic transformation property is checked here.
 """
 
+import math
 from fractions import Fraction
 
 from .qseries import FracQSeries, delta_series
@@ -14,7 +18,7 @@ from .qseries import FracQSeries, delta_series
 class WHForm:
     """Coefficients c(m, mu) of a weakly holomorphic form, known for m < prec."""
 
-    def __init__(self, disc, weight, coefficients, prec, validate_support=True):
+    def __init__(self, disc, weight, coefficients, prec):
         self.disc = disc
         self.weight = Fraction(weight)
         self.prec = Fraction(prec)
@@ -27,7 +31,7 @@ class WHForm:
             c = Fraction(c)
             if c == 0 or m >= self.prec:
                 continue
-            if validate_support and (m - disc.q(mu)).denominator != 1:
+            if (m - disc.q(mu)).denominator != 1:
                 raise ValueError(f"coefficient at ({m}, {mu}) violates the "
                                  "support condition m = Q(mu) mod 1")
             coeffs[(m, mu)] = coeffs.get((m, mu), Fraction(0)) + c
@@ -62,8 +66,7 @@ class WHForm:
 
     def scale(self, factor):
         return WHForm(self.disc, self.weight,
-                      {k: v * factor for k, v in self.coefficients.items()},
-                      self.prec, validate_support=False)
+                      {k: v * factor for k, v in self.coefficients.items()}, self.prec)
 
     def __add__(self, other):
         if self.disc is not other.disc and self.disc.lattice != other.disc.lattice:
@@ -71,14 +74,17 @@ class WHForm:
         out = dict(self.coefficients)
         for k, v in other.coefficients.items():
             out[k] = out.get(k, Fraction(0)) + v
-        return WHForm(self.disc, self.weight, out, min(self.prec, other.prec),
-                      validate_support=False)
+        return WHForm(self.disc, self.weight, out, min(self.prec, other.prec))
 
     def __eq__(self, other):
         if not isinstance(other, WHForm):
             return NotImplemented
         return (self.prec == other.prec and self.weight == other.weight
                 and self.coefficients == other.coefficients)
+
+    def is_integral(self):
+        """True when every stored coefficient is an integer."""
+        return all(c.denominator == 1 for c in self.coefficients.values())
 
     def is_zero(self):
         return not self.coefficients
@@ -96,7 +102,6 @@ def divide_by_24delta(form):
     24 (rescale the input by 24 first when integrality is needed downstream).
     """
     b = form.prec
-    import math
     delta = delta_series(math.ceil(b) + 2)
     inv = delta.inverse() * Fraction(1, 24)
     out = {}
@@ -108,4 +113,4 @@ def divide_by_24delta(form):
         for m, c in quot.coeffs.items():
             if m < b - 1:
                 out[(m, mu)] = c
-    return WHForm(form.disc, form.weight - 12, out, b - 1, validate_support=False)
+    return WHForm(form.disc, form.weight - 12, out, b - 1)

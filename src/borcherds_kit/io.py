@@ -15,6 +15,8 @@ A glued lattice is rebuilt on load by `lattice.glue_lattice` from its block
 names and code generators (each block must have discriminant group
 Z/modulus), and its `gram` must equal that function's Hermite-normal-form
 Gram matrix; a mismatch or a non-isotropic code raises FileFormatError.
+So does a form file whose terms break a WHForm invariant: the support
+condition m = Q(mu) mod 1, or a positive precision.
 
 The environment variable BORCHERDS_DATA overrides the bundled data directory.
 """
@@ -247,8 +249,10 @@ def load_form(path, relative_to=None):
         _require(len(coset) == len(disc.invariant_factors), path,
                  f"a form term coset must have {len(disc.invariant_factors)} entries")
         coeffs[(m, tuple(coset))] = _ratio([cnum, cden], "a form coefficient", path)
-    form = WHForm(disc, weight, coeffs, prec)
-    return form, lattice
+    try:
+        return WHForm(disc, weight, coeffs, prec), lattice
+    except ValueError as exc:
+        raise FileFormatError(f"{path}: {exc}") from exc
 
 
 def save_form(path, form, lattice_name):

@@ -789,16 +789,6 @@ class CuspData:
     def disc_v0(self):
         return self.v0.discriminant_form()
 
-    def lift(self, v0_coords):
-        """A vector of ell-perp (rational coordinates in L) over given V0 coordinates."""
-        n = self.lattice.rank
-        out = [Fraction(0)] * n
-        for c, row in zip(v0_coords, self.lift_rows):
-            if c:
-                for j in range(n):
-                    out[j] += Fraction(c) * row[j]
-        return tuple(out)
-
     def __repr__(self):
         return (f"CuspData(ell={self.ell}, N={self.n_value}, "
                 f"V0=rank {self.v0.rank})")

@@ -50,11 +50,6 @@ def reduce_f0(form, data):
     return WHForm(disc0, form.weight, out, form.prec)
 
 
-def _pair(x, gw):
-    """[x, w] for gw = G w."""
-    return sum(map(mul, x, gw))
-
-
 def _cone_points(data, w, bounds, qs=None, top=None):
     """Yield (lam, x, Q(x), p) for the cosets lam of V0 in `bounds`.
 
@@ -194,7 +189,7 @@ def zeta_mu(mu, data):
     lifted = lift_of_coset(mu, data)
     if lifted is None:
         raise ValueError("coset admits no lift into ell-perp")
-    return e(_pair(data.lattice.image(lifted), data.k))
+    return e(data.lattice.bilinear(lifted, data.k))
 
 
 def check_weyl_integrality(rho, data):
@@ -247,9 +242,11 @@ def product_expand(form, data, chamber, weyl_vector, cutoff):
     `cutoff` is measured in units of the smallest positive grading value of
     the exponent lattice: terms with [alpha, w] <= cutoff * g_min are kept.
     """
-    from .weil import is_integral
-    if not is_integral(form):
+    if not form.is_integral():
         raise ValueError("product expansion requires an integral form")
+    cutoff = Fraction(cutoff)
+    if cutoff <= 0:
+        raise ValueError(f"cutoff must be positive, got {cutoff}")
     weyl_vector = tuple(Fraction(x) for x in weyl_vector)
     if not check_weyl_integrality(weyl_vector, data):
         raise ValueError("Weyl vector must lie in the dual exponent lattice")
@@ -264,7 +261,7 @@ def product_expand(form, data, chamber, weyl_vector, cutoff):
             raise ValueError("chamber data is inconsistent with its interior point")
 
     g_min = rational_gcd(w)
-    cutoff_abs = Fraction(cutoff) * g_min
+    cutoff_abs = cutoff * g_min
     body = LatticeQSeries.one(v0, w, cutoff_abs)
     if not form.coefficients:
         return ProductExpansion(body, weyl_vector, constant_a(form, data),

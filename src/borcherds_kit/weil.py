@@ -62,13 +62,6 @@ class WeilRepData:
         front = e(Fraction(-self.sig8, 8)) / sqrt_positive_int(self.disc.order)
         return [[front * e(Fraction(x, self.level)) for x in row] for row in self.z]
 
-    @property
-    def cosets(self):
-        return list(self.disc.cosets())
-
-    def dim(self):
-        return self.disc.order
-
     def __repr__(self):
         return f"WeilRepData(|D|={self.disc.order}, sig8={self.sig8})"
 
@@ -235,18 +228,3 @@ def s_fourth_power_scalar(rep):
                 return None
     return diagonal * e(Fraction(-rep.sig8, 2)) / rep.disc.order ** 2
 
-
-def check_form_support(form):
-    """True when every nonzero coefficient c(m, mu) has m = Q(mu) mod 1."""
-    disc = form.disc
-    for (m, mu), c in form.coefficients.items():
-        if c == 0:
-            continue
-        if (Fraction(m) - disc.q(mu)).denominator != 1:
-            return False
-    return True
-
-
-def is_integral(form):
-    """True when all stored coefficients are integers."""
-    return all(Fraction(c).denominator == 1 for c in form.coefficients.values())

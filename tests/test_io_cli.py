@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -244,6 +246,9 @@ def test_malformed_series_file_exits_2(tmp_path, capsys, edit, message):
     (lambda body: body.update(weight="-12"), "'weight' must be a pair"),
     (lambda body: body.update(precision=[1, 2, 3]), "'precision' must be a pair"),
     (lambda body: body.update(lattice=3), "'lattice' must be a lattice name"),
+    # well-formed JSON that breaks a WHForm invariant: m = 1/2 on a trivial group
+    (lambda body: body["terms"].append([1, 2, [], 5, 1]), "violates the support condition"),
+    (lambda body: body.update(precision=[0, 1]), "precision must be positive"),
 ])
 def test_malformed_form_file_exits_2(tmp_path, capsys, edit, message):
     f, _ = load_form("one-over-delta")
@@ -255,7 +260,8 @@ def test_malformed_form_file_exits_2(tmp_path, capsys, edit, message):
     with pytest.raises(FileFormatError, match=message):
         load_form(path)
     assert main(["relation", "--form", str(path)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err and str(path) in err
 
 
 def test_generate_data_reproduces_bundled_files(tmp_path):
@@ -411,6 +417,48 @@ def test_cli_rejects_threads(capsys):
         main(["lattice", "info", "e8", "--threads", "2"])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+EXPAND_KNZ = ["expand", "--lattice", "u-plus-u", "--form", "knz-input",
+              "--chamber-point", "2,-1", "--weyl", "0,-1"]
+
+
+# a repeated option takes its last value, so EXPAND_KNZ + [option, value] sets it
+@pytest.mark.parametrize("argv, option", [
+    (EXPAND_KNZ + ["--cutoff", "1/0"], "--cutoff"),
+    (EXPAND_KNZ + ["--cutoff", "abc"], "--cutoff"),
+    (EXPAND_KNZ + ["--chamber-point", "1,x"], "--chamber-point"),
+    (EXPAND_KNZ + ["--chamber-point", ""], "--chamber-point"),
+    (EXPAND_KNZ + ["--weyl", "1/0"], "--weyl"),
+    (["theta", "e8", "--prec", "0"], "--prec"),
+    (["embed-trick", "--form", "one-over-delta-x24", "--prec", "-3"], "--prec"),
+])
+def test_cli_bad_argument_value_exits_2(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {option}:" in err
+    assert "Traceback" not in err
+
+
+def test_cli_bad_argument_value_exits_2_in_a_process():
+    argv = EXPAND_KNZ + ["--cutoff", "1/0"]
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "borcherds_kit.cli", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert "error: argument --cutoff:" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("cutoff", ["0", "-1"])
+def test_cli_nonpositive_cutoff_exits_1(capsys, cutoff):
+    assert main(EXPAND_KNZ + ["--cutoff", cutoff]) == 1
+    captured = capsys.readouterr()
+    assert "cutoff must be positive" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_expand_rank5_search_exhausted_exits_1(tmp_path, capsys, monkeypatch):

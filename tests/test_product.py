@@ -170,7 +170,7 @@ def test_constant_a_n2():
     assert data.n_value == 2
     d = discriminant_form(lat)
     half_ell = d.coset_of_dual((Fraction(1, 2), 0, 0))
-    f = WHForm(d, 0, {(Fraction(0), half_ell): 3}, 1, validate_support=False)
+    f = WHForm(d, 0, {(Fraction(0), half_ell): 3}, 1)
     assert constant_a(f, data) == 8
     zero_f = WHForm(d, 0, {}, 1)
     assert constant_a(zero_f, data) == 1
@@ -314,6 +314,15 @@ def test_product_requires_integral_form():
     ch = WeylChamber((2, -1), {}, 2)
     with pytest.raises(ValueError):
         product_expand(f, CUSP_UU, ch, (0, -1), 3)
+
+
+@pytest.mark.parametrize("cutoff", [0, -1, Fraction(-1, 2)])
+def test_product_rejects_nonpositive_cutoff(cutoff):
+    # an empty grading range would leave only the Weyl prefactor
+    f = knz_form()
+    ch = chamber_of((2, -1), reduce_f0(f, CUSP_UU), CUSP_UU)
+    with pytest.raises(ValueError, match="cutoff must be positive"):
+        product_expand(f, CUSP_UU, ch, (0, -1), cutoff)
 
 
 def test_product_rejects_nonintegral_weyl():

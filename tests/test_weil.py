@@ -5,7 +5,7 @@ import pytest
 
 from borcherds_kit import weil
 from borcherds_kit.cyclotomic import CycScalar, e, sqrt_positive_int
-from borcherds_kit.forms import WHForm
+from borcherds_kit.forms import WHForm, divide_by_24delta
 from borcherds_kit.lattice import GramLattice, direct_sum, discriminant_form
 from borcherds_kit.linalg import mat_mul
 from borcherds_kit.qseries import delta_series
@@ -13,9 +13,7 @@ from borcherds_kit.weil import (
     WeilRepData,
     braid_holds,
     build_weil_rep,
-    check_form_support,
     conjugate_rep,
-    is_integral,
     milgram_sum,
     s_fourth_power_scalar,
 )
@@ -283,15 +281,6 @@ def test_weil_rep_unitary_like():
                 assert prod[i][j] == (1 if i == j else 0)
 
 
-def test_check_form_support():
-    d = discriminant_form(GramLattice([[0, 1], [1, 0]]))
-    inv_delta = delta_series(6).inverse()
-    f = WHForm.from_scalar_series(d, 0, inv_delta)
-    assert check_form_support(f)
-    bad = WHForm(d, 0, {(Fraction(1, 2), ()): 1}, 2, validate_support=False)
-    assert not check_form_support(bad)
-
-
 def test_support_enforced_at_construction():
     d = discriminant_form(GramLattice([[0, 1], [1, 0]]))
     with pytest.raises(ValueError):
@@ -302,10 +291,42 @@ def test_is_integral():
     d = discriminant_form(GramLattice([[0, 1], [1, 0]]))
     inv_delta = delta_series(6).inverse()
     f = WHForm.from_scalar_series(d, 0, inv_delta)
-    assert is_integral(f)
-    assert is_integral(WHForm(d, 0, {}, 1))  # zero form
+    assert f.is_integral()
+    assert WHForm(d, 0, {}, 1).is_integral()  # zero form
     g = f.scale(Fraction(1, 24))
-    assert not is_integral(g)
+    assert not g.is_integral()
+
+
+UA1 = direct_sum([U, A1], name="U+A1")
+
+
+def test_support_enforced_on_nontrivial_group():
+    # D(U+A1) = Z/2 with Q(1) = 1/4: the odd coset lives at m = 1/4 mod 1
+    d = discriminant_form(UA1)
+    f = WHForm(d, 0, {(Fraction(-3, 4), (1,)): 1, (Fraction(0), (0,)): 2}, 2)
+    assert f.coefficient(Fraction(-3, 4), (1,)) == 1
+    with pytest.raises(ValueError, match="support condition"):
+        WHForm(d, 0, {(Fraction(0), (1,)): 1}, 2)
+    with pytest.raises(ValueError, match="support condition"):
+        WHForm(d, 0, {(Fraction(-3, 4), (0,)): 1}, 2)
+    with pytest.raises(ValueError, match="precision must be positive"):
+        WHForm(d, 0, {}, 0)
+
+
+def test_derived_forms_keep_support_on_nontrivial_group():
+    # scale, + and divide_by_24delta rebuild through the checking constructor
+    d = discriminant_form(UA1)
+    f = WHForm(d, 0, {(Fraction(-3, 4), (1,)): 24, (Fraction(1, 4), (1,)): 48,
+                      (Fraction(0), (0,)): 24, (Fraction(1), (0,)): 24}, 3)
+    doubled = f.scale(2)
+    assert doubled.coefficient(Fraction(1, 4), (1,)) == 96
+    total = f + doubled
+    assert total.coefficients == f.scale(3).coefficients
+    g = divide_by_24delta(f)
+    assert g.prec == 2 and g.weight == -12
+    assert g.coefficient(Fraction(-7, 4), (1,)) == 1
+    assert g.coefficient(Fraction(-1), (0,)) == 1
+    assert all((m - d.q(mu)).denominator == 1 for m, mu in g.coefficients)
 
 
 def test_milgram_niemeier_trivial():
