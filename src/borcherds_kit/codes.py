@@ -2,25 +2,17 @@
 
 Both codes are generated from the quadratic-residue generator polynomials of
 their cyclic [23, 12] / [11, 6] parents and extended by an overall parity
-digit.  The polynomial divisibility is asserted at import time, so a
-transcription error cannot survive.
+digit.  Both generator polynomials are monic; their divisibility of x^n - 1
+is asserted at import time with the one monic long division of `cyclotomic`,
+so a transcription error cannot survive.
 """
+
+from .cyclotomic import _monic_divmod
 
 
 def _divides_x_n_minus_1(divisor, n, modulus):
-    """True when divisor (low degree first) divides x^n - 1 over Z/modulus."""
-    rem = [0] * (n + 1)
-    rem[0] = (-1) % modulus
-    rem[n] = 1
-    deg_d = len(divisor) - 1
-    inv_lead = pow(divisor[-1], -1, modulus)
-    for i in range(n, deg_d - 1, -1):
-        c = rem[i] % modulus
-        if c:
-            f = (c * inv_lead) % modulus
-            for j, dj in enumerate(divisor):
-                rem[i - deg_d + j] = (rem[i - deg_d + j] - f * dj) % modulus
-    return all(x % modulus == 0 for x in rem)
+    """True when the monic divisor (low degree first) divides x^n - 1 over Z/modulus."""
+    return not any(x % modulus for x in _monic_divmod([-1] + [0] * (n - 1) + [1], divisor)[1])
 
 
 # generator polynomial of the binary [23, 12, 7] Golay code (a factor of

@@ -5,7 +5,9 @@ root of unity, kept reduced modulo the M-th cyclotomic polynomial, so
 equality is decidable coefficientwise.  Mixed-conductor arithmetic promotes
 both operands to the least common conductor.  Square roots of positive
 integers are represented exactly through quadratic Gauss sums, which keeps
-the whole scalar tower inside one cyclotomic field.
+the whole scalar tower inside one cyclotomic field.  One long division by a
+monic polynomial (`_monic_divmod`) builds the cyclotomic polynomials and
+reduces modulo them; the extended-Euclid inverse keeps its own division.
 """
 
 from fractions import Fraction
@@ -21,45 +23,38 @@ def cyclotomic_polynomial(m):
     poly = [-1] + [0] * (m - 1) + [1]  # x^m - 1
     for d in range(1, m):
         if m % d == 0:
-            poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
+            poly, rem = _monic_divmod(poly, cyclotomic_polynomial(d))
+            if any(rem):
+                raise ArithmeticError("non-exact polynomial division")
     return tuple(poly)
 
 
-def _poly_div_exact(num, den):
-    num = list(num)
-    out = [0] * (len(num) - len(den) + 1)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + len(den) - 1]
-        if c % den[-1] != 0:
-            raise ArithmeticError("non-exact polynomial division")
-        q = c // den[-1]
-        out[i] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i + j] -= q * dj
-    if any(num):
-        raise ArithmeticError("non-exact polynomial division")
-    return out
+def _monic_divmod(num, den):
+    """(quotient, remainder) of num by a monic den, coefficients low degree first.
 
-
-def _totient(m):
-    return len(cyclotomic_polynomial(m)) - 1
+    Over Z both stay integral, so the remainder reduces to the one over Z/p.
+    """
+    if den[-1] != 1:
+        raise ValueError("divisor must be monic")
+    rem = list(num)
+    deg = len(den) - 1
+    quot = [0] * max(len(rem) - deg, 0)
+    for i in range(len(rem) - 1 - deg, -1, -1):
+        c = rem[i + deg]
+        if c:
+            quot[i] = c
+            for j in range(deg):
+                rem[i + j] -= c * den[j]
+    return quot, rem[:deg]
 
 
 def _reduce_mod_cyclotomic(coeffs, m):
     """Reduce {exponent: coeff} modulo zeta_m^m = 1 and the cyclotomic polynomial."""
-    deg = _totient(m)
-    phi = cyclotomic_polynomial(m)
     dense = [Fraction(0)] * m
     for e, c in coeffs.items():
         dense[e % m] += c
-    # divide by the cyclotomic polynomial, keep the remainder
-    for i in range(m - 1, deg - 1, -1):
-        c = dense[i]
-        if c:
-            for j in range(len(phi)):
-                dense[i - deg + j] -= c * phi[j]
-    return {e: c for e, c in enumerate(dense[:deg]) if c != 0}
+    _, rem = _monic_divmod(dense, cyclotomic_polynomial(m))
+    return {e: c for e, c in enumerate(rem) if c != 0}
 
 
 class CycScalar:
@@ -148,11 +143,10 @@ class CycScalar:
         if not self.coeffs:
             raise ZeroDivisionError("zero has no inverse")
         m = self.conductor
-        deg = _totient(m)
-        f = [Fraction(0)] * deg
+        phi = [Fraction(x) for x in cyclotomic_polynomial(m)]
+        f = [Fraction(0)] * (len(phi) - 1)
         for e, c in self.coeffs.items():
             f[e] = c
-        phi = [Fraction(x) for x in cyclotomic_polynomial(m)]
         inv = _poly_modular_inverse(f, phi)
         return CycScalar(m, {e: c for e, c in enumerate(inv) if c != 0}, reduced=True)
 

@@ -100,8 +100,13 @@ def divide_by_24delta(form):
 
     Pole orders grow by one; coefficients may pick up denominators dividing
     24 (rescale the input by 24 first when integrality is needed downstream).
+    Raises ValueError for an input precision <= 1, which leaves no known
+    coefficient of the quotient.
     """
     b = form.prec
+    if b <= 1:
+        raise ValueError(f"dividing by 24 Delta needs a form of precision > 1, "
+                         f"got precision {b}")
     delta = delta_series(math.ceil(b) + 2)
     inv = delta.inverse() * Fraction(1, 24)
     out = {}

@@ -15,8 +15,11 @@ A glued lattice is rebuilt on load by `lattice.glue_lattice` from its block
 names and code generators (each block must have discriminant group
 Z/modulus), and its `gram` must equal that function's Hermite-normal-form
 Gram matrix; a mismatch or a non-isotropic code raises FileFormatError.
-So does a form file whose terms break a WHForm invariant: the support
-condition m = Q(mu) mod 1, or a positive precision.
+So does a form file whose terms break a WHForm invariant (the support
+condition m = Q(mu) mod 1, or a positive precision), and a file with two
+term rows for one exponent (and one coset mod the invariant factors).  A
+series' `denominator` may be any multiple of its exponents' least common
+denominator, which is what is written.
 
 The environment variable BORCHERDS_DATA overrides the bundled data directory.
 """
@@ -212,8 +215,10 @@ def load_series(path):
     coeffs = {}
     for row in _rows(_field(body, "terms", path), 3, "'terms'", path):
         expn, cnum, cden = _int_list(row, "a series term", path)
-        coeffs[Fraction(expn, den)] = _ratio([cnum, cden], "a series coefficient", path)
-    return FracQSeries(coeffs, prec, denominator=den)
+        e = Fraction(expn, den)
+        _require(e not in coeffs, path, f"duplicate term row for exponent {e}")
+        coeffs[e] = _ratio([cnum, cden], "a series coefficient", path)
+    return FracQSeries(coeffs, prec)
 
 
 def save_series(path, series):
@@ -248,7 +253,10 @@ def load_form(path, relative_to=None):
         coset = _int_list(coset, "a form term coset", path)
         _require(len(coset) == len(disc.invariant_factors), path,
                  f"a form term coset must have {len(disc.invariant_factors)} entries")
-        coeffs[(m, tuple(coset))] = _ratio([cnum, cden], "a form coefficient", path)
+        key = (m, disc.normalize(coset))
+        _require(key not in coeffs, path,
+                 f"duplicate term row for exponent {m}, coset {list(key[1])}")
+        coeffs[key] = _ratio([cnum, cden], "a form coefficient", path)
     try:
         return WHForm(disc, weight, coeffs, prec), lattice
     except ValueError as exc:

@@ -9,7 +9,9 @@ import itertools
 import warnings
 from collections import Counter, OrderedDict
 from fractions import Fraction
+from functools import cached_property
 from math import floor, gcd, isqrt, lcm
+from operator import mul
 
 from .linalg import (
     det_int,
@@ -88,14 +90,7 @@ class GramLattice:
 
     def q(self, x):
         """Q(x) = x^T G x / 2 for a rational coordinate vector."""
-        if len(x) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates, got {len(x)}")
-        total = 0
-        for i, row in enumerate(self.gram):
-            for j, g in enumerate(row):
-                if g:
-                    total += x[i] * g * x[j]
-        return Fraction(total, 2)
+        return self.bilinear(x, x) / 2
 
     def image(self, y):
         """G y, so that [x, y] = x . (G y); integral entries are ints."""
@@ -107,7 +102,7 @@ class GramLattice:
     def bilinear(self, x, y):
         """[x, y] = x^T G y = Q(x+y) - Q(x) - Q(y)."""
         if len(x) != self.rank or len(y) != self.rank:
-            raise ValueError("dimension mismatch")
+            raise ValueError(f"expected {self.rank} coordinates, got {len(x)} and {len(y)}")
         total = 0
         for i, row in enumerate(self.gram):
             if x[i]:
@@ -125,8 +120,11 @@ class GramLattice:
 class DiscriminantForm:
     """The finite quadratic group L^dual / L with Q taking values in Q/Z.
 
-    Cosets are normalized coordinate tuples with respect to generators of
-    orders given by the invariant factors (each > 1).
+    Cosets are normalized coordinate tuples with respect to generators g_i of
+    orders given by the invariant factors (each > 1).  The form is stored once,
+    in integers, as N Q(g_i) and N [g_i, g_j] mod N, N = `level` the least
+    common denominator of these values; by bilinearity they give N Q(mu) and
+    N [mu, nu] mod N (`q_exponent`, `pairing_row`) for every coset.
     """
 
     def __init__(self, lattice):
@@ -150,6 +148,17 @@ class DiscriminantForm:
         if self.order != abs(lattice.det):
             raise AssertionError("discriminant group order must equal |det|")
         self.signature_mod8 = (lattice.signature_pair[0] - lattice.signature_pair[1]) % 8
+
+        # g_i = v_i / f_i for the column v_i of V: [g_i, g_j] = v_i G v_j / (f_i f_j)
+        cols = [vt[i] for i in self._indices]
+        vgv = mat_mul(mat_mul(cols, lattice.gram), transpose(cols))
+        facs = self.invariant_factors
+        gram = [[Fraction(x, fi * fj) for x, fj in zip(row, facs)] for row, fi in zip(vgv, facs)]
+        q = [row[i] / 2 for i, row in enumerate(gram)]
+        self.level = lcm(*(x.denominator for x in q), *(x.denominator for r in gram for x in r))
+        self._q_gens = tuple(int(x * self.level) % self.level for x in q)
+        self._pair_gens = tuple(tuple(int(x * self.level) % self.level for x in row)
+                                for row in gram)
 
     @property
     def zero(self):
@@ -183,13 +192,28 @@ class DiscriminantForm:
         return tuple((-a) % f for a, f in
                      zip(self.normalize(coset), self.invariant_factors))
 
+    def q_exponent(self, coset):
+        """N Q(mu) mod N, an int, N = `level`."""
+        a = self.normalize(coset)
+        total = 0
+        for i, (ai, nq, row) in enumerate(zip(a, self._q_gens, self._pair_gens)):
+            total += ai * (ai * nq + sum(map(mul, a[i + 1:], row[i + 1:])))
+        return total % self.level
+
+    def pairing_row(self, coset):
+        """(N [mu, g_j] mod N)_j, so that N [mu, nu] = row . nu mod N."""
+        a = self.normalize(coset)
+        return tuple(sum(ai * row[j] for ai, row in zip(a, self._pair_gens)) % self.level
+                     for j in range(len(a)))
+
     def q(self, coset):
         """Q(mu) mod 1, as a Fraction in [0, 1)."""
-        return _mod1(self.lattice.q(self.rep(coset)))
+        return Fraction(self.q_exponent(coset), self.level)
 
     def pairing(self, c1, c2):
         """[mu, nu] mod 1, as a Fraction in [0, 1)."""
-        return _mod1(self.lattice.bilinear(self.rep(c1), self.rep(c2)))
+        row, nu = self.pairing_row(c1), self.normalize(c2)
+        return Fraction(sum(map(mul, row, nu)) % self.level, self.level)
 
     def coset_of_dual(self, y):
         """The coset of a dual vector y (raises when y is not in the dual lattice)."""
@@ -213,11 +237,6 @@ class DiscriminantForm:
             return "DiscriminantForm(trivial)"
         parts = " x ".join(f"Z/{f}" for f in self.invariant_factors)
         return f"DiscriminantForm({parts})"
-
-
-def _mod1(x):
-    x = Fraction(x)
-    return x - (x.numerator // x.denominator)
 
 
 def _exact_int(x):
@@ -674,8 +693,9 @@ def glue_lattice(blocks, generators, name=None):
     `generators` are words (one coset per block, each a coset tuple) whose
     span is the code.  The code must be isotropic for the total Q mod 1;
     since Q(x + y) = Q(x) + Q(y) + [x, y], it is checked on the generators
-    that span it: Q(g_i) = 0 and [g_i, g_j] = 0 mod 1.  The result is an even
-    lattice with |det| = prod |D_i| / |code|^2.
+    that span it, on the blocks' discriminant forms: sum_b Q_b(g_i,b) = 0 and
+    sum_b [g_i,b, g_j,b] = 0 mod 1.  The result is an even lattice with
+    |det| = prod |D_i| / |code|^2.
     """
     blocks = tuple(blocks)
     discs = [b.discriminant_form() for b in blocks]
@@ -698,19 +718,24 @@ def glue_lattice(blocks, generators, name=None):
         return tuple(pieces.setdefault(flat[a:b], flat[a:b])
                      for a, b in zip(cuts, cuts[1:]))
 
-    base = direct_sum(blocks)
-    lifts = [[x for d, c in zip(discs, nest(g)) for x in d.rep(c)] for g in basis]
-    for i, x in enumerate(lifts):
-        if _mod1(base.q(x)) != 0 or any(_mod1(base.bilinear(x, y)) != 0
-                                        for y in lifts[:i]):
+    # the block forms on one common level: N Q(x) = sum_b (N / N_b) N_b Q_b(x_b),
+    # and N [x, y] is the pairing row of x (blocks side by side) dotted with y
+    level = lcm(*(d.level for d in discs))
+    steps = [level // d.level for d in discs]
+    for i, g in enumerate(basis):
+        word = nest(g)
+        nq = sum(s * d.q_exponent(c) for s, d, c in zip(steps, discs, word))
+        row = [s * x for s, d, c in zip(steps, discs, word) for x in d.pairing_row(c)]
+        if nq % level or any(sum(map(mul, row, h)) % level for h in basis[:i]):
             raise ValueError("glue code is not isotropic for the total Q mod 1")
+    lifts = [[x for d, c in zip(discs, nest(g)) for x in d.rep(c)] for g in basis]
     order = 1
     for d in discs:
         order *= d.order
     code_size = len(words)
     words.sort()
     glue = GlueData(blocks, [nest(w) for w in words], gens)
-    lat = _overlattice(base, lifts, name=name, glue=glue)
+    lat = _overlattice(direct_sum(blocks), lifts, name=name, glue=glue)
     if abs(lat.det) * code_size * code_size != order:
         raise AssertionError("glue determinant bookkeeping failed")
     return lat
@@ -765,17 +790,20 @@ def _shell_vectors(n, s):
 class CuspData:
     """Data attached to a primitive isotropic vector ell of an indefinite lattice.
 
-    Carries N with N*Z = [L, ell], a vector k with [ell, k] = N, the isotropic
-    ell_* spanning the complementary line, the quotient lattice V0 of
-    (ell-perp in L) / Z*ell with its induced Gram matrix, and integer lifts of
-    the V0 basis back into ell-perp.
+    Carries N with N*Z = [L, ell], a vector k and an integral k0 with
+    [ell, k] = [ell, k0] = N, the isotropic ell_* spanning the complementary
+    line, the quotient lattice V0 of (ell-perp in L) / Z*ell with its induced
+    Gram matrix, and integer lifts of the V0 basis back into ell-perp.
+    `reduction`, computed once, maps each coset mu of D(V) with a lift into
+    ell-perp to (lam, [lift, k] mod 1), lam the V0 coset of the lift.
     """
 
-    def __init__(self, lattice, ell, n_value, k, ell_star, v0, lift_rows):
+    def __init__(self, lattice, ell, n_value, k, k0, ell_star, v0, lift_rows):
         self.lattice = lattice
         self.ell = tuple(int(x) for x in ell)
         self.n_value = n_value
         self.k = tuple(Fraction(x) for x in k)
+        self.k0 = tuple(int(x) for x in k0)
         self.ell_star = tuple(Fraction(x) for x in ell_star)
         self.v0 = v0
         self.lift_rows = tuple(tuple(int(x) for x in row) for row in lift_rows)
@@ -788,6 +816,16 @@ class CuspData:
     @property
     def disc_v0(self):
         return self.v0.discriminant_form()
+
+    @cached_property
+    def reduction(self):
+        out = {}
+        for mu in self.disc_v.cosets():
+            lifted = lift_of_coset(mu, self)
+            if lifted is not None:
+                lam = _project_to_v0_coset(lifted, self)
+                out[mu] = lam, self.lattice.bilinear(lifted, self.k) % 1
+        return out
 
     def __repr__(self):
         return (f"CuspData(ell={self.ell}, N={self.n_value}, "
@@ -813,10 +851,11 @@ def cusp_data(lattice, ell, k=None):
     if n_value == 0:
         raise ValueError("ell pairs to zero with the whole lattice")
 
+    k0 = solve_int([gl], [n_value])
+    if k0 is None:
+        raise AssertionError("no integral k with [ell, k] = N")
     if k is None:
-        k = solve_int([gl], [n_value])
-        if k is None:
-            raise AssertionError("no integral k with [ell, k] = N")
+        k = k0
     else:
         k = [Fraction(x) for x in k]
         pair = sum(a * b for a, b in zip(gl, k))
@@ -844,34 +883,29 @@ def cusp_data(lattice, ell, k=None):
     lift_rows = new_basis[1:]
     gram0 = mat_mul(mat_mul(lift_rows, lattice.gram), transpose(lift_rows))
     v0 = GramLattice(gram0, name=(f"{lattice.name}/cusp" if lattice.name else None))
-    return CuspData(lattice, ell, n_value, k, ell_star, v0, lift_rows)
+    return CuspData(lattice, ell, n_value, k, k0, ell_star, v0, lift_rows)
 
 
 def coset_reduce(mu, data):
     """The V0 coset of a lift of mu into ell-perp, or None when no lift exists.
 
-    mu is a coset of D(V); the lift condition is the congruence
-    [rep + v, ell] = 0 with v integral, solvable exactly when N divides
-    [rep, ell].
+    Read from `data.reduction`.
     """
-    lifted = lift_of_coset(mu, data)
-    if lifted is None:
-        return None
-    return _project_to_v0_coset(lifted, data)
+    entry = data.reduction.get(data.disc_v.normalize(mu))
+    return None if entry is None else entry[0]
 
 
 def lift_of_coset(mu, data):
-    """A lift of mu into ell-perp intersect (mu + L), or None when none exists."""
-    disc = data.disc_v
-    rep = disc.rep(disc.normalize(mu))
+    """A lift rep - (r / N) k0 of mu into ell-perp intersect (mu + L), r = [rep, ell],
+    or None when N does not divide r."""
+    rep = data.disc_v.rep(mu)
     r = sum(a * b for a, b in zip(rep, data._gl))
     if Fraction(r).denominator != 1:
         raise AssertionError("[mu, ell] must be integral for a dual vector")
-    r = int(r)
-    if r % data.n_value != 0:
+    t, rest = divmod(int(r), data.n_value)
+    if rest:
         return None
-    v = solve_int([data._gl], [-r])
-    return tuple(a + b for a, b in zip(rep, v))
+    return tuple(a - t * b for a, b in zip(rep, data.k0))
 
 
 def _project_to_v0_coset(vec, data):

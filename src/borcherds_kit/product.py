@@ -27,7 +27,7 @@ from operator import mul
 
 from .cyclotomic import CycScalar, e
 from .forms import WHForm
-from .lattice import _qf_base, _qf_leaves, _qf_point, coset_reduce, lift_of_coset
+from .lattice import _qf_base, _qf_leaves, _qf_point
 from .linalg import rational_gcd, transpose
 from .qseries import LatticeQSeries, _grading_scale, _on_grid, lattice_binomial
 
@@ -38,16 +38,14 @@ class PrecisionError(ValueError):
 
 def reduce_f0(form, data):
     """The quotient-lattice form: c0(m, lam) = sum over mu ~ lam of c(m, mu)."""
-    disc0 = data.disc_v0
-    reduction = {mu: coset_reduce(mu, data) for mu in data.disc_v.cosets()}
+    reduction = data.reduction
     out = {}
     for (m, mu), c in form.coefficients.items():
-        lam = reduction[mu]
-        if lam is None:
+        if mu not in reduction:
             continue
-        key = (m, lam)
+        key = (m, reduction[mu][0])
         out[key] = out.get(key, Fraction(0)) + c
-    return WHForm(disc0, form.weight, out, form.prec)
+    return WHForm(data.disc_v0, form.weight, out, form.prec)
 
 
 def _cone_points(data, w, bounds, qs=None, top=None):
@@ -186,10 +184,10 @@ def constant_a(form, data):
 
 def zeta_mu(mu, data):
     """The root of unity e([lift(mu), k]); 1 whenever k is integral."""
-    lifted = lift_of_coset(mu, data)
-    if lifted is None:
+    entry = data.reduction.get(data.disc_v.normalize(mu))
+    if entry is None:
         raise ValueError("coset admits no lift into ell-perp")
-    return e(data.lattice.bilinear(lifted, data.k))
+    return e(entry[1])
 
 
 def check_weyl_integrality(rho, data):
@@ -247,10 +245,13 @@ def product_expand(form, data, chamber, weyl_vector, cutoff):
     cutoff = Fraction(cutoff)
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
+    v0 = data.v0
     weyl_vector = tuple(Fraction(x) for x in weyl_vector)
+    if len(weyl_vector) != v0.rank:
+        raise ValueError(f"Weyl vector: expected {v0.rank} coordinates, "
+                         f"got {len(weyl_vector)}")
     if not check_weyl_integrality(weyl_vector, data):
         raise ValueError("Weyl vector must lie in the dual exponent lattice")
-    v0 = data.v0
     w = chamber.w
     qw = v0.q(w)
     if qw >= 0:
@@ -273,13 +274,9 @@ def product_expand(form, data, chamber, weyl_vector, cutoff):
             f"{tail_needed} demanded by the grading cutoff")
 
     # cosets of D(V) grouped by their V0 reduction, with their root of unity
-    disc = data.disc_v
     by_lam = {}
-    for mu in disc.cosets():
-        lam = coset_reduce(mu, data)
-        if lam is None:
-            continue
-        z = zeta_mu(mu, data)
+    for mu, (lam, expo) in data.reduction.items():
+        z = e(expo)
         zr = z.try_rational()
         by_lam.setdefault(lam, []).append((mu, zr if zr is not None else z))
 

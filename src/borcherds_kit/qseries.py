@@ -18,29 +18,22 @@ from operator import add, itemgetter, mul
 
 
 class FracQSeries:
-    """Truncated series sum_e c_e q^e with e in (1/L)Z, c_e rational, e < prec."""
+    """Truncated series sum_e c_e q^e with e in (1/L)Z, c_e rational, e < prec;
+    `denominator` is L, the least common denominator of the exponents."""
 
     __slots__ = ("denominator", "prec", "coeffs")
 
-    def __init__(self, coeffs, prec, denominator=None):
+    def __init__(self, coeffs, prec):
         self.prec = Fraction(prec)
         cleaned = {}
-        dens = set()
         for e, c in coeffs.items():
             e = Fraction(e)
             c = Fraction(c)
             if c == 0 or e >= self.prec:
                 continue
             cleaned[e] = cleaned.get(e, Fraction(0)) + c
-            dens.add(e.denominator)
         self.coeffs = {e: c for e, c in cleaned.items() if c != 0}
-        if denominator is None:
-            denominator = lcm(*dens) if dens else 1
-        else:
-            for d in dens:
-                if denominator % d != 0:
-                    raise ValueError("exponent denominator exceeds declared L")
-        self.denominator = denominator
+        self.denominator = lcm(*(e.denominator for e in self.coeffs))
 
     @classmethod
     def zero(cls, prec):
@@ -64,8 +57,7 @@ class FracQSeries:
         prec = Fraction(prec)
         if prec > self.prec:
             raise ValueError("cannot raise precision by truncation")
-        return FracQSeries({e: c for e, c in self.coeffs.items() if e < prec}, prec,
-                           self.denominator)
+        return FracQSeries({e: c for e, c in self.coeffs.items() if e < prec}, prec)
 
     def __eq__(self, other):
         if not isinstance(other, FracQSeries):
@@ -82,14 +74,13 @@ class FracQSeries:
         for e, c in other.coeffs.items():
             if e < prec:
                 out[e] = out.get(e, Fraction(0)) + c
-        return FracQSeries(out, prec, lcm(self.denominator, other.denominator))
+        return FracQSeries(out, prec)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return FracQSeries({e: -c for e, c in self.coeffs.items()}, self.prec,
-                           self.denominator)
+        return FracQSeries({e: -c for e, c in self.coeffs.items()}, self.prec)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -99,8 +90,7 @@ class FracQSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return FracQSeries({e: c * other for e, c in self.coeffs.items()},
-                               self.prec, self.denominator)
+            return FracQSeries({e: c * other for e, c in self.coeffs.items()}, self.prec)
         other = self._coerce(other)
         prec = min(self.prec + other.m_min, other.prec + self.m_min)
         out = {}
@@ -109,7 +99,7 @@ class FracQSeries:
                 e = e1 + e2
                 if e < prec:
                     out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return FracQSeries(out, prec, lcm(self.denominator, other.denominator))
+        return FracQSeries(out, prec)
 
     def __rmul__(self, other):
         return self.__mul__(other)

@@ -10,7 +10,9 @@ and are stored as integer exponents of zeta_N = e(1/N), N the level of D:
     rho_T = diag(zeta_N^t_mu),   t_mu = N Q(mu) mod N,
     rho_S = c * Z,  Z = (zeta_N^z_mu_nu),   z_mu_nu = -N [mu, nu] mod N,
 
-with the one scalar c = e(-sig8/8)/sqrt(|D|).  The exact cyclotomic matrices
+with the one scalar c = e(-sig8/8)/sqrt(|D|).  N and the exponents come from
+the discriminant form's integer generator Gram (`DiscriminantForm.level`,
+`q_exponent`, `pairing_row`); no rational lift is evaluated here.  The exact cyclotomic matrices
 `rho_t` and `rho_s` are derived from the exponents on first access.
 
 The convention is pinned by two self-verifying identities rather than by
@@ -27,6 +29,7 @@ field Q(zeta_M), M = lcm(N, 8, conductor of sqrt(|D|)), as integer vectors
 over a common denominator.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
@@ -66,40 +69,16 @@ class WeilRepData:
         return f"WeilRepData(|D|={self.disc.order}, sig8={self.sig8})"
 
 
-def _generator_forms(disc):
-    """(N, N Q(g_i) mod N, N [g_i, g_j] mod N) on the generators of D.
-
-    Q(sum a_i g_i) = sum a_i^2 Q(g_i) + sum_{i<j} a_i a_j [g_i, g_j], so
-    N = lcm of the denominators of these values is the level of D.
-    """
-    lat, gens = disc.lattice, disc.generators
-    q = [lat.q(g) for g in gens]
-    b = [[lat.bilinear(g, h) for h in gens] for g in gens]
-    level = lcm(1, *(x.denominator for x in q), *(x.denominator for row in b for x in row))
-    return (level, [int(x * level) % level for x in q],
-            [[int(x * level) % level for x in row] for row in b])
-
-
-def _q_exponents(cosets, level, nq, nb):
-    """t_mu = N Q(mu) mod N for each coset coordinate tuple mu."""
-    k = len(nq)
-    return [(sum(a[i] * a[i] * nq[i] for i in range(k))
-             + sum(a[i] * a[j] * nb[i][j] for i in range(k) for j in range(i + 1, k)))
-            % level for a in cosets]
-
-
 def milgram_sum(disc):
     """The Gauss sum sum_mu e(Q(mu)) = sum_mu zeta_N^t_mu of the discriminant form."""
-    level, nq, nb = _generator_forms(disc)
-    counts = {}
-    for x in _q_exponents(disc.cosets(), level, nq, nb):
-        counts[x] = counts.get(x, 0) + 1
-    return CycScalar(level, counts)
+    return CycScalar(disc.level, Counter(map(disc.q_exponent, disc.cosets())))
 
 
 def build_weil_rep(disc, sig8):
     """Weil representation of a discriminant form and signature mod 8.
 
+    The exponents are read off the form's integer generator Gram: t_mu is
+    `disc.q_exponent(mu)` and z_mu_nu = -(pairing row of mu) . nu mod N.
     Raises when the Milgram identity fails for the supplied signature, which
     catches any mismatch between the form and sig8.
     """
@@ -107,13 +86,11 @@ def build_weil_rep(disc, sig8):
     if milgram_sum(disc) != sqrt_positive_int(disc.order) * e(Fraction(sig8, 8)):
         raise ValueError("signature is inconsistent with the discriminant form "
                          "(Milgram check failed)")
-    level, nq, nb = _generator_forms(disc)
+    level = disc.level
     cosets = list(disc.cosets())
-    t = _q_exponents(cosets, level, nq, nb)
-    z = []
-    for a in cosets:
-        form = [sum(ai * row[j] for ai, row in zip(a, nb)) for j in range(len(nq))]
-        z.append([-sum(fj * bj for fj, bj in zip(form, b)) % level for b in cosets])
+    t = [disc.q_exponent(mu) for mu in cosets]
+    rows = [disc.pairing_row(mu) for mu in cosets]
+    z = [[-sum(map(mul, row, nu)) % level for nu in cosets] for row in rows]
     return WeilRepData(disc, sig8, level, t, z)
 
 

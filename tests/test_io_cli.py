@@ -222,6 +222,7 @@ def test_series_file_missing_key_exits_2(tmp_path, capsys, key):
     (lambda body: body.update(denominator=0), "'denominator' must be an integer >= 1"),
     (lambda body: body.update(precision=4), "'precision' must be a pair"),
     (lambda body: body.update(precision=[4, 0]), "'precision' must be a pair"),
+    (lambda body: body["terms"].append([1, 5, 1]), "duplicate term row for exponent 1/2"),
 ])
 def test_malformed_series_file_exits_2(tmp_path, capsys, edit, message):
     path = tmp_path / "s.json"
@@ -249,6 +250,8 @@ def test_malformed_series_file_exits_2(tmp_path, capsys, edit, message):
     # well-formed JSON that breaks a WHForm invariant: m = 1/2 on a trivial group
     (lambda body: body["terms"].append([1, 2, [], 5, 1]), "violates the support condition"),
     (lambda body: body.update(precision=[0, 1]), "precision must be positive"),
+    (lambda body: body["terms"].append([-1, 1, [], 5, 1]),
+     "duplicate term row for exponent -1, coset"),
 ])
 def test_malformed_form_file_exits_2(tmp_path, capsys, edit, message):
     f, _ = load_form("one-over-delta")
@@ -262,6 +265,64 @@ def test_malformed_form_file_exits_2(tmp_path, capsys, edit, message):
     assert main(["relation", "--form", str(path)]) == 2
     err = capsys.readouterr().err
     assert message in err and str(path) in err
+
+
+def test_duplicate_form_rows_compare_normalized_cosets(tmp_path, capsys):
+    # on A1, the cosets [1] and [3] are one coset
+    d = discriminant_form(GramLattice([[2]]))
+    path = tmp_path / "f.json"
+    save_form(path, WHForm(d, 0, {(Fraction(-3, 4), (1,)): 1, (Fraction(0), (0,)): 2}, 2),
+              "a1")
+    body = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[1])
+    body["terms"].append([-3, 4, [3], 7, 1])
+    _write_body(path, body)
+    with pytest.raises(FileFormatError, match=r"exponent -3/4, coset \[1\]"):
+        load_form(path)
+    # and through `pair`, on a scalar form
+    f, _ = load_form("e4sq-over-delta")
+    save_form(path, f, "u-plus-u")
+    body = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[1])
+    body["terms"].append(list(body["terms"][0]))
+    _write_body(path, body)
+    e6 = str(data_directory() / "e6.json")
+    assert main(["pair", "--form", str(path), "--series", e6]) == 2
+    err = capsys.readouterr().err
+    assert "duplicate term row" in err and str(path) in err
+
+
+def test_theta_out_golden_bytes(tmp_path):
+    # glued lattices: written on the least common exponent denominator (1)
+    here = Path(__file__).resolve().parent
+    for name in ("niemeier-a1", "niemeier-a2"):
+        out = tmp_path / f"{name}.json"
+        assert main(["theta", name, "--prec", "3", "--out", str(out)]) == 0
+        golden = here / f"theta_{name.replace('-', '_')}_prec3.json"
+        assert out.read_bytes() == golden.read_bytes()
+
+
+def test_series_file_on_a_multiple_denominator_loads_equal(tmp_path):
+    golden = Path(__file__).resolve().parent / "theta_niemeier_a1_prec3.json"
+    body = json.loads(golden.read_text(encoding="utf-8").split("\n", 1)[1])
+    body["denominator"] = 4
+    body["terms"] = [[4 * e, c, d] for e, c, d in body["terms"]]
+    path = _write_body(tmp_path / "s.json", body)
+    series = load_series(path)
+    assert series == load_series(golden) and series.denominator == 1
+    assert series.coeffs == theta_series(load_lattice("niemeier-a1"), 3).coeffs
+
+
+def test_cli_embed_trick_precision_one_exits_1(tmp_path, capsys):
+    f, _ = load_form("one-over-delta-x24")
+    path = tmp_path / "f.json"
+    save_form(path, WHForm(f.disc, f.weight, f.coefficients, 1), "u-plus-u")
+    assert main(["embed-trick", "--form", str(path)]) == 1
+    assert "needs a form of precision > 1, got precision 1" in capsys.readouterr().err
+
+
+def test_cli_expand_weyl_wrong_length_exits_1(capsys):
+    assert main(["expand", "--lattice", "u-plus-u", "--form", "knz-input",
+                 "--chamber-point", "2,-1", "--weyl", "0,-1,0"]) == 1
+    assert "expected 2 coordinates, got 3" in capsys.readouterr().err
 
 
 def test_generate_data_reproduces_bundled_files(tmp_path):

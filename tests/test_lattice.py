@@ -174,6 +174,84 @@ def test_q_descends_to_cosets():
             assert lhs == rhs
 
 
+# ---------------------------------------------------------------------------
+# differential check of the integer discriminant form against the Fraction
+# route it replaced: Q and [,] of rational coset lifts under the rank-n form,
+# mod 1
+# ---------------------------------------------------------------------------
+
+def _fraction_form(lat, x, y):
+    """x^T G y summed as Fractions over the full Gram matrix."""
+    return sum(Fraction(x[i]) * g * y[j]
+               for i, row in enumerate(lat.gram) for j, g in enumerate(row))
+
+
+def _fraction_q(lat, x):
+    return (_fraction_form(lat, x, x) / 2) % 1
+
+
+A3 = GramLattice([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], name="A3")
+A4 = GramLattice([[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+                 name="A4")
+D4 = GramLattice([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+                 name="D4")
+U2 = GramLattice([[0, 2], [2, 0]], name="U(2)")
+DISC_CASES = {  # name: (lattice, level)
+    "A1": (A1, 4), "A2": (A2, 3), "A3": (A3, 8), "A4": (A4, 5), "D4": (D4, 2),
+    "A1^3": (direct_sum([A1] * 3), 4), "A2+A4": (direct_sum([A2, A4]), 15),
+    "U(2)+A1": (direct_sum([U2, A1]), 4), "[4]": (GramLattice([[4]]), 8),
+    "A1+[4]": (direct_sum([A1, GramLattice([[4]])]), 8),
+    "[[4,1],[1,4]]": (GramLattice([[4, 1], [1, 4]]), 15),
+    "E8": (E8, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DISC_CASES))
+def test_integer_discriminant_form_matches_fraction_route(name):
+    lat, level = DISC_CASES[name]
+    d = discriminant_form(lat)
+    assert d.level == level
+    cosets = list(d.cosets())
+    reps = [d.rep(c) for c in cosets]
+    values = []
+    for c, x in zip(cosets, reps):
+        ref = _fraction_q(lat, x)
+        assert d.q(c) == ref and d.q_exponent(c) == ref * level
+        row = d.pairing_row(c)
+        for c2, y in zip(cosets, reps):
+            ref2 = _fraction_form(lat, x, y) % 1
+            assert d.pairing(c, c2) == ref2
+            assert sum(a * b for a, b in zip(row, c2)) % level == ref2 * level
+            values += [ref, ref2]
+    # the level is the least N with N Q and N [,] integral on all of D
+    assert level == lcm(*(v.denominator for v in values))
+
+
+def test_glue_isotropy_matches_fraction_route():
+    # random codes on mixed blocks: the block-form check rejects a code
+    # exactly when some generator has Q != 0 or two pair to nonzero mod 1
+    # on the rank-n lifts
+    rng = random.Random(41)
+    blocks = [A1, A2, A3, GramLattice([[4]]), A1]
+    base = direct_sum(blocks)
+    discs = [b.discriminant_form() for b in blocks]
+    outcomes = set()
+    for _ in range(150):
+        gens = [tuple((rng.randrange(d.invariant_factors[0]),) for d in discs)
+                for _ in range(rng.randint(1, 3))]
+        lifts = [[x for d, c in zip(discs, g) for x in d.rep(c)] for g in gens]
+        isotropic = all(_fraction_q(base, x) == 0 for x in lifts) and all(
+            _fraction_form(base, x, y) % 1 == 0 for x in lifts for y in lifts)
+        try:
+            glue_lattice(blocks, gens)
+            outcomes.add(True)
+            assert isotropic
+        except ValueError as exc:
+            outcomes.add(False)
+            assert "not isotropic" in str(exc) and not isotropic
+    assert outcomes == {True, False}
+
+
 def test_coset_of_dual_roundtrip():
     for lat in (A1, A2, GramLattice([[8]]), direct_sum([A1, A2])):
         d = discriminant_form(lat)

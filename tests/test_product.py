@@ -12,6 +12,7 @@ from borcherds_kit.lattice import (
     cusp_data,
     direct_sum,
     discriminant_form,
+    lift_of_coset,
 )
 from borcherds_kit.product import (
     PrecisionError,
@@ -24,7 +25,7 @@ from borcherds_kit.product import (
     reduce_f0,
     zeta_mu,
 )
-from borcherds_kit.linalg import rational_gcd
+from borcherds_kit.linalg import rational_gcd, solve_int, solve_rational, transpose
 from borcherds_kit.qseries import (
     FracQSeries,
     LatticeQSeries,
@@ -332,6 +333,14 @@ def test_product_rejects_nonintegral_weyl():
         product_expand(f, CUSP_UU, ch, (Fraction(1, 2), 0), 3)
 
 
+def test_weyl_vector_of_wrong_length():
+    f = knz_form()
+    chamber = chamber_of((2, -1), reduce_f0(f, CUSP_UU), CUSP_UU)
+    for rho, n in (((0, -1, 0), 3), ((0,), 1)):
+        with pytest.raises(ValueError, match=f"expected 2 coordinates, got {n}"):
+            product_expand(f, CUSP_UU, chamber, rho, 3)
+
+
 def test_product_precision_guard():
     f = knz_form(prec=3)
     f0 = reduce_f0(f, CUSP_UU)
@@ -386,9 +395,105 @@ def test_divide_by_24delta():
     assert h.prec == 5
     assert h.weight == -12
 
+    for prec in (1, Fraction(1, 2)):
+        low = WHForm(d, 0, {(Fraction(-1), ()): 1}, prec)
+        with pytest.raises(ValueError, match=f"precision > 1, got precision {prec}"):
+            divide_by_24delta(low)
+    assert divide_by_24delta(WHForm(d, 0, {(Fraction(-1), ()): 1}, Fraction(3, 2))).prec \
+        == Fraction(1, 2)
+
     f24 = WHForm.from_scalar_series(d, 0, delta_series(8).inverse() * 24)
     g24 = divide_by_24delta(f24)
     assert all(Fraction(c).denominator == 1 for c in g24.coefficients.values())
+
+
+# ---------------------------------------------------------------------------
+# differential check of the cusp reduction, computed once per CuspData,
+# against the per-coset code it replaced: every call lifted its coset into
+# ell-perp by a Smith normal form (solve_int), then projected the lift to V0
+# or paired it with k
+# ---------------------------------------------------------------------------
+
+def former_lift_of_coset(mu, data):
+    rep = data.disc_v.rep(mu)
+    gl = list(data.lattice.image(data.ell))
+    r = int(sum(a * b for a, b in zip(rep, gl)))
+    if r % data.n_value != 0:
+        return None
+    v = solve_int([gl], [-r])
+    return tuple(a + b for a, b in zip(rep, v))
+
+
+def former_coset_reduce(mu, data):
+    lifted = former_lift_of_coset(mu, data)
+    if lifted is None:
+        return None
+    cols = [list(data.ell)] + [list(r) for r in data.lift_rows]
+    sol = solve_rational(transpose(cols), list(lifted))
+    return data.disc_v0.coset_of_dual(tuple(sol[1:]))
+
+
+def former_zeta_mu(mu, data):
+    lifted = former_lift_of_coset(mu, data)
+    if lifted is None:
+        raise ValueError("coset admits no lift into ell-perp")
+    return e(data.lattice.bilinear(lifted, data.k))
+
+
+N2_LATTICE = GramLattice([[0, 2, 0], [2, 0, 0], [0, 0, 2]])
+REDUCTION_CASES = {
+    "U+A1": lambda: cusp_data(direct_sum([U, A1]), (1, 0, 0)),
+    # Q(ell) = -1 + 1 = 0; the A1 coset pairs to 1 with ell, so its lift moves
+    "U+A1-diagonal-ell": lambda: cusp_data(direct_sum([U, A1]), (1, -1, 1)),
+    "V0-Z4": lambda: _nontrivial_zeta_case()[1],
+    "V0-Z4-integral-k": lambda: cusp_data(_nontrivial_zeta_case()[1].lattice,
+                                          (1, 0, 0, 0, 0)),
+    "N2-dual-k": lambda: cusp_data(N2_LATTICE, (1, 0, 0), k=(0, 1, Fraction(1, 2))),
+    "N2": lambda: cusp_data(N2_LATTICE, (1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCTION_CASES))
+def test_cusp_reduction_matches_per_coset_lifts(name):
+    data = REDUCTION_CASES[name]()
+    disc = data.disc_v
+    coeffs = {}
+    for i, mu in enumerate(disc.cosets()):
+        lam = former_coset_reduce(mu, data)
+        assert coset_reduce(mu, data) == lam
+        lifted = lift_of_coset(mu, data)
+        if lam is None:
+            assert mu not in data.reduction and lifted is None
+            with pytest.raises(ValueError, match="no lift"):
+                zeta_mu(mu, data)
+        else:
+            assert data.reduction[mu][0] == lam
+            assert zeta_mu(mu, data) == former_zeta_mu(mu, data)
+            assert data.lattice.bilinear(lifted, data.ell) == 0
+            assert all(Fraction(a - b).denominator == 1
+                       for a, b in zip(lifted, disc.rep(mu)))
+        coeffs[(disc.q(mu) - 1, mu)] = i + 1
+    # reduce_f0 against the sum over the former reductions
+    form = WHForm(disc, 0, coeffs, 1)
+    expected = {}
+    for (m, mu), c in form.coefficients.items():
+        lam = former_coset_reduce(mu, data)
+        if lam is not None:
+            expected[(m, lam)] = expected.get((m, lam), 0) + c
+    assert reduce_f0(form, data).coefficients == expected
+
+
+def test_cusp_reduction_lifts_each_coset_once(monkeypatch):
+    from borcherds_kit import lattice as lattice_module
+    form, data, w, cutoff = _nontrivial_zeta_case()
+    calls = []
+    real = lattice_module.lift_of_coset
+    monkeypatch.setattr(lattice_module, "lift_of_coset",
+                        lambda mu, d: calls.append(mu) or real(mu, d))
+    f0 = reduce_f0(form, data)
+    chamber = chamber_of(w, f0, data)
+    product_expand(form, data, chamber, (0,) * data.v0.rank, cutoff)
+    assert sorted(calls) == sorted(data.disc_v.cosets())
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +543,9 @@ def _reference_expansion(form, data, chamber, cutoff):
     cutoff_abs = Fraction(cutoff) * rational_gcd(w)
     by_lam = {}
     for mu in data.disc_v.cosets():
-        lam = coset_reduce(mu, data)
+        lam = former_coset_reduce(mu, data)
         if lam is not None:
-            z = zeta_mu(mu, data)
+            z = former_zeta_mu(mu, data)
             zr = z.try_rational()
             by_lam.setdefault(lam, []).append((mu, zr if zr is not None else z))
     a = _reference_majorant(v0, w)
@@ -663,9 +768,9 @@ def former_body(form, data, chamber, cutoff):
     cutoff_abs = Fraction(cutoff) * rational_gcd(w)
     by_lam = {}
     for mu in data.disc_v.cosets():
-        lam = coset_reduce(mu, data)
+        lam = former_coset_reduce(mu, data)
         if lam is not None:
-            z = zeta_mu(mu, data)
+            z = former_zeta_mu(mu, data)
             zr = z.try_rational()
             by_lam.setdefault(lam, []).append((mu, zr if zr is not None else z))
     bound = 2 * form.max_pole_order() + cutoff_abs * cutoff_abs / (-qw)

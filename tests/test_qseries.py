@@ -237,7 +237,7 @@ def test_inverse_matches_geometric_sum_reference():
         prec = m_min + Fraction(rng.randint(1, 4 * den), den)
         if trial % 4 == 0:
             prec = m_min + Fraction(rng.randint(1, 9), 5)  # off the exponent grid
-        a = FracQSeries(coeffs, prec, denominator=den)
+        a = FracQSeries(coeffs, prec)
         inv = a.inverse()
         expected = reference_inverse(a)
         assert inv.coeffs == expected.coeffs

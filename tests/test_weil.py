@@ -4,7 +4,15 @@ from fractions import Fraction
 import pytest
 
 from borcherds_kit import weil
-from borcherds_kit.cyclotomic import CycScalar, e, sqrt_positive_int
+from borcherds_kit.codes import BINARY_GOLAY_POLY, TERNARY_GOLAY_POLY, _divides_x_n_minus_1
+from borcherds_kit.cyclotomic import (
+    CycScalar,
+    _monic_divmod,
+    _reduce_mod_cyclotomic,
+    cyclotomic_polynomial,
+    e,
+    sqrt_positive_int,
+)
 from borcherds_kit.forms import WHForm, divide_by_24delta
 from borcherds_kit.lattice import GramLattice, direct_sum, discriminant_form
 from borcherds_kit.linalg import mat_mul
@@ -80,22 +88,39 @@ D4 = GramLattice([[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
 
 
 # The CycScalar-matrix Weil code that the exponent representation replaced,
-# kept as the reference of the differential tests below.
+# kept as the reference of the differential tests below.  Its Q and [,] are
+# the Fraction route the integer discriminant form replaced: the rank-n form
+# on rational coset lifts, mod 1.
+
+def _fraction_form(disc, c1, c2):
+    x, y = disc.rep(c1), disc.rep(c2)
+    return sum(Fraction(x[i]) * g * y[j] for i, row in enumerate(disc.lattice.gram)
+               for j, g in enumerate(row))
+
+
+def _fraction_pairing(disc, c1, c2):
+    return _fraction_form(disc, c1, c2) % 1
+
+
+def _fraction_q(disc, c):
+    return (_fraction_form(disc, c, c) / 2) % 1
+
 
 def _reference_matrices(disc, sig8):
     cosets = list(disc.cosets())
     rho_t = [[CycScalar.from_rational(0)] * len(cosets) for _ in cosets]
     for i, c in enumerate(cosets):
-        rho_t[i][i] = e(disc.q(c))
+        rho_t[i][i] = e(_fraction_q(disc, c))
     front = e(Fraction(-sig8, 8)) / sqrt_positive_int(disc.order)
-    rho_s = [[front * e(-disc.pairing(c1, c2)) for c2 in cosets] for c1 in cosets]
+    rho_s = [[front * e(-_fraction_pairing(disc, c1, c2)) for c2 in cosets]
+             for c1 in cosets]
     return rho_t, rho_s
 
 
 def _reference_milgram_sum(disc):
     total = CycScalar.from_rational(0)
     for c in disc.cosets():
-        total = total + e(disc.q(c))
+        total = total + e(_fraction_q(disc, c))
     return total
 
 
@@ -127,9 +152,9 @@ def test_exponent_rep_matches_cyc_scalar_reference(name):
     rep = build_weil_rep(disc, sig)
     cosets = list(disc.cosets())
     for i, mu in enumerate(cosets):
-        assert Fraction(rep.t[i], rep.level) == disc.q(mu)
+        assert Fraction(rep.t[i], rep.level) == _fraction_q(disc, mu)
         for j, nu in enumerate(cosets):
-            assert Fraction(rep.z[i][j], rep.level) == (-disc.pairing(mu, nu)) % 1
+            assert Fraction(rep.z[i][j], rep.level) == (-_fraction_pairing(disc, mu, nu)) % 1
     assert repr(milgram_sum(disc)) == repr(_reference_milgram_sum(disc))
     rho_t, rho_s = _reference_matrices(disc, sig)
     # same conductors and coefficients, so the printed entries are identical
@@ -339,3 +364,119 @@ def test_milgram_niemeier_trivial():
     assert milgram_sum(d) == 1
     rep = build_weil_rep(d, 0)
     assert braid_holds(rep)
+
+
+# ---------------------------------------------------------------------------
+# differential check of the one monic long division against the three loops
+# it replaced: the exact division that built the cyclotomic polynomials, the
+# inline reduction modulo Phi_m, and the Golay check of `codes` over Z/p
+# ---------------------------------------------------------------------------
+
+def _former_poly_div_exact(num, den):
+    num = list(num)
+    out = [0] * (len(num) - len(den) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = num[i + len(den) - 1]
+        if c % den[-1] != 0:
+            raise ArithmeticError("non-exact polynomial division")
+        q = c // den[-1]
+        out[i] = q
+        if q:
+            for j, dj in enumerate(den):
+                num[i + j] -= q * dj
+    if any(num):
+        raise ArithmeticError("non-exact polynomial division")
+    return out
+
+
+_FORMER_PHI = {1: (-1, 1)}
+
+
+def _former_cyclotomic_polynomial(m):
+    if m not in _FORMER_PHI:
+        poly = [-1] + [0] * (m - 1) + [1]
+        for d in range(1, m):
+            if m % d == 0:
+                poly = _former_poly_div_exact(poly, _former_cyclotomic_polynomial(d))
+        _FORMER_PHI[m] = tuple(poly)
+    return _FORMER_PHI[m]
+
+
+def _former_reduce_mod_cyclotomic(coeffs, m):
+    phi = _former_cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    dense = [Fraction(0)] * m
+    for ex, c in coeffs.items():
+        dense[ex % m] += c
+    for i in range(m - 1, deg - 1, -1):
+        c = dense[i]
+        if c:
+            for j in range(len(phi)):
+                dense[i - deg + j] -= c * phi[j]
+    return {ex: c for ex, c in enumerate(dense[:deg]) if c != 0}
+
+
+def _former_divides_x_n_minus_1(divisor, n, modulus):
+    rem = [0] * (n + 1)
+    rem[0] = (-1) % modulus
+    rem[n] = 1
+    deg_d = len(divisor) - 1
+    inv_lead = pow(divisor[-1], -1, modulus)
+    for i in range(n, deg_d - 1, -1):
+        c = rem[i] % modulus
+        if c:
+            f = (c * inv_lead) % modulus
+            for j, dj in enumerate(divisor):
+                rem[i - deg_d + j] = (rem[i - deg_d + j] - f * dj) % modulus
+    return all(x % modulus == 0 for x in rem)
+
+
+def test_cyclotomic_polynomials_match_former_exact_division():
+    for m in range(1, 61):
+        assert cyclotomic_polynomial(m) == _former_cyclotomic_polynomial(m)
+
+
+def test_monic_divmod_matches_former_exact_division():
+    rng = random.Random(43)
+    for _ in range(200):
+        den = [rng.randint(-4, 4) for _ in range(rng.randint(0, 5))] + [1]
+        quot = [rng.randint(-6, 6) for _ in range(rng.randint(1, 6))]
+        rem = [rng.randint(-3, 3) for _ in range(len(den) - 1)]
+        num = [0] * (len(den) + len(quot) - 1)
+        for i, a in enumerate(quot):
+            for j, b in enumerate(den):
+                num[i + j] += a * b
+        q, r = _monic_divmod(num, den)
+        assert q == _former_poly_div_exact(num, den) and not any(r)
+        num = [a + (rem[i] if i < len(rem) else 0) for i, a in enumerate(num)]
+        q2, r2 = _monic_divmod(num, den)
+        assert q2 == q and r2 == rem
+    with pytest.raises(ValueError, match="monic"):
+        _monic_divmod([1, 2, 3], [1, 2])
+
+
+def test_reduction_mod_cyclotomic_matches_former_loop():
+    rng = random.Random(44)
+    for m in range(1, 61):
+        for _ in range(3):
+            coeffs = {rng.randrange(-m, 3 * m): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                      for _ in range(rng.randint(0, m + 2))}
+            assert _reduce_mod_cyclotomic(coeffs, m) == \
+                _former_reduce_mod_cyclotomic(coeffs, m)
+
+
+def test_golay_divisibility_matches_former_loop():
+    rng = random.Random(45)
+    cases = [(BINARY_GOLAY_POLY, 23, 2), (TERNARY_GOLAY_POLY, 11, 3)]
+    for _ in range(300):
+        p = rng.choice([2, 3, 5])
+        divisor = tuple(rng.randrange(p) for _ in range(rng.randint(1, 6))) + (1,)
+        cases.append((divisor, rng.randint(1, 30), p))
+    for p in (2, 3, 5):  # x - 1 divides every x^n - 1, x + 1 the even ones
+        cases += [((p - 1, 1), 7, p), ((1, 1), 6, p), ((1, 1), 7, p)]
+    seen = set()
+    for divisor, n, p in cases:
+        got = _divides_x_n_minus_1(divisor, n, p)
+        assert got == _former_divides_x_n_minus_1(divisor, n, p)
+        seen.add(got)
+    assert seen == {True, False}
