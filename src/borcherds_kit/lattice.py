@@ -382,6 +382,10 @@ def _qf_walk(a, shift, bound, on_leaf):
     `nonzero` is the list of (index, value) pairs at levels > 0 and x0 the
     level-0 assignment.  Returns None for a negative bound, else (T^T, zden):
     y = shift + T^T x, with exact value value_scaled / zden.
+
+    This walk visits v and -v separately, since its callers want the points.
+    `_qf_value_counts` wants only their values, and it walks each pair {v, -v}
+    once when the coset is closed under negation (2 shift integral).
     """
     n = len(a)
     bound = Fraction(bound)
@@ -425,14 +429,80 @@ def _qf_walk(a, shift, bound, on_leaf):
 
 
 def _qf_value_counts(a, shift, bound):
-    """Map exact form value -> number of solutions, tallied by integer budget."""
+    """Map exact form value -> number of solutions, tallied by integer budget.
+
+    The walk of `_qf_walk`, tallied per node, with no call per leaf.  The
+    level-0 values below a level-1 node depend only on the budget left and
+    on p0 mod s0 (p0 = s0 x0 + sk0), so the walk counts level-1 nodes by
+    these and tallies each distinct level-0 range once, times its count.
+
+    When 2 shift is integral, v -> -v maps the coset to itself and negates
+    every level's p = s x + sk.  The walk then takes only p >= 0 at a level
+    while every p above it is 0, so it meets one vector of each pair
+    {v, -v}: the one whose top nonzero p is positive.  Its tallies are
+    doubled, and the zero vector, its own negative, is counted once.
+    """
+    n = len(a)
+    bound = Fraction(bound)
+    if bound < 0:
+        return {}
+    if n == 0:
+        return {Fraction(0): 1}
+    shift = [Fraction(c) for c in shift or [0] * n]
+    _, scales, lint, cint, zden, weights = _qf_prepare(a, shift)
+    total_budget = (bound.numerator * zden) // bound.denominator
+    levels = list(zip(weights, scales, lint, cint))
+    w0, s0, row0, _ = levels[0]
+    ranges = {}  # (budget left, p0 mod s0, half) -> number of level-1 nodes
+    rget = ranges.get
+    nonzero = []
+
+    def descend(level, remaining, half):
+        w, s, row, sk = levels[level]
+        for j, xj in nonzero:
+            sk += row[j] * xj
+        froot = isqrt(remaining // w)
+        lo = -(sk // s) if half else -((sk + froot) // s)
+        hi = (froot - sk) // s
+        if level == 1:
+            sk0 = cint[0]
+            for j, xj in nonzero:
+                sk0 += row0[j] * xj
+            row01 = row0[1]
+            for xv in range(lo, hi + 1):
+                p = s * xv + sk
+                key = (remaining - w * p * p, (sk0 + row01 * xv) % s0, half and not p)
+                ranges[key] = rget(key, 0) + 1
+        else:
+            for xv in range(lo, hi + 1):
+                p = s * xv + sk
+                rem = remaining - w * p * p
+                if xv:
+                    nonzero.append((level, xv))
+                    descend(level - 1, rem, half and not p)
+                    nonzero.pop()
+                else:
+                    descend(level - 1, rem, half and not p)
+
+    half = all((2 * c).denominator == 1 for c in shift)
+    if n == 1:  # the whole walk is one level-0 range
+        ranges[(total_budget, cint[0] % s0, half)] = 1
+    else:
+        descend(n - 1, total_budget, half)
     counts = {}
-
-    def on_leaf(nonzero, x0, used):
-        counts[used] = counts.get(used, 0) + 1
-
-    walked = _qf_walk(a, shift, bound, on_leaf)  # None only when nothing counted
-    return {Fraction(used, walked[1]): c for used, c in counts.items()}
+    get = counts.get
+    for (rem, r, h), mult in ranges.items():
+        froot0 = isqrt(rem // w0)
+        used = total_budget - rem
+        start = r if h else r - s0 * ((r + froot0) // s0)
+        for p0 in range(start, froot0 + 1, s0):
+            key = used + w0 * p0 * p0
+            counts[key] = get(key, 0) + mult
+    if half:
+        counts = {used: 2 * c for used, c in counts.items()}
+        if all(c.denominator == 1 for c in shift):
+            counts[0] -= 1  # the zero vector
+    return {Fraction(used, zden): c for used, c in counts.items()}
 
 
 def _qf_leaves(a, shift, bound):
@@ -612,15 +682,19 @@ def _glue_classes(glue, bound):
     cosets 1 and 2 of A2 share one).  Returns (series, classes): series[i]
     has id i, and classes maps a composition (n_0, ..., n_{k-1}), n_i the
     number of blocks of a word whose coset series has id i, to the number of
-    code words with it.
+    code words with it.  v -> -v maps L + mu onto L - mu, so the coset -mu
+    takes the id of mu without a walk of its own.
     """
     ids, by_coset = {}, {}  # series -> id, (block Gram, coset) -> id
 
     def series_id(block, coset):
         key = (block.gram, coset)
         if key not in by_coset:
-            s = coset_theta(block, block.discriminant_form().rep(coset), bound)
-            by_coset[key] = ids.setdefault(s, len(ids))
+            disc = block.discriminant_form()
+            sid = by_coset.get((block.gram, disc.neg(coset)))
+            if sid is None:
+                sid = ids.setdefault(coset_theta(block, disc.rep(coset), bound), len(ids))
+            by_coset[key] = sid
         return by_coset[key]
 
     words = [[series_id(b, c) for b, c in zip(glue.blocks, word)] for word in glue.words]

@@ -191,10 +191,13 @@ def zeta_mu(mu, data):
 
 
 def check_weyl_integrality(rho, data):
-    """True when rho lies in the dual of the quotient lattice V0."""
+    """True when rho lies in the dual of the quotient lattice V0.
+
+    Raises ValueError when rho does not have rank V0 coordinates.
+    """
     v0 = data.v0
     if len(rho) != v0.rank:
-        return False
+        raise ValueError(f"Weyl vector: expected {v0.rank} coordinates, got {len(rho)}")
     return all(g.denominator == 1 for g in v0.image([Fraction(c) for c in rho]))
 
 
@@ -247,9 +250,6 @@ def product_expand(form, data, chamber, weyl_vector, cutoff):
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     v0 = data.v0
     weyl_vector = tuple(Fraction(x) for x in weyl_vector)
-    if len(weyl_vector) != v0.rank:
-        raise ValueError(f"Weyl vector: expected {v0.rank} coordinates, "
-                         f"got {len(weyl_vector)}")
     if not check_weyl_integrality(weyl_vector, data):
         raise ValueError("Weyl vector must lie in the dual exponent lattice")
     w = chamber.w

@@ -3,6 +3,9 @@
 For strictly diagonally dominant Gram matrices, y^T G y >= sum_i r_i y_i^2
 with r_i = g_ii - sum_{j != i} |g_ij| > 0, so a finite coordinate box
 provably contains every solution.  The oracle enumerates that box directly.
+
+The value counts walk each pair {v, -v} once when 2 shift is integral; they
+are also compared with the per-leaf tally of the full walk they replace.
 """
 
 import itertools
@@ -10,7 +13,15 @@ import random
 from fractions import Fraction
 from math import isqrt, lcm
 
-from borcherds_kit.lattice import GramLattice, _qf_enumerate, _qf_value_counts
+import pytest
+
+from borcherds_kit.lattice import (
+    GramLattice,
+    _qf_enumerate,
+    _qf_value_counts,
+    _qf_walk,
+    discriminant_form,
+)
 from borcherds_kit.linalg import invert_rational, lll_reduce_gram, mat_mul, transpose
 
 
@@ -76,13 +87,29 @@ def brute_force(gram, shift, bound):
     return found
 
 
+def former_value_counts(a, shift, bound):
+    """The value counts as tallied before the half walk: one callback per
+    leaf of the full walk, v and -v each counted where the walk meets it."""
+    counts = {}
+
+    def on_leaf(nonzero, x0, used):
+        counts[used] = counts.get(used, 0) + 1
+
+    walked = _qf_walk(a, shift, bound, on_leaf)
+    return {Fraction(used, walked[1]): c for used, c in counts.items()}
+
+
 def test_enumeration_matches_brute_force():
     rng = random.Random(77)
-    for trial in range(40):
+    for trial in range(60):
         n = rng.randint(1, 3)
         lat = dominant_gram(rng, n)
-        if rng.random() < 0.5:
+        kind = rng.random()
+        if kind < 0.35:
             shift = [Fraction(0)] * n
+        elif kind < 0.7:
+            # 2 shift integral: a coset closed under v -> -v, the half walk
+            shift = [Fraction(rng.randint(-3, 3), 2) for _ in range(n)]
         else:
             shift = [Fraction(rng.randint(-2, 2), rng.choice([1, 2, 3]))
                      for _ in range(n)]
@@ -96,6 +123,36 @@ def test_enumeration_matches_brute_force():
         for val in expected.values():
             tally[2 * val] = tally.get(2 * val, 0) + 1
         assert counts == tally
+
+
+D4 = [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]]
+E8 = [[2, -1, 0, 0, 0, 0, 0, 0], [-1, 2, -1, 0, 0, 0, 0, 0],
+      [0, -1, 2, -1, 0, 0, 0, -1], [0, 0, -1, 2, -1, 0, 0, 0],
+      [0, 0, 0, -1, 2, -1, 0, 0], [0, 0, 0, 0, -1, 2, -1, 0],
+      [0, 0, 0, 0, 0, -1, 2, 0], [0, 0, -1, 0, 0, 0, 0, 2]]
+
+
+def test_value_counts_on_e8_match_the_full_walk():
+    # theta e8 --prec 10: 794161 vectors with 2Q <= 20
+    counts = _qf_value_counts(E8, None, 20)
+    assert counts == former_value_counts(E8, None, 20)
+    assert sum(counts.values()) == 794161
+    assert [counts.get(2 * m, 0) for m in range(4)] == [1, 240, 2160, 6720]
+
+
+@pytest.mark.parametrize("gram", [[[2]], [[2, -1], [-1, 2]], D4], ids=["A1", "A2", "D4"])
+def test_value_counts_on_every_coset_match_the_full_walk(gram):
+    disc = discriminant_form(GramLattice(gram))
+    symmetric = 0
+    for coset in disc.cosets():
+        rep = disc.rep(coset)
+        symmetric += coset != disc.zero and disc.neg(coset) == coset
+        for bound in (-1, Fraction(-1, 3), 0, Fraction(7, 3), 9, 14):
+            counts = _qf_value_counts(gram, rep, bound)
+            assert counts == former_value_counts(gram, rep, bound), (coset, bound)
+            assert bound >= 0 or counts == {}
+    # A1 and D4 have nonzero cosets with mu = -mu, A2 none
+    assert symmetric == {1: 1, 2: 0, 4: 3}[len(gram)]
 
 
 def test_enumeration_rank4_with_lll_path():

@@ -759,6 +759,28 @@ def test_glue_classes_share_series_across_grams():
     assert classes == {(4, 0): 1, (1, 3): 8}
 
 
+@pytest.mark.parametrize("name, walks", [("niemeier-a2", 2), ("a2-rebased", 4)])
+def test_glue_classes_walk_one_of_mu_and_minus_mu(monkeypatch, name, walks):
+    # theta_{L - mu} = theta_{L + mu}: of the A2 cosets 1 and 2 only the one
+    # met first is walked, once per block Gram.  That each coset still gets
+    # its own series is checked against the former grouping, which walks
+    # every coset (test_glue_theta_matches_former_grouping).
+    lat = _glue_case(name)
+    walked = []
+    real = lattice_module.coset_theta
+
+    def counted(block, rep, bound):
+        walked.append((block.gram, block.discriminant_form().coset_of_dual(rep)))
+        return real(block, rep, bound)
+
+    monkeypatch.setattr(lattice_module, "coset_theta", counted)
+    _glue_classes(lat.glue, 3)
+    assert len(walked) == walks and len(set(walked)) == walks
+    for gram in {g for g, _ in walked}:
+        cosets = {c for g, c in walked if g == gram}
+        assert (0,) in cosets and len(cosets & {(1,), (2,)}) == 1
+
+
 @pytest.fixture
 def lll_calls(monkeypatch):
     """A fresh `_qf_reduce` cache of 4 entries; the list holds one entry per

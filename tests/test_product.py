@@ -334,9 +334,13 @@ def test_product_rejects_nonintegral_weyl():
 
 
 def test_weyl_vector_of_wrong_length():
+    # a wrong length raises, so it cannot read as "off the dual lattice";
+    # (0, -1, 0) extends the integral (0, -1) by a zero
     f = knz_form()
     chamber = chamber_of((2, -1), reduce_f0(f, CUSP_UU), CUSP_UU)
-    for rho, n in (((0, -1, 0), 3), ((0,), 1)):
+    for rho, n in (((0, -1, 0), 3), ((0,), 1), ((), 0)):
+        with pytest.raises(ValueError, match=f"expected 2 coordinates, got {n}"):
+            check_weyl_integrality(rho, CUSP_UU)
         with pytest.raises(ValueError, match=f"expected 2 coordinates, got {n}"):
             product_expand(f, CUSP_UU, chamber, rho, 3)
 
