@@ -7,12 +7,15 @@ both operands to the least common conductor.  Square roots of positive
 integers are represented exactly through quadratic Gauss sums, which keeps
 the whole scalar tower inside one cyclotomic field.  One long division by a
 monic polynomial (`_monic_divmod`) builds the cyclotomic polynomials and
-reduces modulo them; the extended-Euclid inverse keeps its own division.
+reduces modulo them; the inverse solves x y = 1 with `linalg.solve_rational`
+on the matrix of multiplication by x, whose columns that division reduces.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+
+from .linalg import solve_rational, transpose
 
 
 @lru_cache(maxsize=None)
@@ -139,16 +142,22 @@ class CycScalar:
         return self.__mul__(other)
 
     def inverse(self):
-        """Inverse in Q(zeta_M) by the extended Euclidean algorithm."""
+        """Inverse in Q(zeta_M): the y with x y = 1, solved on the matrix of x.
+
+        Column j of the multiplication-by-x matrix is x zeta^j reduced modulo
+        the cyclotomic polynomial; a nonzero x makes it invertible.
+        """
         if not self.coeffs:
             raise ZeroDivisionError("zero has no inverse")
         m = self.conductor
-        phi = [Fraction(x) for x in cyclotomic_polynomial(m)]
-        f = [Fraction(0)] * (len(phi) - 1)
+        phi = cyclotomic_polynomial(m)
+        deg = len(phi) - 1
+        x = [Fraction(0)] * deg
         for e, c in self.coeffs.items():
-            f[e] = c
-        inv = _poly_modular_inverse(f, phi)
-        return CycScalar(m, {e: c for e, c in enumerate(inv) if c != 0}, reduced=True)
+            x[e] = c
+        cols = [_monic_divmod([0] * j + x, phi)[1] for j in range(deg)]
+        y = solve_rational(transpose(cols), [1] + [0] * (deg - 1))
+        return CycScalar(m, {e: c for e, c in enumerate(y) if c != 0}, reduced=True)
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -210,55 +219,6 @@ class CycScalar:
             else:
                 parts.append(f"{c}*z{self.conductor}^{e}")
         return " + ".join(parts)
-
-
-def _poly_modular_inverse(f, modulus):
-    """Inverse of f modulo the (irreducible) modulus polynomial, over Q."""
-    r0, r1 = list(modulus), list(f)
-    s0, s1 = [Fraction(0)], [Fraction(1)]
-    while _poly_degree(r1) > 0:
-        q, rem = _poly_divmod(r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-    if _poly_degree(r1) < 0:
-        raise ZeroDivisionError("element is not invertible")
-    c = r1[0]
-    return [x / c for x in s1]
-
-
-def _poly_degree(p):
-    for i in range(len(p) - 1, -1, -1):
-        if p[i] != 0:
-            return i
-    return -1
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    dd = _poly_degree(den)
-    q = [Fraction(0)] * max(len(num) - dd, 1)
-    for i in range(_poly_degree(num) - dd, -1, -1):
-        c = num[i + dd] / den[dd]
-        q[i] = c
-        if c:
-            for j in range(dd + 1):
-                num[i + j] -= c * den[j]
-    return q, num[:dd] if dd > 0 else [Fraction(0)]
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    return [(a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
-            for i in range(n)]
 
 
 def e(exponent):

@@ -71,6 +71,9 @@ class WHForm:
     def __add__(self, other):
         if self.disc is not other.disc and self.disc.lattice != other.disc.lattice:
             raise ValueError("forms live on different discriminant groups")
+        if self.weight != other.weight:
+            raise ValueError(f"forms have different weights {self.weight} "
+                             f"and {other.weight}")
         out = dict(self.coefficients)
         for k, v in other.coefficients.items():
             out[k] = out.get(k, Fraction(0)) + v

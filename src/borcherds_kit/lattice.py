@@ -14,14 +14,13 @@ from math import floor, gcd, isqrt, lcm
 from operator import mul
 
 from .linalg import (
-    det_int,
+    _det_and_signature,
     hermite_normal_form,
     invert_rational,
     kernel_basis,
     lll_reduce_gram,
     mat_mul,
     mat_vec,
-    signature,
     smith_normal_form,
     solve_int,
     solve_rational,
@@ -34,7 +33,7 @@ ISOTROPIC_SEARCH_BUDGET = 2_000_000
 class GramLattice:
     """An integral lattice with even Gram matrix, as an immutable value."""
 
-    __slots__ = ("rank", "gram", "name", "glue", "_det", "_sig", "_disc")
+    __slots__ = ("rank", "gram", "name", "glue", "det", "signature_pair", "_disc")
 
     def __init__(self, gram, name=None, glue=None):
         gram = tuple(tuple(map(_exact_int, row)) for row in gram)
@@ -47,15 +46,17 @@ class GramLattice:
             for j in range(rank):
                 if gram[i][j] != gram[j][i]:
                     raise ValueError("gram matrix must be symmetric")
+        try:
+            det, signature_pair = _det_and_signature(gram)
+        except ValueError:
+            raise ValueError("gram matrix must be nonsingular") from None
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "glue", glue)
-        object.__setattr__(self, "_det", None)
-        object.__setattr__(self, "_sig", None)
+        object.__setattr__(self, "det", det)
+        object.__setattr__(self, "signature_pair", signature_pair)
         object.__setattr__(self, "_disc", None)
-        if self.det == 0:
-            raise ValueError("gram matrix must be nonsingular")
 
     def __setattr__(self, *_):
         raise AttributeError("GramLattice is immutable")
@@ -71,18 +72,6 @@ class GramLattice:
     def __repr__(self):
         label = self.name or f"rank {self.rank}"
         return f"GramLattice({label}, det={self.det})"
-
-    @property
-    def det(self):
-        if self._det is None:
-            object.__setattr__(self, "_det", det_int(self.gram))
-        return self._det
-
-    @property
-    def signature_pair(self):
-        if self._sig is None:
-            object.__setattr__(self, "_sig", signature(self.gram))
-        return self._sig
 
     @property
     def is_positive_definite(self):
@@ -128,8 +117,6 @@ class DiscriminantForm:
     """
 
     def __init__(self, lattice):
-        if lattice.det == 0:
-            raise ValueError("singular gram matrix has no discriminant form")
         self.lattice = lattice
         n = lattice.rank
         d, _, v = smith_normal_form(lattice.gram)

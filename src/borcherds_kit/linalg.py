@@ -5,7 +5,7 @@ point anywhere.  Matrices are lists (or tuples) of rows.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def identity(n):
@@ -243,66 +243,97 @@ def invert_rational(m):
     return [row[n:] for row in a]
 
 
+def _symmetric_bareiss(gram):
+    """Fraction-free elimination of a rational symmetric matrix.
+
+    Bareiss's elimination (Math. Comp. 22 (1968)) of s * gram, s the least
+    common denominator of the entries, with symmetric pivoting: a zero pivot
+    is swapped with a nonzero diagonal entry, or else row and column j are
+    added to the pivot's, which makes it 2 a[k][j].  Both steps are
+    unimodular congruences, so the k-th pivot is the k-th leading principal
+    minor of a matrix congruent to s * gram, and the last is det(s * gram).
+    Returns (s, rows) with rows[k] = (a[k][k], ..., a[k][n-1]) the k-th pivot
+    row; for a singular matrix the rows end early with a zero pivot row.
+    """
+    s = lcm(*(x.denominator for row in gram for x in row))
+    a = [[(x * s).numerator for x in row] for row in gram]
+    rows = []
+    prev = 1
+    while a:
+        if a[0][0] == 0:
+            j = next((j for j in range(1, len(a)) if a[j][j]), None)
+            if j is not None:
+                a[0], a[j] = a[j], a[0]
+                for row in a:
+                    row[0], row[j] = row[j], row[0]
+            else:
+                j = next((j for j in range(1, len(a)) if a[0][j]), None)
+                if j is None:
+                    rows.append(a[0])
+                    break
+                a[0] = [x + y for x, y in zip(a[0], a[j])]
+                for row in a:
+                    row[0] += row[j]
+        head = a[0]
+        p = head[0]
+        rows.append(head)
+        a = [[(x * p - row[0] * y) // prev for x, y in zip(row[1:], head[1:])]
+             for row in a[1:]]
+        prev = p
+    return s, rows
+
+
+def _inertia(rows):
+    """(positive, negative) inertia from the pivot rows of `_symmetric_bareiss`.
+
+    The k-th pivot over the (k-1)-th is the k-th diagonal entry of an LDL^T
+    of a congruent matrix, so the negative count is the number of sign
+    changes in 1, p_0, ..., p_{n-1} (Jacobi).
+    """
+    if rows and rows[-1][0] == 0:
+        raise ValueError("singular gram matrix")
+    neg = 0
+    prev = 1
+    for row in rows:
+        neg += (row[0] > 0) != (prev > 0)
+        prev = row[0]
+    return len(rows) - neg, neg
+
+
 def signature(gram):
     """(positive, negative) inertia of a nonsingular rational symmetric matrix."""
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    pos = neg = 0
-    for k in range(n):
-        if a[k][k] == 0:
-            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
-            if j is not None:
-                a[k], a[j] = a[j], a[k]
-                for row in a:
-                    row[k], row[j] = row[j], row[k]
-            else:
-                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
-                if j is None:
-                    raise ValueError("singular gram matrix")
-                # both diagonal entries vanish but a[k][j] does not; adding
-                # row and column j to k makes the pivot 2*a[k][j] != 0
-                for t in range(n):
-                    a[k][t] += a[j][t]
-                for t in range(n):
-                    a[t][k] += a[t][j]
-        p = a[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        rows_below = range(k + 1, n)
-        factors = [a[i][k] / p for i in rows_below]
-        for i, f in zip(rows_below, factors):
-            if f:
-                for j in range(k + 1, n):
-                    a[i][j] -= f * a[k][j]
-        for i in rows_below:
-            a[i][k] = Fraction(0)
-            a[k][i] = Fraction(0)
-    return pos, neg
+    return _inertia(_symmetric_bareiss(gram)[1])
+
+
+def _det_and_signature(gram):
+    """(det, (positive, negative)) of a nonsingular integer symmetric matrix.
+
+    The determinant is the last pivot of `_symmetric_bareiss`, s being 1.
+    Raises ValueError for a singular matrix.
+    """
+    rows = _symmetric_bareiss(gram)[1]
+    return (rows[-1][0] if rows else 1), _inertia(rows)
 
 
 def ldl_decomposition(gram):
     """LDL^T data of a positive-definite rational symmetric matrix.
 
-    Returns (d, l) with x^T gram x = sum_i d[i] * (x_i + sum_{j>i} l[i][j] x_j)^2.
+    Returns (d, l) with x^T gram x = sum_i d[i] * (x_i + sum_{j>i} l[i][j] x_j)^2,
+    read off the pivot rows of `_symmetric_bareiss`: d[k] = p_k / (s p_{k-1})
+    and l[k][j] = a[k][j] / p_k.  A positive-definite matrix has every
+    leading minor positive, so it needs no pivot step.
     """
-    n = len(gram)
-    a = [[Fraction(x) for x in row] for row in gram]
-    d = [Fraction(0)] * n
-    l = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        l[i][i] = Fraction(1)
-    for k in range(n):
-        if a[k][k] <= 0:
-            raise ValueError("matrix is not positive definite")
-        d[k] = a[k][k]
-        for j in range(k + 1, n):
-            l[k][j] = a[k][j] / a[k][k]
-        for i in range(k + 1, n):
-            for j in range(i, n):
-                a[i][j] -= a[k][i] * a[k][j] / a[k][k]
-                a[j][i] = a[i][j]
+    s, rows = _symmetric_bareiss(gram)
+    if any(row[0] <= 0 for row in rows):
+        raise ValueError("matrix is not positive definite")
+    d = []
+    l = []
+    prev = 1
+    for k, row in enumerate(rows):
+        p = row[0]
+        d.append(Fraction(p, prev * s))
+        l.append([Fraction(0)] * k + [Fraction(1)] + [Fraction(x, p) for x in row[1:]])
+        prev = p
     return d, l
 
 

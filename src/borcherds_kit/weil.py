@@ -62,7 +62,9 @@ class WeilRepData:
 
     @cached_property
     def rho_s(self):
-        front = e(Fraction(-self.sig8, 8)) / sqrt_positive_int(self.disc.order)
+        # 1 / sqrt|D| = sqrt|D| / |D|, which needs no inverse in Q(zeta)
+        n = self.disc.order
+        front = e(Fraction(-self.sig8, 8)) * sqrt_positive_int(n) * Fraction(1, n)
         return [[front * e(Fraction(x, self.level)) for x in row] for row in self.z]
 
     def __repr__(self):

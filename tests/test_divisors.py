@@ -101,6 +101,16 @@ def test_borcherds_relation_linear_in_f():
     assert borcherds_relation(zero).is_zero()
 
 
+def test_form_sum_needs_equal_weights():
+    # the sum used to keep the left operand's weight whatever the right's was
+    f = scalar_form(UU, 0, delta_series(9).inverse())
+    g = scalar_form(UU, -12, delta_series(9).inverse())
+    assert f + f == f.scale(2)
+    for a, b in ((f, g), (g, f)):
+        with pytest.raises(ValueError, match="different weights"):
+            a + b
+
+
 def test_borcherds_relation_requires_integral():
     f = scalar_form(UU, 0, delta_series(9).inverse()).scale(Fraction(1, 5))
     with pytest.raises(ValueError):

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from borcherds_kit.io import load_lattice
+from borcherds_kit.lattice import GramLattice, direct_sum
 from borcherds_kit.linalg import (
     det_int,
     hermite_normal_form,
@@ -245,6 +247,161 @@ def test_ldl_rejects_indefinite():
         ldl_decomposition([[0, 1], [1, 0]])
 
 
+# ---------------------------------------------------------------------------
+# differential check of the one fraction-free elimination against the two
+# Fraction eliminations it replaced and the Bareiss determinant
+# ---------------------------------------------------------------------------
+
+def former_signature(gram):
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    pos = neg = 0
+    for k in range(n):
+        if a[k][k] == 0:
+            j = next((j for j in range(k + 1, n) if a[j][j] != 0), None)
+            if j is not None:
+                a[k], a[j] = a[j], a[k]
+                for row in a:
+                    row[k], row[j] = row[j], row[k]
+            else:
+                j = next((j for j in range(k + 1, n) if a[k][j] != 0), None)
+                if j is None:
+                    raise ValueError("singular gram matrix")
+                for t in range(n):
+                    a[k][t] += a[j][t]
+                for t in range(n):
+                    a[t][k] += a[t][j]
+        p = a[k][k]
+        if p > 0:
+            pos += 1
+        else:
+            neg += 1
+        rows_below = range(k + 1, n)
+        factors = [a[i][k] / p for i in rows_below]
+        for i, f in zip(rows_below, factors):
+            if f:
+                for j in range(k + 1, n):
+                    a[i][j] -= f * a[k][j]
+        for i in rows_below:
+            a[i][k] = Fraction(0)
+            a[k][i] = Fraction(0)
+    return pos, neg
+
+
+def former_ldl_decomposition(gram):
+    n = len(gram)
+    a = [[Fraction(x) for x in row] for row in gram]
+    d = [Fraction(0)] * n
+    l = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        l[i][i] = Fraction(1)
+    for k in range(n):
+        if a[k][k] <= 0:
+            raise ValueError("matrix is not positive definite")
+        d[k] = a[k][k]
+        for j in range(k + 1, n):
+            l[k][j] = a[k][j] / a[k][k]
+        for i in range(k + 1, n):
+            for j in range(i, n):
+                a[i][j] -= a[k][i] * a[k][j] / a[k][k]
+                a[j][i] = a[i][j]
+    return d, l
+
+
+def _outcome(fn, m):
+    try:
+        return fn(m)
+    except ValueError as exc:
+        return str(exc)
+
+
+def check_elimination_against_former(m):
+    """signature and ldl_decomposition agree with the former code, errors included."""
+    sig = _outcome(signature, m)
+    assert sig == _outcome(former_signature, m), m
+    assert _outcome(ldl_decomposition, m) == _outcome(former_ldl_decomposition, m), m
+    if all(type(x) is int for row in m for x in row):
+        even = [[2 * x for x in row] for row in m]
+        det = det_int(even)
+        if det == 0:
+            with pytest.raises(ValueError, match="nonsingular"):
+                GramLattice(even)
+        else:
+            lat = GramLattice(even)
+            assert (lat.det, lat.signature_pair) == (det, sig)
+    return sig
+
+
+def random_symmetric(rng, n, kind):
+    if kind == "gram":  # b b^T: positive semidefinite, singular with b
+        b = random_int_matrix(rng, n, n, bound=3)
+        return mat_mul(b, transpose(b))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "sparse":  # many zero diagonals: the pivot steps
+                x = rng.choice([0, 0, 2, -2]) if i == j else rng.choice([0, 0, 0, 1, -1, 3])
+            else:
+                x = Fraction(rng.randint(-5, 5), rng.choice([1, 2, 3, 7]))
+            m[i][j] = m[j][i] = x
+    return m
+
+
+def test_elimination_matches_former_on_random_matrices():
+    rng = random.Random(1968)
+    seen = {"definite": 0, "indefinite": 0, "singular": 0}
+    for case in range(1500):
+        kind = ("gram", "sparse", "rational")[case % 3]
+        sig = check_elimination_against_former(random_symmetric(rng, 1 + case % 7, kind))
+        if isinstance(sig, str):
+            seen["singular"] += 1
+        else:
+            seen["definite" if sig[1] == 0 else "indefinite"] += 1
+    assert all(count >= 100 for count in seen.values()), seen
+
+
+def test_elimination_matches_former_on_bundled_lattices():
+    rng = random.Random(22)
+    uu = load_lattice("u-plus-u").gram
+    e8 = load_lattice("e8").gram
+    uue8 = [list(r) + [0] * 8 for r in uu] + [[0] * 4 + list(r) for r in e8]
+    assert check_elimination_against_former(uu) == (2, 2)
+    for _ in range(10):
+        perm = rng.sample(range(12), 12)
+        permuted = [[uue8[i][j] for j in perm] for i in perm]
+        assert check_elimination_against_former(permuted) == (10, 2)
+    for name in ("niemeier-a1", "niemeier-a2"):
+        gram = load_lattice(name).gram
+        assert check_elimination_against_former(gram) == (24, 0)
+        assert (load_lattice(name).det, signature(gram)) == (1, (24, 0))
+
+
+def test_elimination_matches_former_on_cone_majorants():
+    # 2Q(x) + [x, w]^2 / |Q(w)| on V0 = E8 + U, the rational majorant that
+    # `product._cone_points` reduces, for random rational w with Q(w) < 0
+    v0 = direct_sum([load_lattice("e8"), load_lattice("u")])
+    rng = random.Random(23)
+    trials = 0
+    while trials < 20:
+        w = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(10)]
+        qw = v0.q(w)
+        if qw >= 0:
+            continue
+        gw = v0.image(w)
+        a = [[v0.gram[i][j] + gw[i] * gw[j] / -qw for j in range(10)] for i in range(10)]
+        assert check_elimination_against_former(a) == (10, 0)
+        trials += 1
+
+
+def test_elimination_rejects_singular_matrices():
+    # zero diagonals everywhere in the last three, so they take pivot steps
+    for m in ([[0]], [[1, 1], [1, 1]], [[0, 0], [0, 0]], [[0, 1, 0], [1, 0, 0], [0, 0, 0]],
+              [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]):
+        assert check_elimination_against_former(m) == "singular gram matrix"
+        with pytest.raises(ValueError, match="not positive definite"):
+            ldl_decomposition(m)
+
+
 def test_lll_preserves_lattice():
     rng = random.Random(6)
     for _ in range(15):
@@ -363,7 +520,6 @@ def test_lll_matches_former():
 
 
 def test_lll_matches_former_on_niemeier_a1():
-    from borcherds_kit.io import load_lattice
     gram = [list(r) for r in load_lattice("niemeier-a1").gram]
     check_lll_against_former(gram)
     t, d, l = lll_reduce_gram(gram)

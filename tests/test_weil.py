@@ -480,3 +480,73 @@ def test_golay_divisibility_matches_former_loop():
         assert got == _former_divides_x_n_minus_1(divisor, n, p)
         seen.add(got)
     assert seen == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# differential check of the inverse solved on the multiplication matrix
+# against the extended-Euclid inverse it replaced
+# ---------------------------------------------------------------------------
+
+def _former_poly_degree(p):
+    for i in range(len(p) - 1, -1, -1):
+        if p[i] != 0:
+            return i
+    return -1
+
+
+def _former_poly_divmod(num, den):
+    num = list(num)
+    dd = _former_poly_degree(den)
+    q = [Fraction(0)] * max(len(num) - dd, 1)
+    for i in range(_former_poly_degree(num) - dd, -1, -1):
+        c = num[i + dd] / den[dd]
+        q[i] = c
+        if c:
+            for j in range(dd + 1):
+                num[i + j] -= c * den[j]
+    return q, num[:dd] if dd > 0 else [Fraction(0)]
+
+
+def _former_poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _former_poly_sub(a, b):
+    n = max(len(a), len(b))
+    return [(a[i] if i < len(a) else Fraction(0)) - (b[i] if i < len(b) else Fraction(0))
+            for i in range(n)]
+
+
+def _former_inverse(x):
+    """The extended-Euclid inverse of a nonzero CycScalar, as reduced coefficients."""
+    phi = [Fraction(c) for c in cyclotomic_polynomial(x.conductor)]
+    r0, r1 = phi, [Fraction(0)] * (len(phi) - 1)
+    for ex, c in x.coeffs.items():
+        r1[ex] = c
+    s0, s1 = [Fraction(0)], [Fraction(1)]
+    while _former_poly_degree(r1) > 0:
+        q, rem = _former_poly_divmod(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _former_poly_sub(s0, _former_poly_mul(q, s1))
+    c = r1[0]
+    return {ex: v / c for ex, v in enumerate(s1) if v != 0}
+
+
+def test_inverse_matches_former_euclid():
+    rng = random.Random(46)
+    for m in [*range(1, 25), 60, 120]:
+        for _ in range(3 if m <= 24 else 2):
+            x = CycScalar(m, {rng.randrange(m): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                              for _ in range(rng.randint(1, 6))})
+            if x.is_zero():
+                continue
+            inv = x.inverse()
+            assert inv.coeffs == _former_inverse(x)
+            assert x * inv == 1
+    with pytest.raises(ZeroDivisionError):
+        CycScalar(12, {}).inverse()
