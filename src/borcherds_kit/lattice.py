@@ -11,7 +11,7 @@ from collections import Counter, OrderedDict
 from fractions import Fraction
 from functools import cached_property
 from math import floor, gcd, isqrt, lcm
-from operator import mul
+from operator import getitem, mul
 
 from .linalg import (
     _det_and_signature,
@@ -20,7 +20,6 @@ from .linalg import (
     kernel_basis,
     lll_reduce_gram,
     mat_mul,
-    mat_vec,
     smith_normal_form,
     solve_int,
     solve_rational,
@@ -60,6 +59,11 @@ class GramLattice:
 
     def __setattr__(self, *_):
         raise AttributeError("GramLattice is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through __init__: restoring the slots
+        # would go through the __setattr__ above
+        return GramLattice, (self.gram, self.name, self.glue)
 
     def __eq__(self, other):
         if not isinstance(other, GramLattice):
@@ -110,7 +114,10 @@ class DiscriminantForm:
     """The finite quadratic group L^dual / L with Q taking values in Q/Z.
 
     Cosets are normalized coordinate tuples with respect to generators g_i of
-    orders given by the invariant factors (each > 1).  The form is stored once,
+    orders given by the invariant factors (each > 1): with U G V = D the Smith
+    form of the Gram matrix, g_i is column i of V over d_i.  The coordinates
+    of a dual vector y are m = D V^-1 y = U G y, read off the rows of U
+    (`coset_of_dual`), so V is never inverted.  The form is stored once,
     in integers, as N Q(g_i) and N [g_i, g_j] mod N, N = `level` the least
     common denominator of these values; by bilinearity they give N Q(mu) and
     N [mu, nu] mod N (`q_exponent`, `pairing_row`) for every coset.
@@ -119,16 +126,15 @@ class DiscriminantForm:
     def __init__(self, lattice):
         self.lattice = lattice
         n = lattice.rank
-        d, _, v = smith_normal_form(lattice.gram)
+        d, u, v = smith_normal_form(lattice.gram)
         diag = [d[i][i] for i in range(n)]
-        self._vinv = tuple(map(tuple, _int_matrix(invert_rational(v))))
-        self._indices = tuple(i for i in range(n) if diag[i] > 1)
-        self._full_diag = tuple(diag)
-        self.invariant_factors = tuple(diag[i] for i in self._indices)
+        indices = [i for i in range(n) if diag[i] > 1]
+        self.invariant_factors = tuple(diag[i] for i in indices)
+        self._u_rows = tuple(tuple(u[i]) for i in indices)
         vt = transpose(v)
         self.generators = tuple(
             tuple(Fraction(vt[i][j], diag[i]) for j in range(n))
-            for i in self._indices)
+            for i in indices)
         self.order = 1
         for f in diag:
             self.order *= f
@@ -137,7 +143,7 @@ class DiscriminantForm:
         self.signature_mod8 = (lattice.signature_pair[0] - lattice.signature_pair[1]) % 8
 
         # g_i = v_i / f_i for the column v_i of V: [g_i, g_j] = v_i G v_j / (f_i f_j)
-        cols = [vt[i] for i in self._indices]
+        cols = [vt[i] for i in indices]
         vgv = mat_mul(mat_mul(cols, lattice.gram), transpose(cols))
         facs = self.invariant_factors
         gram = [[Fraction(x, fi * fj) for x, fj in zip(row, facs)] for row, fi in zip(vgv, facs)]
@@ -203,21 +209,17 @@ class DiscriminantForm:
         return Fraction(sum(map(mul, row, nu)) % self.level, self.level)
 
     def coset_of_dual(self, y):
-        """The coset of a dual vector y (raises when y is not in the dual lattice)."""
-        n = self.lattice.rank
-        if len(y) != n:
-            raise ValueError("dimension mismatch")
-        if any(v.denominator != 1 for v in self.lattice.image(y)):
+        """The coset of a dual vector y (raises when y is not in the dual lattice).
+
+        y = sum_i m_i g_i with m = D V^-1 y = U G y, an integer vector
+        exactly when G y is one; the coset is (m_i mod d_i) over the
+        nontrivial factors.
+        """
+        gy = self.lattice.image(y)
+        if any(v.denominator != 1 for v in gy):
             raise ValueError("vector is not in the dual lattice")
-        # y = sum_i m_i * (column i of V) / d_i  with  m = D V^{-1} y
-        vy = mat_vec([list(r) for r in self._vinv], list(y))
-        coords = []
-        for i in self._indices:
-            mi = Fraction(vy[i]) * self._full_diag[i]
-            if mi.denominator != 1:
-                raise ValueError("vector is not in the dual lattice")
-            coords.append(int(mi) % self._full_diag[i])
-        return tuple(coords)
+        return tuple(sum(map(mul, row, gy)) % f
+                     for row, f in zip(self._u_rows, self.invariant_factors))
 
     def __repr__(self):
         if not self.invariant_factors:
@@ -576,6 +578,23 @@ class _BoundedCache(OrderedDict):
             self.popitem(last=False)
 
 
+class _Memo(dict):
+    """A dict that stores fn(key) for a missing key on its first lookup.
+
+    Hits, also through `dict.__getitem__` in `map`, never call Python code.
+    """
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 # matrix -> (T^T, d, l) of `_qf_reduce`; the test suite walks about 430
 # distinct matrices, most of them once, a benchmark pass at most 4
 _QF_REDUCE_CACHE = _BoundedCache(128)
@@ -665,26 +684,36 @@ def _glue_classes(glue, bound):
     """The glue code's words tallied by composition over distinct coset series.
 
     Each distinct coset theta series gets an int id in order of first
-    appearance; equal series share one, also across block Grams (so the
-    cosets 1 and 2 of A2 share one).  Returns (series, classes): series[i]
-    has id i, and classes maps a composition (n_0, ..., n_{k-1}), n_i the
-    number of blocks of a word whose coset series has id i, to the number of
-    code words with it.  v -> -v maps L + mu onto L - mu, so the coset -mu
-    takes the id of mu without a walk of its own.
+    appearance, word by word; equal series share one, also across block
+    Grams (so the cosets 1 and 2 of A2 share one).  Returns (series,
+    classes): series[i] has id i, and classes maps a composition
+    (n_0, ..., n_{k-1}), n_i the number of blocks of a word whose coset
+    series has id i, to the number of code words with it.  Each block Gram
+    has one coset -> id table, filled on first lookup, so a word maps to its
+    ids with one C-level lookup per block and is tallied with `list.count`.
+    v -> -v maps L + mu onto L - mu, so the coset -mu takes the id of mu
+    without a walk of its own.
     """
-    ids, by_coset = {}, {}  # series -> id, (block Gram, coset) -> id
+    ids = {}  # series -> id
 
-    def series_id(block, coset):
-        key = (block.gram, coset)
-        if key not in by_coset:
-            disc = block.discriminant_form()
-            sid = by_coset.get((block.gram, disc.neg(coset)))
+    def id_table(block):
+        disc = block.discriminant_form()
+
+        def series_id(coset):
+            sid = table.get(disc.neg(coset))
             if sid is None:
                 sid = ids.setdefault(coset_theta(block, disc.rep(coset), bound), len(ids))
-            by_coset[key] = sid
-        return by_coset[key]
+            return sid
 
-    words = [[series_id(b, c) for b, c in zip(glue.blocks, word)] for word in glue.words]
+        table = _Memo(series_id)
+        return table
+
+    by_gram = {}
+    for b in glue.blocks:
+        if b.gram not in by_gram:
+            by_gram[b.gram] = id_table(b)
+    tables = [by_gram[b.gram] for b in glue.blocks]
+    words = [list(map(getitem, tables, w)) for w in glue.words]
     return list(ids), Counter(tuple(map(w.count, range(len(ids)))) for w in words)
 
 
@@ -721,15 +750,36 @@ class GlueData:
         self.generators = tuple(generators)
 
 
-def _span(generators, factors):
-    """The subgroup H of Z/f_1 x ... x Z/f_n generated by flat words.
+def _coset_sums(factors):
+    """(c1, c2) -> c1 + c2 in Z/f_1 x ... x Z/f_k, filled on first lookup.
 
-    Incremental closure: for each generator g not yet in H, H grows by the
-    cosets H + k*g for k = 1, 2, ... while k*g is not in H (tested before the
-    coset is built).  Returns (the words of H, the generators that enlarged
-    H); the latter generate H.
+    Equal sums are one shared tuple, so the words of a glue code hold
+    references to a few coset tuples rather than copies.
     """
-    zero = (0,) * len(factors)
+    shared = {}
+
+    def add(key):
+        c = tuple((a + b) % f for a, b, f in zip(*key, factors))
+        return shared.setdefault(c, c)
+
+    return _Memo(add)
+
+
+def _span(generators, factors):
+    """The subgroup H of D_1 x ... x D_n generated by nested words.
+
+    A word holds one coset tuple per block; `factors[i]` are the invariant
+    factors of D_i.  Blocks with the same factors share one `_coset_sums`
+    table, and two words add with one C-level lookup per block.  Incremental
+    closure: for each generator g not yet in H, H grows by the cosets
+    H + k*g for k = 1, 2, ... while k*g is not in H (tested before the coset
+    is built).  Returns (the words of H, the generators that enlarged H);
+    the latter generate H.
+    """
+    tables = {f: _coset_sums(f) for f in factors}
+    sums = [tables[f] for f in factors]
+    lookup = dict.__getitem__
+    zero = tuple((0,) * len(f) for f in factors)
     words = [zero]
     members = {zero}
     basis = []
@@ -741,10 +791,10 @@ def _span(generators, factors):
         kg = g
         while kg not in members:
             for w in words[:old]:
-                nw = tuple((a + b) % f for a, b, f in zip(w, kg, factors))
+                nw = tuple(map(lookup, sums, zip(w, kg)))
                 words.append(nw)
                 members.add(nw)
-            kg = tuple((a + b) % f for a, b, f in zip(kg, g, factors))
+            kg = tuple(map(lookup, sums, zip(kg, g)))
     return words, basis
 
 
@@ -767,35 +817,25 @@ def glue_lattice(blocks, generators, name=None):
         return tuple(d.normalize(c) for d, c in zip(discs, word))
 
     gens = [normalize_word(w) for w in generators]
-    factors = [f for d in discs for f in d.invariant_factors]
-    flat_gens = [sum(g, ()) for g in gens]
-    words, basis = _span(flat_gens, factors)
-
-    cuts = list(itertools.accumulate((len(d.invariant_factors) for d in discs),
-                                     initial=0))
-    pieces = {}  # one shared tuple per block coset keeps the word list small
-
-    def nest(flat):
-        return tuple(pieces.setdefault(flat[a:b], flat[a:b])
-                     for a, b in zip(cuts, cuts[1:]))
+    words, basis = _span(gens, [d.invariant_factors for d in discs])
 
     # the block forms on one common level: N Q(x) = sum_b (N / N_b) N_b Q_b(x_b),
     # and N [x, y] is the pairing row of x (blocks side by side) dotted with y
     level = lcm(*(d.level for d in discs))
     steps = [level // d.level for d in discs]
+    flat = [sum(g, ()) for g in basis]
     for i, g in enumerate(basis):
-        word = nest(g)
-        nq = sum(s * d.q_exponent(c) for s, d, c in zip(steps, discs, word))
-        row = [s * x for s, d, c in zip(steps, discs, word) for x in d.pairing_row(c)]
-        if nq % level or any(sum(map(mul, row, h)) % level for h in basis[:i]):
+        nq = sum(s * d.q_exponent(c) for s, d, c in zip(steps, discs, g))
+        row = [s * x for s, d, c in zip(steps, discs, g) for x in d.pairing_row(c)]
+        if nq % level or any(sum(map(mul, row, h)) % level for h in flat[:i]):
             raise ValueError("glue code is not isotropic for the total Q mod 1")
-    lifts = [[x for d, c in zip(discs, nest(g)) for x in d.rep(c)] for g in basis]
+    lifts = [[x for d, c in zip(discs, g) for x in d.rep(c)] for g in basis]
     order = 1
     for d in discs:
         order *= d.order
     code_size = len(words)
     words.sort()
-    glue = GlueData(blocks, [nest(w) for w in words], gens)
+    glue = GlueData(blocks, words, gens)
     lat = _overlattice(direct_sum(blocks), lifts, name=name, glue=glue)
     if abs(lat.det) * code_size * code_size != order:
         raise AssertionError("glue determinant bookkeeping failed")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import floor, lcm
@@ -26,6 +28,7 @@ from borcherds_kit.lattice import (
     theta_series,
     vectors_below,
 )
+from borcherds_kit.linalg import invert_rational, smith_normal_form
 
 A1 = GramLattice([[2]], name="A1")
 A2 = GramLattice([[2, -1], [-1, 2]], name="A2")
@@ -261,6 +264,75 @@ def test_coset_of_dual_roundtrip():
         discriminant_form(A2).coset_of_dual((Fraction(1, 2), Fraction(0)))
 
 
+def _former_coset_of_dual(d, y):
+    """The coset of a dual vector through the Fraction inverse of V:
+    y = sum_i m_i (column i of V) / d_i with m = D V^-1 y."""
+    lat = d.lattice
+    if len(y) != lat.rank:
+        raise ValueError("dimension mismatch")
+    if any(v.denominator != 1 for v in lat.image(y)):
+        raise ValueError("vector is not in the dual lattice")
+    diag, _, v = smith_normal_form(lat.gram)
+    vinv = invert_rational(v)
+    coords = []
+    for i, row in enumerate(vinv):
+        f = diag[i][i]
+        mi = sum(Fraction(a) * b for a, b in zip(row, y)) * f
+        if mi.denominator != 1:
+            raise ValueError("vector is not in the dual lattice")
+        if f > 1:
+            coords.append(int(mi) % f)
+    return tuple(coords)
+
+
+def _random_even_grams(rng, count):
+    """Nonsingular even Grams of rank <= 5: B + B^T, half of them made
+    positive definite by a diagonal shift."""
+    out = []
+    while len(out) < count:
+        n = rng.randint(1, 5)
+        shift = 2 * rng.randint(4, 6) if len(out) % 2 else 0
+        b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        gram = [[b[i][j] + b[j][i] + shift * (i == j) for j in range(n)] for i in range(n)]
+        try:
+            out.append(GramLattice(gram))
+        except ValueError:
+            continue
+    return out
+
+
+def test_coset_of_dual_matches_former_v_inverse_route():
+    rng = random.Random(15)
+    u3 = GramLattice([[0, 3], [3, 0]], name="U(3)")
+    lats = [D4, direct_sum([A2, A2]), direct_sum([u3, A1]), A4, U2, E8]
+    lats += _random_even_grams(rng, 60)
+    kinds = set()
+    for lat in lats:
+        d = discriminant_form(lat)
+        kinds.add((lat.is_positive_definite, len(d.invariant_factors)))
+        ginv = invert_rational([list(r) for r in lat.gram])
+        cosets = list(d.cosets())
+        for c in rng.sample(cosets, min(len(cosets), 30)):
+            y = tuple(r + rng.randint(-2, 2) for r in d.rep(c))
+            assert d.coset_of_dual(y) == _former_coset_of_dual(d, y) == c
+        for _ in range(10):
+            # a random dual vector G^-1 x
+            x = [rng.randint(-9, 9) for _ in range(lat.rank)]
+            y = tuple(sum(a * b for a, b in zip(row, x)) for row in ginv)
+            assert d.coset_of_dual(y) == _former_coset_of_dual(d, y)
+        # G e_0 / k is not integral when k exceeds every entry of column 0
+        k = 1 + max(abs(row[0]) for row in lat.gram)
+        off = (Fraction(1, k),) + (0,) * (lat.rank - 1)
+        for route in (d.coset_of_dual, lambda y: _former_coset_of_dual(d, y)):
+            with pytest.raises(ValueError, match="dual lattice"):
+                route(off)
+            with pytest.raises(ValueError):
+                route((0,) * (lat.rank + 1))
+    # definite and indefinite forms, trivial, cyclic and non-cyclic groups
+    assert {(p, min(f, 2)) for p, f in kinds} == {
+        (p, f) for p in (True, False) for f in (0, 1, 2)}
+
+
 def test_is_maximal():
     assert is_maximal(U)
     assert is_maximal(A1)
@@ -320,7 +392,6 @@ def test_short_vectors_negation_symmetry():
 
 def test_enumeration_consistent_with_dual_lattice():
     # sum over cosets of coset counts = counts of the dual lattice (rescaled)
-    from borcherds_kit.linalg import invert_rational
     for lat in (A2, GramLattice([[4, 1], [1, 4]]), direct_sum([A1, A2])):
         d = discriminant_form(lat)
         bound = 2
@@ -416,10 +487,17 @@ def _bfs_span(generators, factors):
     return words
 
 
+def _flat(word):
+    return sum(word, ())
+
+
 def _check_span(generators, factors):
+    """_span on nested words against the BFS oracle on the flattened ones."""
     words, basis = _span(generators, factors)
     assert len(words) == len(set(words))
-    assert set(words) == _bfs_span(generators, factors)
+    flat_factors = [f for block in factors for f in block]
+    assert set(map(_flat, words)) == _bfs_span([_flat(g) for g in generators],
+                                               flat_factors)
     assert all(g in generators for g in basis)
     # every basis element enlarges the span of the ones before it
     assert _span(basis, factors) == (words, basis)
@@ -429,13 +507,14 @@ def _check_span(generators, factors):
 def test_span_matches_bfs_on_golay_codes():
     from borcherds_kit.codes import binary_golay_generators, ternary_golay_generators
     rng = random.Random(11)
-    for gens, modulus, size in ((binary_golay_generators(), 2, 4096),
+    for rows, modulus, size in ((binary_golay_generators(), 2, 4096),
                                 (ternary_golay_generators(), 3, 729)):
-        factors = [modulus] * len(gens[0])
+        gens = [tuple((c,) for c in r) for r in rows]
+        factors = [(modulus,)] * len(gens[0])
         words, basis = _check_span(gens, factors)
         assert len(words) == size and len(basis) == len(gens)
         # repeats and redundant sums change neither the span nor the basis size
-        sums = [tuple((a + b) % modulus for a, b in zip(g, h))
+        sums = [tuple(((a + b) % modulus,) for (a,), (b,) in zip(g, h))
                 for g, h in zip(gens, gens[1:])]
         noisy = gens + sums + gens[:3]
         rng.shuffle(noisy)
@@ -444,10 +523,11 @@ def test_span_matches_bfs_on_golay_codes():
 
 
 def test_span_matches_bfs_mixed_factors():
+    # blocks of one and of two invariant factors, two of them equal
     rng = random.Random(5)
-    factors = [4, 2, 2, 3, 6]
+    factors = [(4, 2), (2,), (3, 6), (2,)]
     for _ in range(40):
-        gens = [tuple(rng.randrange(f) for f in factors)
+        gens = [tuple(tuple(rng.randrange(f) for f in block) for block in factors)
                 for _ in range(rng.randint(0, 4))]
         _check_span(gens, factors)
 
@@ -779,6 +859,96 @@ def test_glue_classes_walk_one_of_mu_and_minus_mu(monkeypatch, name, walks):
     for gram in {g for g, _ in walked}:
         cosets = {c for g, c in walked if g == gram}
         assert (0,) in cosets and len(cosets & {(1,), (2,)}) == 1
+
+
+def _former_span_nested(blocks, generators):
+    """The code span as built before words stayed nested: flat words added
+    entry by entry mod the flat factors, then cut into blocks."""
+    discs = [b.discriminant_form() for b in blocks]
+    factors = [f for d in discs for f in d.invariant_factors]
+    zero = (0,) * len(factors)
+    words, members, basis = [zero], {zero}, []
+    for g in (sum(g, ()) for g in generators):
+        if g in members:
+            continue
+        basis.append(g)
+        old = len(words)
+        kg = g
+        while kg not in members:
+            for w in words[:old]:
+                nw = tuple((a + b) % f for a, b, f in zip(w, kg, factors))
+                words.append(nw)
+                members.add(nw)
+            kg = tuple((a + b) % f for a, b, f in zip(kg, g, factors))
+    cuts = [0]
+    for d in discs:
+        cuts.append(cuts[-1] + len(d.invariant_factors))
+
+    def nest(flat):
+        return tuple(flat[a:b] for a, b in zip(cuts, cuts[1:]))
+
+    return [nest(w) for w in words], [nest(g) for g in basis]
+
+
+def _former_glue_classes(glue, bound):
+    """The composition tally as computed before the per-block tables: one
+    series_id call per block of every word."""
+    from collections import Counter
+    ids, by_coset = {}, {}
+
+    def series_id(block, coset):
+        key = (block.gram, coset)
+        if key not in by_coset:
+            disc = block.discriminant_form()
+            sid = by_coset.get((block.gram, disc.neg(coset)))
+            if sid is None:
+                sid = ids.setdefault(coset_theta(block, disc.rep(coset), bound), len(ids))
+            by_coset[key] = sid
+        return by_coset[key]
+
+    words = [[series_id(b, c) for b, c in zip(glue.blocks, word)] for word in glue.words]
+    return list(ids), Counter(tuple(map(w.count, range(len(ids)))) for w in words)
+
+
+@pytest.mark.parametrize("name", ["niemeier-a1", "niemeier-a2", "a3-a1", "a2-rebased"])
+def test_glue_span_and_classes_match_former_flat_code(name):
+    lat = _glue_case(name)
+    glue = lat.glue
+    factors = [b.discriminant_form().invariant_factors for b in glue.blocks]
+    words, basis = _span(glue.generators, factors)
+    former_words, former_basis = _former_span_nested(glue.blocks, glue.generators)
+    assert words == former_words and basis == former_basis
+    assert set(words) == set(former_words)
+    assert list(glue.words) == sorted(former_words)
+    assert all(type(w) is tuple and all(type(c) is tuple for c in w) for w in glue.words)
+    for bound in (2, Fraction(5, 2)):
+        assert _glue_classes(glue, bound) == _former_glue_classes(glue, bound)
+
+
+@pytest.mark.parametrize("copier", [
+    lambda lat: pickle.loads(pickle.dumps(lat)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_lattices_pickle_and_copy(copier):
+    for lat in (A2, _glue_case("a3-a1"), _niemeier("a1")):
+        disc = lat.discriminant_form()
+        twin = copier(lat)
+        assert twin == lat and hash(twin) == hash(lat)
+        assert (twin.name, twin.det, twin.signature_pair) == (
+            lat.name, lat.det, lat.signature_pair)
+        if lat.glue is None:
+            assert twin.glue is None
+        else:
+            assert twin.glue.words == lat.glue.words
+            assert twin.glue.generators == lat.glue.generators
+            assert twin.glue.blocks == lat.glue.blocks
+        # the copy builds its own discriminant form, equal to the original's
+        assert twin._disc is None
+        twin_disc = twin.discriminant_form()
+        assert twin_disc is not disc
+        assert twin_disc.invariant_factors == disc.invariant_factors
+        assert [twin_disc.q(c) for c in twin_disc.cosets()] == [disc.q(c) for c in disc.cosets()]
+    with pytest.raises(AttributeError, match="immutable"):
+        copy.copy(A2).name = "B2"
 
 
 @pytest.fixture
