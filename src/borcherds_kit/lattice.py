@@ -20,6 +20,7 @@ from .linalg import (
     kernel_basis,
     lll_reduce_gram,
     mat_mul,
+    mat_vec,
     smith_normal_form,
     solve_int,
     solve_rational,
@@ -114,10 +115,7 @@ class DiscriminantForm:
     """The finite quadratic group L^dual / L with Q taking values in Q/Z.
 
     Cosets are normalized coordinate tuples with respect to generators g_i of
-    orders given by the invariant factors (each > 1): with U G V = D the Smith
-    form of the Gram matrix, g_i is column i of V over d_i.  The coordinates
-    of a dual vector y are m = D V^-1 y = U G y, read off the rows of U
-    (`coset_of_dual`), so V is never inverted.  The form is stored once,
+    orders given by the invariant factors (each > 1).  The form is stored once,
     in integers, as N Q(g_i) and N [g_i, g_j] mod N, N = `level` the least
     common denominator of these values; by bilinearity they give N Q(mu) and
     N [mu, nu] mod N (`q_exponent`, `pairing_row`) for every coset.
@@ -126,15 +124,16 @@ class DiscriminantForm:
     def __init__(self, lattice):
         self.lattice = lattice
         n = lattice.rank
-        d, u, v = smith_normal_form(lattice.gram)
+        d, _, v = smith_normal_form(lattice.gram)
         diag = [d[i][i] for i in range(n)]
-        indices = [i for i in range(n) if diag[i] > 1]
-        self.invariant_factors = tuple(diag[i] for i in indices)
-        self._u_rows = tuple(tuple(u[i]) for i in indices)
+        self._vinv = tuple(map(tuple, _int_matrix(invert_rational(v))))
+        self._indices = tuple(i for i in range(n) if diag[i] > 1)
+        self._full_diag = tuple(diag)
+        self.invariant_factors = tuple(diag[i] for i in self._indices)
         vt = transpose(v)
         self.generators = tuple(
             tuple(Fraction(vt[i][j], diag[i]) for j in range(n))
-            for i in indices)
+            for i in self._indices)
         self.order = 1
         for f in diag:
             self.order *= f
@@ -143,7 +142,7 @@ class DiscriminantForm:
         self.signature_mod8 = (lattice.signature_pair[0] - lattice.signature_pair[1]) % 8
 
         # g_i = v_i / f_i for the column v_i of V: [g_i, g_j] = v_i G v_j / (f_i f_j)
-        cols = [vt[i] for i in indices]
+        cols = [vt[i] for i in self._indices]
         vgv = mat_mul(mat_mul(cols, lattice.gram), transpose(cols))
         facs = self.invariant_factors
         gram = [[Fraction(x, fi * fj) for x, fj in zip(row, facs)] for row, fi in zip(vgv, facs)]
@@ -209,17 +208,21 @@ class DiscriminantForm:
         return Fraction(sum(map(mul, row, nu)) % self.level, self.level)
 
     def coset_of_dual(self, y):
-        """The coset of a dual vector y (raises when y is not in the dual lattice).
-
-        y = sum_i m_i g_i with m = D V^-1 y = U G y, an integer vector
-        exactly when G y is one; the coset is (m_i mod d_i) over the
-        nontrivial factors.
-        """
-        gy = self.lattice.image(y)
-        if any(v.denominator != 1 for v in gy):
+        """The coset of a dual vector y (raises when y is not in the dual lattice)."""
+        n = self.lattice.rank
+        if len(y) != n:
+            raise ValueError("dimension mismatch")
+        if any(v.denominator != 1 for v in self.lattice.image(y)):
             raise ValueError("vector is not in the dual lattice")
-        return tuple(sum(map(mul, row, gy)) % f
-                     for row, f in zip(self._u_rows, self.invariant_factors))
+        # y = sum_i m_i * (column i of V) / d_i  with  m = D V^{-1} y
+        vy = mat_vec([list(r) for r in self._vinv], list(y))
+        coords = []
+        for i in self._indices:
+            mi = Fraction(vy[i]) * self._full_diag[i]
+            if mi.denominator != 1:
+                raise ValueError("vector is not in the dual lattice")
+            coords.append(int(mi) % self._full_diag[i])
+        return tuple(coords)
 
     def __repr__(self):
         if not self.invariant_factors:
@@ -751,18 +754,8 @@ class GlueData:
 
 
 def _coset_sums(factors):
-    """(c1, c2) -> c1 + c2 in Z/f_1 x ... x Z/f_k, filled on first lookup.
-
-    Equal sums are one shared tuple, so the words of a glue code hold
-    references to a few coset tuples rather than copies.
-    """
-    shared = {}
-
-    def add(key):
-        c = tuple((a + b) % f for a, b, f in zip(*key, factors))
-        return shared.setdefault(c, c)
-
-    return _Memo(add)
+    """(c1, c2) -> c1 + c2 in Z/f_1 x ... x Z/f_k, filled on first lookup."""
+    return _Memo(lambda key: tuple((a + b) % f for a, b, f in zip(*key, factors)))
 
 
 def _span(generators, factors):

@@ -264,25 +264,18 @@ def test_coset_of_dual_roundtrip():
         discriminant_form(A2).coset_of_dual((Fraction(1, 2), Fraction(0)))
 
 
-def _former_coset_of_dual(d, y):
-    """The coset of a dual vector through the Fraction inverse of V:
-    y = sum_i m_i (column i of V) / d_i with m = D V^-1 y."""
+def _coset_via_u(d, y):
+    """The coset of a dual vector read off the Smith form U G V = D: since
+    D V^-1 = U G, y = sum_i m_i (column i of V) / d_i with m = U G y."""
     lat = d.lattice
     if len(y) != lat.rank:
         raise ValueError("dimension mismatch")
-    if any(v.denominator != 1 for v in lat.image(y)):
+    gy = lat.image(y)
+    if any(v.denominator != 1 for v in gy):
         raise ValueError("vector is not in the dual lattice")
-    diag, _, v = smith_normal_form(lat.gram)
-    vinv = invert_rational(v)
-    coords = []
-    for i, row in enumerate(vinv):
-        f = diag[i][i]
-        mi = sum(Fraction(a) * b for a, b in zip(row, y)) * f
-        if mi.denominator != 1:
-            raise ValueError("vector is not in the dual lattice")
-        if f > 1:
-            coords.append(int(mi) % f)
-    return tuple(coords)
+    diag, u, _ = smith_normal_form(lat.gram)
+    return tuple(sum(a * b for a, b in zip(row, gy)) % diag[i][i]
+                 for i, row in enumerate(u) if diag[i][i] > 1)
 
 
 def _random_even_grams(rng, count):
@@ -301,7 +294,7 @@ def _random_even_grams(rng, count):
     return out
 
 
-def test_coset_of_dual_matches_former_v_inverse_route():
+def test_coset_of_dual_matches_u_g_y():
     rng = random.Random(15)
     u3 = GramLattice([[0, 3], [3, 0]], name="U(3)")
     lats = [D4, direct_sum([A2, A2]), direct_sum([u3, A1]), A4, U2, E8]
@@ -314,16 +307,16 @@ def test_coset_of_dual_matches_former_v_inverse_route():
         cosets = list(d.cosets())
         for c in rng.sample(cosets, min(len(cosets), 30)):
             y = tuple(r + rng.randint(-2, 2) for r in d.rep(c))
-            assert d.coset_of_dual(y) == _former_coset_of_dual(d, y) == c
+            assert d.coset_of_dual(y) == _coset_via_u(d, y) == c
         for _ in range(10):
             # a random dual vector G^-1 x
             x = [rng.randint(-9, 9) for _ in range(lat.rank)]
             y = tuple(sum(a * b for a, b in zip(row, x)) for row in ginv)
-            assert d.coset_of_dual(y) == _former_coset_of_dual(d, y)
+            assert d.coset_of_dual(y) == _coset_via_u(d, y)
         # G e_0 / k is not integral when k exceeds every entry of column 0
         k = 1 + max(abs(row[0]) for row in lat.gram)
         off = (Fraction(1, k),) + (0,) * (lat.rank - 1)
-        for route in (d.coset_of_dual, lambda y: _former_coset_of_dual(d, y)):
+        for route in (d.coset_of_dual, lambda y: _coset_via_u(d, y)):
             with pytest.raises(ValueError, match="dual lattice"):
                 route(off)
             with pytest.raises(ValueError):
