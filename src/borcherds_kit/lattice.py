@@ -26,6 +26,7 @@ from .linalg import (
     solve_rational,
     transpose,
 )
+from .qseries import FracQSeries
 
 ISOTROPIC_SEARCH_BUDGET = 2_000_000
 
@@ -88,15 +89,13 @@ class GramLattice:
 
     def image(self, y):
         """G y, so that [x, y] = x . (G y); integral entries are ints."""
-        if len(y) != self.rank:
-            raise ValueError("dimension mismatch")
+        y = _coordinates(y, self.rank)
         out = (sum(g * c for g, c in zip(row, y) if g) for row in self.gram)
         return tuple(int(v) if v.denominator == 1 else v for v in out)
 
     def bilinear(self, x, y):
         """[x, y] = x^T G y = Q(x+y) - Q(x) - Q(y)."""
-        if len(x) != self.rank or len(y) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates, got {len(x)} and {len(y)}")
+        x, y = _coordinates(x, self.rank), _coordinates(y, self.rank)
         total = 0
         for i, row in enumerate(self.gram):
             if x[i]:
@@ -210,8 +209,7 @@ class DiscriminantForm:
     def coset_of_dual(self, y):
         """The coset of a dual vector y (raises when y is not in the dual lattice)."""
         n = self.lattice.rank
-        if len(y) != n:
-            raise ValueError("dimension mismatch")
+        y = _coordinates(y, n)
         if any(v.denominator != 1 for v in self.lattice.image(y)):
             raise ValueError("vector is not in the dual lattice")
         # y = sum_i m_i * (column i of V) / d_i  with  m = D V^{-1} y
@@ -240,6 +238,15 @@ def _exact_int(x):
     if i != x:
         raise ValueError(f"expected an integer, got {x!r}")
     return i
+
+
+def _coordinates(v, n):
+    """v as n exact coordinates: ints and Fractions as they are, the rest
+    through `_exact_int` (1.0 is 1; 0.1, inf and NaN raise ValueError)."""
+    v = tuple(c if isinstance(c, (int, Fraction)) else _exact_int(c) for c in v)
+    if len(v) != n:
+        raise ValueError(f"expected {n} coordinates, got {len(v)}")
+    return v
 
 
 def _int_matrix(m):
@@ -367,63 +374,10 @@ def _qf_prepare(a, shift):
     return t_t, scales, lint, cint, zden, weights
 
 
-def _qf_walk(a, shift, bound, on_leaf):
-    """Drive the all-integer Fincke-Pohst recursion.
-
-    Calls on_leaf(nonzero, x0, value_scaled) for every solution, where
-    `nonzero` is the list of (index, value) pairs at levels > 0 and x0 the
-    level-0 assignment.  Returns None for a negative bound, else (T^T, zden):
-    y = shift + T^T x, with exact value value_scaled / zden.
-
-    This walk visits v and -v separately, since its callers want the points.
-    `_qf_value_counts` wants only their values, and it walks each pair {v, -v}
-    once when the coset is closed under negation (2 shift integral).
-    """
-    n = len(a)
-    bound = Fraction(bound)
-    if bound < 0:
-        return None
-    if n == 0:
-        on_leaf([], 0, 0)
-        return [], 1
-    t_t, scales, lint, cint, zden, weights = _qf_prepare(a, shift)
-    total_budget = (bound.numerator * zden) // bound.denominator
-
-    nonzero = []
-
-    def descend(level, remaining):
-        w = weights[level]
-        s = scales[level]
-        row = lint[level]
-        sk = cint[level]
-        for j, xj in nonzero:
-            sk += row[j] * xj
-        froot = isqrt(remaining // w)
-        lo = -((sk + froot) // s)
-        hi = (froot - sk) // s
-        if level == 0:
-            for xv in range(lo, hi + 1):
-                p = s * xv + sk
-                on_leaf(nonzero, xv, total_budget - remaining + w * p * p)
-        else:
-            for xv in range(lo, hi + 1):
-                p = s * xv + sk
-                rem2 = remaining - w * p * p
-                if xv:
-                    nonzero.append((level, xv))
-                    descend(level - 1, rem2)
-                    nonzero.pop()
-                else:
-                    descend(level - 1, rem2)
-
-    descend(n - 1, total_budget)
-    return t_t, zden
-
-
 def _qf_value_counts(a, shift, bound):
     """Map exact form value -> number of solutions, tallied by integer budget.
 
-    The walk of `_qf_walk`, tallied per node, with no call per leaf.  The
+    The walk of `_qf_leaves`, tallied per node, with no list of leaves.  The
     level-0 values below a level-1 node depend only on the budget left and
     on p0 mod s0 (p0 = s0 x0 + sk0), so the walk counts level-1 nodes by
     these and tallies each distinct level-0 range once, times its count.
@@ -498,24 +452,56 @@ def _qf_value_counts(a, shift, bound):
 
 
 def _qf_leaves(a, shift, bound):
-    """The walk's leaves: (T^T, zden, [(entries, used)]), or None for a
-    negative bound.
+    """The all-integer Fincke-Pohst point walk: (base, cols, zden,
+    [(entries, used)]), or None for a negative bound.
 
-    `entries` are the nonzero (index, value) pairs of the integer vector x;
-    the point y = shift + T^T x has exact value used / zden.
+    `entries` are the nonzero (index, value) pairs of the integer vector x.
+    The point y = shift + T^T x is base + sum_j x_j cols[j] (`_qf_point`),
+    base the shift with integral coordinates as ints and cols = T; its exact
+    value is used / zden.  v and -v are both visited; `_qf_value_counts`,
+    which wants only values, walks each pair once when 2 shift is integral.
     """
+    n = len(a)
+    bound = Fraction(bound)
+    if bound < 0:
+        return None
+    if n == 0:
+        return [], [], 1, [((), 0)]
+    t_t, scales, lint, cint, zden, weights = _qf_prepare(a, shift)
+    total_budget = (bound.numerator * zden) // bound.denominator
     leaves = []
+    nonzero = []
 
-    def on_leaf(nonzero, x0, used):
-        leaves.append((nonzero + [(0, x0)] if x0 else tuple(nonzero), used))
+    def descend(level, remaining):
+        w = weights[level]
+        s = scales[level]
+        row = lint[level]
+        sk = cint[level]
+        for j, xj in nonzero:
+            sk += row[j] * xj
+        froot = isqrt(remaining // w)
+        lo = -((sk + froot) // s)
+        hi = (froot - sk) // s
+        if level == 0:
+            used = total_budget - remaining
+            for xv in range(lo, hi + 1):
+                p = s * xv + sk
+                leaves.append((nonzero + [(0, xv)] if xv else tuple(nonzero),
+                               used + w * p * p))
+        else:
+            for xv in range(lo, hi + 1):
+                p = s * xv + sk
+                rem2 = remaining - w * p * p
+                if xv:
+                    nonzero.append((level, xv))
+                    descend(level - 1, rem2)
+                    nonzero.pop()
+                else:
+                    descend(level - 1, rem2)
 
-    walked = _qf_walk(a, shift, bound, on_leaf)
-    return None if walked is None else (*walked, leaves)
-
-
-def _qf_base(shift, n):
-    """The shift as a coordinate list; integral coordinates are ints."""
-    return [int(c) if c.denominator == 1 else c for c in map(Fraction, shift or [0] * n)]
+    descend(n - 1, total_budget)
+    base = [int(c) if c.denominator == 1 else c for c in map(Fraction, shift or [0] * n)]
+    return base, transpose(t_t), zden, leaves
 
 
 def _qf_point(base, cols, entries):
@@ -537,30 +523,33 @@ def _qf_enumerate(a, shift, bound):
     walked = _qf_leaves(a, shift, bound)
     if walked is None:
         return []
-    t_t, zden, leaves = walked
-    base = _qf_base(shift, len(a))
-    cols = transpose(t_t)
+    base, cols, zden, leaves = walked
     return [(_qf_point(base, cols, entries), Fraction(used, zden))
             for entries, used in leaves]
 
 
 def vectors_below(lattice, bound, coset_rep=None):
     """All v in coset_rep + L with Q(v) <= bound, sorted lexicographically."""
-    if not lattice.is_positive_definite:
-        raise ValueError("enumeration requires a positive-definite lattice")
-    out = [(tuple(Fraction(c) for c in y), val / 2) for y, val in
-           _qf_enumerate([list(r) for r in lattice.gram], coset_rep,
-                         2 * Fraction(bound))]
-    out.sort(key=lambda pair: pair[0])
-    return out
+    return sorted((tuple(Fraction(c) for c in y), val / 2) for y, val in
+                  _qf_enumerate([list(r) for r in lattice.gram],
+                                _coset_rep(lattice, coset_rep), 2 * Fraction(bound)))
 
 
 def short_vectors(lattice, m, coset_rep=None):
     """R_Lambda(m, mu) = {v in mu + L : Q(v) = m}, sorted lexicographically."""
     m = Fraction(m)
-    if m < 0:
-        return []
     return [v for v, val in vectors_below(lattice, m, coset_rep) if val == m]
+
+
+def _coset_rep(lattice, coset_rep):
+    """A representative to enumerate as exact coordinates, None for zero;
+    raises ValueError unless the lattice is positive definite."""
+    if not lattice.is_positive_definite:
+        raise ValueError("enumeration requires a positive-definite lattice")
+    if coset_rep is None:
+        return None
+    rep = _coordinates(coset_rep, lattice.rank)
+    return rep if any(rep) else None
 
 
 class _BoundedCache(OrderedDict):
@@ -603,37 +592,48 @@ class _Memo(dict):
 _QF_REDUCE_CACHE = _BoundedCache(128)
 
 
-# (gram, coset representative) -> (m, {value: count}); one pass of the test
-# suite stores about 120 keys, a benchmark workload at most a few
+# (gram, representative or None) -> (bound, {Q value: count}); one pass of
+# the test suite stores about 135 keys, a benchmark workload at most a few
 _REP_COUNT_CACHE = _BoundedCache(256)
+
+
+def _coset_counts(lattice, coset_rep, bound):
+    """{Q(v): number of v} over v in coset_rep + L with Q(v) <= bound.
+
+    The one direct count behind `representation_count`, `coset_theta` and
+    `theta_series` of an unglued lattice, memoized per Gram and
+    representative at the largest bound walked, so it may also hold values
+    past `bound`.
+    """
+    rep = _coset_rep(lattice, coset_rep)
+    bound = Fraction(bound)
+    if bound < 0:
+        return {}
+    key = (lattice.gram, rep)
+    entry = _REP_COUNT_CACHE.get(key)
+    if entry is None or entry[0] < bound:
+        counts = _qf_value_counts([list(r) for r in lattice.gram], rep, 2 * bound)
+        entry = _REP_COUNT_CACHE[key] = (bound, {v / 2: c for v, c in counts.items()})
+    return entry[1]
 
 
 def representation_count(lattice, m, coset_rep=None):
     """r_Lambda(m, mu), the number of vectors of the coset with Q = m.
 
     Always computed by direct enumeration (so it can serve as the independent
-    cross-check of the glue-code theta decomposition); counts come straight
-    out of the enumeration's budget bookkeeping and are memoized.
+    cross-check of the glue-code theta decomposition), from the count memo
+    it shares with `coset_theta` and `theta_series`.  A representative of
+    the wrong length or with a non-integral float coordinate raises ValueError.
     """
-    if not lattice.is_positive_definite:
-        raise ValueError("enumeration requires a positive-definite lattice")
     m = Fraction(m)
-    if m < 0:
-        return 0
-    rep_key = tuple(Fraction(x) for x in coset_rep) if coset_rep is not None else None
-    entry = _REP_COUNT_CACHE.get((lattice.gram, rep_key))
-    if entry is None or entry[0] < m:
-        counts = _qf_value_counts([list(r) for r in lattice.gram], coset_rep, 2 * m)
-        entry = (m, {val / 2: cnt for val, cnt in counts.items()})
-        _REP_COUNT_CACHE[(lattice.gram, rep_key)] = entry
-    return entry[1].get(m, 0)
+    return _coset_counts(lattice, coset_rep, m).get(m, 0)
 
 
 # ---------------------------------------------------------------------------
 # theta series
 # ---------------------------------------------------------------------------
 
-# gram -> theta series; the test suite stores about 8 lattices
+# gram of a glued lattice -> theta series; the test suite stores about 4
 _THETA_CACHE = _BoundedCache(32)
 
 
@@ -642,20 +642,17 @@ def coset_theta(lattice, coset_rep, bound):
 
     Q takes its values on the grid Q(rep) + (1/d)Z, d the denominator of
     G rep (d = 1 for a dual vector); the precision is the first grid point
-    past bound, so bound + 1 for the zero coset and an integer bound.
+    past bound, so bound + 1 for the zero coset and an integer bound.  The
+    counts come from the memo shared with `representation_count`, and a
+    representative raises ValueError as it does there.
     """
-    from .qseries import FracQSeries
-    if not lattice.is_positive_definite:
-        raise ValueError("theta series requires a positive-definite lattice")
-    counts = _qf_value_counts([list(r) for r in lattice.gram], coset_rep,
-                              2 * Fraction(bound))
-    coeffs = {val / 2: c for val, c in counts.items()}
-    return FracQSeries(coeffs, _theta_prec(lattice, coset_rep, bound))
+    counts = _coset_counts(lattice, coset_rep, bound)
+    return FracQSeries(counts, _theta_prec(lattice, coset_rep, bound))
 
 
 def _theta_prec(lattice, coset_rep, bound):
     """The first point past bound of the grid Q(rep) + (1/d)Z of coset_theta."""
-    rep = [Fraction(c) for c in coset_rep or [0] * lattice.rank]
+    rep = coset_rep or (0,) * lattice.rank
     q0 = lattice.q(rep)
     d = lcm(*(c.denominator for c in lattice.image(rep)))
     return q0 + Fraction(floor((Fraction(bound) - q0) * d) + 1, d)
@@ -664,23 +661,22 @@ def _theta_prec(lattice, coset_rep, bound):
 def theta_series(lattice, bound):
     """Theta series of the lattice with coefficients through q^bound.
 
-    A lattice built by `glue_lattice` from blocks L_i and a glue code C has
+    A lattice without glue gets `coset_theta(lattice, None, bound)`, from
+    the count memo of `representation_count`.  A lattice built by
+    `glue_lattice` from blocks L_i and a glue code C has
     theta_L = W_C(theta_{L_i + c}), the complete weight enumerator of C
     evaluated at the blocks' coset theta series (Conway-Sloane, SPLAG,
     ch. 7 sec. 2): exponentially faster than direct enumeration in rank 24.
-    Results are cached per lattice.  The precision is that of `coset_theta`
-    on the zero coset.
+    Only these glue-route series are cached, in `_THETA_CACHE`.  The
+    precision is that of `coset_theta` on the zero coset.
     """
+    if lattice.glue is None:
+        return coset_theta(lattice, None, bound)
     prec = _theta_prec(lattice, None, bound)
-    cached = _THETA_CACHE.get(lattice.gram)
-    if cached is not None and cached.prec >= prec:
-        return cached.truncate(prec)
-    if lattice.glue is not None:
-        theta = _theta_by_glue(lattice.glue, bound, prec)
-    else:
-        theta = coset_theta(lattice, None, bound)
-    _THETA_CACHE[lattice.gram] = theta
-    return theta
+    theta = _THETA_CACHE.get(lattice.gram)
+    if theta is None or theta.prec < prec:
+        theta = _THETA_CACHE[lattice.gram] = _theta_by_glue(lattice.glue, bound, prec)
+    return theta.truncate(prec)
 
 
 def _glue_classes(glue, bound):
@@ -726,7 +722,6 @@ def _theta_by_glue(glue, bound, prec):
     For each composition class of the code, each coset series is raised to
     its count and the powers multiplied once (SPLAG ch. 7 sec. 2).
     """
-    from .qseries import FracQSeries
     series, classes = _glue_classes(glue, bound)
     total = FracQSeries.zero(prec)
     for comp, count in classes.items():

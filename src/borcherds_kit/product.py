@@ -27,8 +27,8 @@ from operator import mul
 
 from .cyclotomic import CycScalar, e
 from .forms import WHForm
-from .lattice import _qf_base, _qf_leaves, _qf_point
-from .linalg import rational_gcd, transpose
+from .lattice import _qf_leaves, _qf_point
+from .linalg import rational_gcd
 from .qseries import LatticeQSeries, _grading_scale, _on_grid, lattice_binomial
 
 
@@ -74,9 +74,7 @@ def _cone_points(data, w, bounds, qs=None, top=None):
         walked = _qf_leaves(a, rep, bounds[lam])
         if walked is None:
             continue
-        t_t, zden, leaves = walked
-        cols = transpose(t_t)
-        base = _qf_base(rep, n)
+        base, cols, zden, leaves = walked
         p0 = int(s * sum(map(mul, rep, gwi)))
         h = [s * sum(map(mul, col, gwi)) for col in cols]
         den = lcm(zden, pair_den)

@@ -13,7 +13,7 @@ consumers must check `.prec` rather than assume.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, lcm
+from math import ceil, floor, isqrt, lcm
 from operator import add, itemgetter, mul
 
 
@@ -180,7 +180,7 @@ class FracQSeries:
 
 def _sigma(n, k):
     total = 0
-    for d in range(1, int(n ** 0.5) + 1):
+    for d in range(1, isqrt(n) + 1):
         if n % d == 0:
             total += d ** k
             if d * d != n:
@@ -328,10 +328,6 @@ class LatticeQSeries:
                 tuple(Fraction(x, s) for x in a): Fraction(c) if isinstance(c, int) else c
                 for a, (c, _) in sorted(self._terms.items(), key=itemgetter(0))}
         return self._coeffs
-
-    def grading(self, alpha):
-        """[alpha, w] for a rational coordinate vector alpha."""
-        return sum(map(mul, alpha, self._gw)) * Fraction(self._scale, self._unit)
 
     def coefficient(self, alpha):
         """The coefficient of q^alpha; 0 for an alpha off the dual grid."""

@@ -10,6 +10,7 @@ are also compared with the per-leaf tally of the full walk they replace.
 
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
 
@@ -18,8 +19,8 @@ import pytest
 from borcherds_kit.lattice import (
     GramLattice,
     _qf_enumerate,
+    _qf_leaves,
     _qf_value_counts,
-    _qf_walk,
     discriminant_form,
 )
 from borcherds_kit.linalg import invert_rational, lll_reduce_gram, mat_mul, transpose
@@ -88,15 +89,13 @@ def brute_force(gram, shift, bound):
 
 
 def former_value_counts(a, shift, bound):
-    """The value counts as tallied before the half walk: one callback per
-    leaf of the full walk, v and -v each counted where the walk meets it."""
-    counts = {}
-
-    def on_leaf(nonzero, x0, used):
-        counts[used] = counts.get(used, 0) + 1
-
-    walked = _qf_walk(a, shift, bound, on_leaf)
-    return {Fraction(used, walked[1]): c for used, c in counts.items()}
+    """The value counts as tallied before the half walk: one per leaf of the
+    full point walk, v and -v each counted where the walk meets it."""
+    walked = _qf_leaves(a, shift, bound)
+    if walked is None:
+        return {}
+    zden, leaves = walked[2:]
+    return {Fraction(used, zden): c for used, c in Counter(used for _, used in leaves).items()}
 
 
 def test_enumeration_matches_brute_force():

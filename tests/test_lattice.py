@@ -12,6 +12,7 @@ from borcherds_kit.lattice import (
     _glue_classes,
     _span,
     _theta_by_glue,
+    _qf_value_counts,
     _theta_prec,
     coset_reduce,
     coset_theta,
@@ -426,17 +427,22 @@ def test_caches_are_bounded_and_keep_warm_entries(monkeypatch, name):
     module_cache = getattr(lattice_module, name)
     size = module_cache.size
     assert size >= 8
-    # a fresh cache of the same kind, so the test neither reads nor evicts
-    # entries that other tests stored
-    cache = type(module_cache)(size)
-    monkeypatch.setattr(lattice_module, name, cache)
+    # fresh caches of the same kind, so the test neither reads nor evicts
+    # entries that other tests stored (the glue route also fills the count
+    # memo with its blocks' counts)
+    for cache_name in ("_THETA_CACHE", "_REP_COUNT_CACHE"):
+        fresh = type(getattr(lattice_module, cache_name))(getattr(lattice_module, cache_name).size)
+        monkeypatch.setattr(lattice_module, cache_name, fresh)
+    cache = getattr(lattice_module, name)
 
-    def fill(lat):
-        if name == "_THETA_CACHE":
-            return theta_series(lat, 2)
-        return representation_count(lat, 1)
-
-    lats = [GramLattice([[2 * k]]) for k in range(1, size + 4)]
+    if name == "_THETA_CACHE":
+        # the glue route's cache holds glued lattices only (here each glued
+        # by the empty code); a theta series recomputed runs `_theta_by_glue`
+        lats = [glue_lattice([GramLattice([[2 * k]])], []) for k in range(1, size + 4)]
+        fill, compute = (lambda lat: theta_series(lat, 2)), "_theta_by_glue"
+    else:
+        lats = [GramLattice([[2 * k]]) for k in range(1, size + 4)]
+        fill, compute = (lambda lat: representation_count(lat, 1)), "_qf_value_counts"
     for lat in lats:
         fill(lat)
         assert len(cache) <= size
@@ -444,14 +450,14 @@ def test_caches_are_bounded_and_keep_warm_entries(monkeypatch, name):
     held = [key if name == "_THETA_CACHE" else key[0] for key in cache]
     assert held == [lat.gram for lat in lats[3:]]
 
-    def no_enumeration(*args, **kwargs):
+    def no_recompute(*args, **kwargs):
         raise AssertionError("a warm entry must not be recomputed")
 
-    monkeypatch.setattr(lattice_module, "_qf_value_counts", no_enumeration)
-    assert fill(lats[-1]) == fill(lats[-1])  # hits, so no enumeration
+    monkeypatch.setattr(lattice_module, compute, no_recompute)
+    assert fill(lats[-1]) == fill(lats[-1])  # hits, so no recompute
     assert fill(lats[3]) is not None  # the oldest entry still held
     with pytest.raises(AssertionError, match="warm entry"):
-        fill(lats[0])  # evicted, so it is enumerated again
+        fill(lats[0])  # evicted, so it is computed again
 
 
 def test_glue_identity_code():
@@ -1040,7 +1046,7 @@ def test_coset_theta_claims_no_unenumerated_coefficient():
 def test_lattice_theta_precision_rule(monkeypatch):
     monkeypatch.setattr(lattice_module, "_THETA_CACHE", type(lattice_module._THETA_CACHE)(8))
     assert theta_series(A2, 3).prec == 4  # integer bound: bound + 1, as before
-    assert theta_series(A2, Fraction(5, 2)).prec == 3  # a cache hit, truncated
+    assert theta_series(A2, Fraction(5, 2)).prec == 3  # a count-memo hit
     assert theta_series(A1, Fraction(5, 2)).prec == 3
     # the glue route follows the same rule: E8 as A1^8 glued by the
     # extended Hamming code
@@ -1051,6 +1057,138 @@ def test_lattice_theta_precision_rule(monkeypatch):
         th = theta_series(e8, bound)
         assert th.prec == 3
         assert [th.coefficient(n) for n in range(3)] == [1, 240, 2160]
+
+
+@pytest.fixture
+def memo_walks(monkeypatch):
+    """A fresh count memo of 16 entries and a fresh glue-route cache; the
+    list holds the bound of each `_qf_value_counts` walk made since."""
+    walks = []
+    real = lattice_module._qf_value_counts
+
+    def counted(a, shift, bound):
+        walks.append(bound)
+        return real(a, shift, bound)
+
+    monkeypatch.setattr(lattice_module, "_qf_value_counts", counted)
+    monkeypatch.setattr(lattice_module, "_REP_COUNT_CACHE",
+                        type(lattice_module._REP_COUNT_CACHE)(16))
+    monkeypatch.setattr(lattice_module, "_THETA_CACHE", type(lattice_module._THETA_CACHE)(8))
+    return walks
+
+
+def test_one_count_memo_serves_theta_and_counts(memo_walks):
+    # six calls, two walks: each first call walks at its largest bound, and
+    # the rest are read from the same memo (six walks before it was shared)
+    rep = discriminant_form(A2).rep((1,))
+    assert theta_series(E8, 3).coeffs == {0: 1, 1: 240, 2: 2160, 3: 6720}
+    assert representation_count(E8, 2) == 2160
+    assert representation_count(E8, 3) == 6720
+    assert coset_theta(A2, rep, 2).coeffs == {Fraction(1, 3): 3, Fraction(4, 3): 3}
+    assert representation_count(A2, Fraction(1, 3), rep) == 3
+    assert representation_count(A2, Fraction(4, 3), rep) == 3
+    assert memo_walks == [6, 4]
+    # the zero representative is the zero coset, in any form
+    assert representation_count(E8, 1, (0,) * 8) == 240
+    assert coset_theta(E8, [Fraction(0)] * 8, 1) == theta_series(E8, 1)
+    assert theta_series(E8, 4).coefficient(4) == 17520  # a larger bound walks again
+    assert memo_walks == [6, 4, 8]
+    assert theta_series(E8, 3) == coset_theta(E8, None, 3)
+    assert memo_walks == [6, 4, 8]
+    assert E8.gram not in lattice_module._THETA_CACHE
+
+
+def test_wrong_length_representative_raises():
+    # a representative one coordinate short or long is an error, not a
+    # zero-padded or truncated coset
+    calls = [lambda rep: representation_count(A2, 1, rep),
+             lambda rep: representation_count(A2, -1, rep),
+             lambda rep: coset_theta(A2, rep, 2),
+             lambda rep: vectors_below(A2, 1, rep),
+             lambda rep: short_vectors(A2, 1, rep)]
+    for rep in ((1,), (1, 0, 0), (Fraction(1, 3),), (0, 0, 0)):
+        for call in calls:
+            with pytest.raises(ValueError, match=f"expected 2 coordinates, got {len(rep)}"):
+                call(rep)
+
+
+def test_float_coordinates_are_exact_or_rejected():
+    d = discriminant_form(A2)
+    # integral floats read as ints
+    assert A2.image((1.0, 0.0)) == (2, -1)
+    assert all(type(c) is int for c in A2.image((1.0, 0.0)))
+    assert A2.bilinear((1.0, 0), (1, 0)) == 2 and A2.q((1.0, 1.0)) == 1
+    assert d.coset_of_dual((1.0, 0.0)) == d.zero
+    assert representation_count(A2, 1, (1.0, 0.0)) == 6
+    assert len(vectors_below(A2, 1, (0.0, 0.0))) == 7
+    # the others raise instead of entering as binary fractions
+    calls = [A2.image, lambda x: A2.bilinear(x, (1, 0)), lambda x: A2.bilinear((1, 0), x),
+             A2.q, d.coset_of_dual, lambda x: representation_count(A2, 1, x)]
+    for bad in (0.1, 0.5, float("inf"), float("nan")):
+        for call in calls:
+            with pytest.raises(ValueError, match="expected an integer"):
+                call((bad, 0))
+    # exact non-integers are unchanged
+    assert A2.q((Fraction(1, 3), Fraction(2, 3))) == Fraction(1, 3)
+
+
+def _cold_counts(lat, rep, bound):
+    """{Q value: count} through bound, from one cold `_qf_value_counts` walk."""
+    counts = _qf_value_counts([list(r) for r in lat.gram], rep, 2 * Fraction(bound))
+    return {v / 2: c for v, c in counts.items()}
+
+
+def test_count_memo_matches_cold_walks(memo_walks):
+    # random definite even Grams of rank <= 4, random cosets and bounds,
+    # called in random order on a memo small enough to evict
+    rng = random.Random(16)
+    definite, indefinite = [], []
+    while len(definite) < 60 or len(indefinite) < 10:
+        n = rng.randint(1, 4)
+        b = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        shift = 2 * rng.randint(0, 5)
+        gram = [[b[i][j] + b[j][i] + shift * (i == j) for j in range(n)] for i in range(n)]
+        try:
+            lat = GramLattice(gram)
+        except ValueError:
+            continue
+        (definite if lat.is_positive_definite else indefinite).append(lat)
+    calls = []
+    for lat in definite[:60]:
+        d = discriminant_form(lat)
+        reps = [None, (0,) * lat.rank] + [d.rep(c) for c in d.cosets()][1:4]
+        reps.append(tuple(Fraction(rng.randint(-3, 3), 4) for _ in range(lat.rank)))
+        for _ in range(6):
+            kind = rng.choice(["count", "coset_theta", "theta_series"])
+            bound = Fraction(rng.randint(-1, 12), rng.choice([1, 2, 3]))
+            calls.append((kind, lat, rng.choice(reps), bound))
+    rng.shuffle(calls)
+    for kind, lat, rep, bound in calls:
+        cold = _cold_counts(lat, rep, bound)
+        if kind == "count":
+            m = rng.choice(sorted(cold)) if cold and rng.random() < 0.7 else bound
+            assert representation_count(lat, m, rep) == cold.get(m, 0), (lat.gram, rep, m)
+            continue
+        if kind == "coset_theta":
+            th = coset_theta(lat, rep, bound)
+            assert th.prec == _theta_prec(lat, rep, bound)
+        else:
+            th = theta_series(lat, bound)
+            cold = _cold_counts(lat, None, bound)
+            assert th.prec == _theta_prec(lat, None, bound)
+        assert th.coeffs == cold, (kind, lat.gram, rep, bound)
+    # the memo served some calls, and cold walks are one per call
+    assert len(calls) == 360 and 0 < len(memo_walks) < len(calls)
+    assert lattice_module._THETA_CACHE.keys().isdisjoint(lat.gram for lat in definite)
+    # an indefinite lattice raises for every m, also below zero
+    for lat in indefinite[:10]:
+        for m in (-1, Fraction(-1, 3), 0, 1, Fraction(5, 2)):
+            with pytest.raises(ValueError, match="positive-definite"):
+                representation_count(lat, m)
+            with pytest.raises(ValueError, match="positive-definite"):
+                coset_theta(lat, None, m)
+            with pytest.raises(ValueError, match="positive-definite"):
+                theta_series(lat, m)
 
 
 def test_isotropic_line_rank5_never_returns_none():
