@@ -60,20 +60,6 @@ def _emit(args, lines):
         sys.stdout.write(text)
 
 
-def _divisor_lines(expr):
-    lines = []
-    for key, coeff in expr.sorted_items():
-        if key == "omega":
-            lines.append(f"{coeff} * omega")
-        else:
-            m, mu = key
-            mu_text = ",".join(str(x) for x in mu)
-            lines.append(f"{coeff} * Z({m}, [{mu_text}])")
-    if not lines:
-        lines.append("0")
-    return lines
-
-
 def _run_lattice_info(args):
     lat = load_lattice(args.lattice)
     disc = discriminant_form(lat)
@@ -137,7 +123,7 @@ def _run_expand(args):
 def _run_relation(args):
     form, _ = load_form(args.form)
     rel = borcherds_relation(form)
-    _emit(args, _divisor_lines(rel))
+    _emit(args, rel.lines())
 
 
 def _run_embed_trick(args):
@@ -147,7 +133,7 @@ def _run_embed_trick(args):
     embedding = EmbeddingData(n1, n2, precision=args.prec)
     result = embedding_trick(form, embedding)
     expected = borcherds_relation(form)
-    lines = _divisor_lines(result)
+    lines = result.lines()
     lines.append(f"matches borcherds relation: {str(result == expected).lower()}")
     _emit(args, lines)
 

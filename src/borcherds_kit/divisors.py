@@ -1,8 +1,11 @@
 """Formal special-divisor bookkeeping in the rational Picard group.
 
 DivisorExpr is a finite rational combination of symbols Z(m, mu) with m > 0
-together with the tautological line-bundle symbol omega.  The constant-term
-conventions are rewrite rules applied on entry:
+together with the tautological line-bundle symbol omega.  Every symbol enters
+through one place, `DivisorExpr._add`, which reads m and the coefficient as
+exact rationals (ints and Fractions as they are, an integral float as its
+int) and mu as exact ints; anything else raises ValueError.  It then applies
+the constant-term conventions as rewrite rules:
 
     Z(0, 0)      -> -omega        (omega^{-1} as a line bundle)
     Z(0, mu!=0)  -> 0
@@ -15,71 +18,82 @@ trick, the modularity pairing) is exact linear algebra over these symbols.
 import math
 from fractions import Fraction
 
-from .forms import divide_by_24delta
-from .lattice import coset_theta, theta_series
+from .forms import PrecisionError, divide_by_24delta
+from .lattice import _exact_int, coset_theta, theta_series
 from .linalg import row_reduce, solve_rational, transpose
-from .product import PrecisionError
 from .qseries import delta_series
 
 OMEGA = "omega"
 
 
+def _rational(x):
+    """x as a Fraction: ints and Fractions as they are, an integral float
+    through `_exact_int` (1.0 is 1; 0.1, inf and NaN raise ValueError)."""
+    return Fraction(x if isinstance(x, (int, Fraction)) else _exact_int(x))
+
+
+def _symbol(key):
+    """`key` read exactly: OMEGA, or (m, mu) with m a Fraction and mu ints."""
+    if key == OMEGA:
+        return key
+    m, mu = key
+    return _rational(m), tuple(map(_exact_int, mu))
+
+
+def _symbol_order(key):
+    """Z(m, mu) by m, then mu, and omega last: for output and relation bases."""
+    return (1,) if key == OMEGA else (0, *key)
+
+
 class DivisorExpr:
-    """A finite rational linear combination of Z(m, mu) symbols and omega."""
+    """A finite rational linear combination of Z(m, mu) symbols and omega.
+
+    Symbols enter once and exactly, through `_add`; `lines` is the one text
+    format, which `repr` and the CLI share."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=None):
         self.terms = {}
-        if terms:
-            for key, coeff in terms.items():
-                self._accumulate(key, Fraction(coeff))
+        for key, coeff in (terms or {}).items():
+            self._add(key, coeff)
 
-    def _accumulate(self, key, coeff):
-        if coeff == 0:
-            return
+    def _add(self, key, coeff):
+        """Add coeff * key to `terms`: the only way a symbol enters them."""
+        key, coeff = _symbol(key), _rational(coeff)
         if key != OMEGA:
             m, mu = key
-            m = Fraction(m)
-            mu = tuple(int(x) for x in mu)
-            if m < 0:
+            if m < 0 or (m == 0 and any(mu)):
                 return
             if m == 0:
-                if any(mu):
-                    return
-                self._accumulate(OMEGA, -coeff)
-                return
-            key = (m, mu)
-        self.terms[key] = self.terms.get(key, Fraction(0)) + coeff
-        if self.terms[key] == 0:
-            del self.terms[key]
+                key, coeff = OMEGA, -coeff
+        total = self.terms.get(key, 0) + coeff
+        if total:
+            self.terms[key] = total
+        else:
+            self.terms.pop(key, None)
 
     @classmethod
     def z(cls, m, mu=(), coeff=1):
         out = cls()
-        out._accumulate((m, tuple(mu)), Fraction(coeff))
+        out._add((m, mu), coeff)
         return out
 
     @classmethod
     def omega(cls, coeff=1):
-        out = cls()
-        out._accumulate(OMEGA, Fraction(coeff))
-        return out
+        return cls({OMEGA: coeff})
 
     def __add__(self, other):
-        out = DivisorExpr()
-        out.terms = dict(self.terms)
+        out = DivisorExpr(self.terms)
         for key, coeff in other.terms.items():
-            out.terms[key] = out.terms.get(key, Fraction(0)) + coeff
-            if out.terms[key] == 0:
-                del out.terms[key]
+            out._add(key, coeff)
         return out
 
     def __sub__(self, other):
         return self + other * -1
 
     def __mul__(self, scalar):
-        scalar = Fraction(scalar)
+        scalar = _rational(scalar)
         out = DivisorExpr()
         if scalar:
             out.terms = {k: v * scalar for k, v in self.terms.items()}
@@ -97,29 +111,25 @@ class DivisorExpr:
         return not self.terms
 
     def coefficient(self, key):
-        if key != OMEGA:
-            key = (Fraction(key[0]), tuple(key[1]))
-        return self.terms.get(key, Fraction(0))
+        return self.terms.get(_symbol(key), Fraction(0))
 
     def sorted_items(self):
-        def sort_key(item):
-            key, _ = item
-            if key == OMEGA:
-                return (1,)
-            return (0, key[0], key[1])
-        return sorted(self.terms.items(), key=sort_key)
+        return sorted(self.terms.items(), key=lambda item: _symbol_order(item[0]))
 
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
+    def lines(self):
+        """One line per symbol in symbol order, `c * Z(m, [a,b])` or
+        `c * omega`; the single line `0` when empty."""
+        out = []
         for key, coeff in self.sorted_items():
             if key == OMEGA:
-                parts.append(f"{coeff} * omega")
+                out.append(f"{coeff} * omega")
             else:
                 m, mu = key
-                parts.append(f"{coeff} * Z({m}, {list(mu)})")
-        return " + ".join(parts)
+                out.append(f"{coeff} * Z({m}, [{','.join(map(str, mu))}])")
+        return out or ["0"]
+
+    def __repr__(self):
+        return " + ".join(self.lines())
 
 
 def borcherds_relation(form):
@@ -133,8 +143,8 @@ def borcherds_relation(form):
         raise ValueError("relations require an integral form")
     out = DivisorExpr()
     for (m, mu), c in form.principal_part().items():
-        out._accumulate((-m, mu), c)
-    out._accumulate(OMEGA, -form.coefficient(0, form.disc.zero))
+        out._add((-m, mu), c)
+    out._add(OMEGA, -form.coefficient(0, form.disc.zero))
     return out
 
 
@@ -149,7 +159,7 @@ def pullback(m, mu, lam):
     mu2 is normalized in D(Lambda).  The inner sum is finite: m2 runs over
     values of Q on the coset mu2 of Lambda inside [0, m].
     """
-    m = Fraction(m)
+    m = _rational(m)
     if m < 0:
         return DivisorExpr()
     mu1, mu2 = mu
@@ -162,7 +172,7 @@ def pullback(m, mu, lam):
     out = DivisorExpr()
     for m2, count in sorted(theta.coeffs.items()):
         if m2 <= m:
-            out._accumulate((m - m2, mu1), count)
+            out._add((m - m2, mu1), count)
     return out
 
 
@@ -175,10 +185,11 @@ def pullback_expr(expr, lam):
     out = DivisorExpr()
     for key, coeff in expr.terms.items():
         if key == OMEGA:
-            out._accumulate(OMEGA, coeff)
+            out._add(OMEGA, coeff)
         else:
             m, mu = key
-            out = out + pullback(m, (mu, zero), lam) * coeff
+            for pulled, count in pullback(m, (mu, zero), lam).terms.items():
+                out._add(pulled, count * coeff)
     return out
 
 
@@ -201,12 +212,6 @@ class EmbeddingData:
             if lhs != 24 * delta.coefficient(n):
                 raise ValueError("theta series of the pair do not differ by "
                                  "24 Delta; wrong lattices supplied")
-
-    def r1(self, k):
-        return int(self.theta1.coefficient(k)) if k <= self.precision else None
-
-    def r2(self, k):
-        return int(self.theta2.coefficient(k)) if k <= self.precision else None
 
 
 def embedding_trick(form, embedding):
@@ -236,9 +241,10 @@ def embedding_trick(form, embedding):
 
 
 def fourier_splitting_holds(form, embedding, through):
-    """Check c(m, mu) = sum_k r2(k) g(m-k, mu) - sum_k r1(k) g(m-k, mu)
-    coefficientwise for all exponents m <= through, three ways:
-    convolution sums, series products, and the original coefficients.
+    """Check c(m, mu) = sum_k r2(k) g(m-k, mu) - sum_k r1(k) g(m-k, mu), with
+    r1, r2 the coefficients of theta1, theta2, coefficientwise for all
+    exponents m <= through, three ways: convolution sums, series products,
+    and the original coefficients.
     """
     g = divide_by_24delta(form)
     pole = g.max_pole_order()
@@ -261,7 +267,8 @@ def fourier_splitting_holds(form, embedding, through):
             while k <= m + pole:
                 gm = g.coefficient(m - k, mu)
                 if gm:
-                    conv += (embedding.r2(k) - embedding.r1(k)) * gm
+                    conv += (embedding.theta2.coefficient(k)
+                             - embedding.theta1.coefficient(k)) * gm
                 k += 1
             series_val = prod2.coefficient(m) - prod1.coefficient(m)
             if not (direct == conv == series_val):
@@ -298,16 +305,11 @@ def relation_ideal(forms):
     contains(expr) decides membership in the span.
     """
     relations = [borcherds_relation(f) for f in forms]
-    keys = sorted({k for r in relations for k in r.terms},
-                  key=lambda k: (1,) if k == OMEGA else (0, k[0], k[1]))
+    keys = sorted({k for r in relations for k in r.terms}, key=_symbol_order)
     rows = [[r.terms.get(k, Fraction(0)) for k in keys] for r in relations]
     reduced, pivots = row_reduce(rows, len(keys))
     basis_rows = reduced[:len(pivots)]
-    basis = []
-    for row in basis_rows:
-        expr = DivisorExpr()
-        expr.terms = {k: v for k, v in zip(keys, row) if v != 0}
-        basis.append(expr)
+    basis = [DivisorExpr(dict(zip(keys, row))) for row in basis_rows]
     columns = transpose(basis_rows)
 
     def contains(expr):

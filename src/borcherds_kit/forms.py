@@ -15,6 +15,10 @@ from fractions import Fraction
 from .qseries import FracQSeries, delta_series
 
 
+class PrecisionError(ValueError):
+    """An operation needed coefficients beyond the stored precision."""
+
+
 class WHForm:
     """Coefficients c(m, mu) of a weakly holomorphic form, known for m < prec."""
 

@@ -889,13 +889,13 @@ class CuspData:
 
     def __init__(self, lattice, ell, n_value, k, k0, ell_star, v0, lift_rows):
         self.lattice = lattice
-        self.ell = tuple(int(x) for x in ell)
+        self.ell = ell
         self.n_value = n_value
-        self.k = tuple(Fraction(x) for x in k)
-        self.k0 = tuple(int(x) for x in k0)
-        self.ell_star = tuple(Fraction(x) for x in ell_star)
+        self.k = k
+        self.k0 = k0
+        self.ell_star = ell_star
         self.v0 = v0
-        self.lift_rows = tuple(tuple(int(x) for x in row) for row in lift_rows)
+        self.lift_rows = lift_rows
         self._gl = list(lattice.image(self.ell))
 
     @property
@@ -927,9 +927,11 @@ def cusp_data(lattice, ell, k=None):
     N is the positive generator of [L, ell].  By default k is chosen inside L
     with [ell, k] = N (always possible); an explicit dual vector k with
     [ell, k] = N may be supplied instead.  ell_* = k - (Q(k)/N) ell, which is
-    isotropic and pairs to N with ell.
+    isotropic and pairs to N with ell.  ell must have integer entries and k
+    rational ones (an integral float is read as its int); anything else
+    raises ValueError.
     """
-    ell = tuple(int(x) for x in ell)
+    ell = tuple(map(_exact_int, ell))
     if lattice.q(ell) != 0:
         raise ValueError("ell must be isotropic")
     g = gcd(*(abs(c) for c in ell))
@@ -943,18 +945,18 @@ def cusp_data(lattice, ell, k=None):
     k0 = solve_int([gl], [n_value])
     if k0 is None:
         raise AssertionError("no integral k with [ell, k] = N")
+    k0 = tuple(k0)
     if k is None:
         k = k0
     else:
-        k = [Fraction(x) for x in k]
+        k = _coordinates(k, lattice.rank)
         pair = sum(a * b for a, b in zip(gl, k))
         if pair != n_value:
             raise ValueError("supplied k must satisfy [ell, k] = N")
         if any(x.denominator != 1 for x in lattice.image(k)):
             raise ValueError("supplied k must lie in the dual lattice")
     qk = lattice.q(k)
-    ell_star = tuple(Fraction(ki) - Fraction(qk, n_value) * li
-                     for ki, li in zip(k, ell))
+    ell_star = tuple(ki - Fraction(qk, n_value) * li for ki, li in zip(k, ell))
 
     kernel = kernel_basis([gl])
     coords = solve_int(transpose(kernel), list(ell))
@@ -969,7 +971,7 @@ def cusp_data(lattice, ell, k=None):
     if m[0] != list(coords):
         raise AssertionError("failed to complete ell to a kernel basis")
     new_basis = mat_mul(m, kernel)
-    lift_rows = new_basis[1:]
+    lift_rows = tuple(map(tuple, new_basis[1:]))
     gram0 = mat_mul(mat_mul(lift_rows, lattice.gram), transpose(lift_rows))
     v0 = GramLattice(gram0, name=(f"{lattice.name}/cusp" if lattice.name else None))
     return CuspData(lattice, ell, n_value, k, k0, ell_star, v0, lift_rows)

@@ -26,14 +26,10 @@ from math import floor, lcm
 from operator import mul
 
 from .cyclotomic import CycScalar, e
-from .forms import WHForm
+from .forms import PrecisionError, WHForm
 from .lattice import _qf_leaves, _qf_point
 from .linalg import rational_gcd
 from .qseries import LatticeQSeries, _grading_scale, _on_grid, lattice_binomial
-
-
-class PrecisionError(ValueError):
-    """An operation needed coefficients beyond the stored precision."""
 
 
 def reduce_f0(form, data):
@@ -165,8 +161,6 @@ def constant_a(form, data):
     lattices.
     """
     n_val = data.n_value
-    if n_val == 1:
-        return CycScalar.from_rational(1)
     disc = data.disc_v
     result = CycScalar.from_rational(1)
     for x in range(1, n_val):

@@ -13,7 +13,7 @@ consumers must check `.prec` rather than assume.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, isqrt, lcm
+from math import ceil, comb, floor, isqrt, lcm
 from operator import add, itemgetter, mul
 
 
@@ -418,14 +418,10 @@ def _is_zero_coeff(c):
 
 def _binomial(e, k):
     """Binomial coefficient C(e, k) for integer e (possibly negative), k >= 0,
-    as an int."""
-    num = 1
-    for i in range(k):
-        num *= e - i
-    den = 1
-    for i in range(2, k + 1):
-        den *= i
-    return _as_int(Fraction(num, den))
+    as an int; C(e, k) = (-1)^k C(k - e - 1, k) for e < 0."""
+    if e >= 0:
+        return comb(e, k)
+    return (-1) ** k * comb(k - e - 1, k)
 
 
 def lattice_binomial(lattice, w, cutoff, alpha, zeta, e):

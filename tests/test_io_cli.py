@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from borcherds_kit.cli import main
+from borcherds_kit.divisors import borcherds_relation
 from borcherds_kit.forms import WHForm
 from borcherds_kit.io import (
     _LATTICE_CACHE,
@@ -23,6 +24,7 @@ from borcherds_kit.io import (
 )
 from borcherds_kit.lattice import (
     GramLattice,
+    direct_sum,
     discriminant_form,
     glue_lattice,
     theta_series,
@@ -436,6 +438,25 @@ def test_cli_relation(capsys):
     out = capsys.readouterr().out
     assert "1 * Z(1, [])" in out
     assert "-24 * omega" in out
+
+
+def test_cli_relation_nontrivial_coset(tmp_path, capsys):
+    # U+U+A1+A1 has D = Z/2 x Z/2; the coset (1,1) has Q = 1/2, so
+    # 2Q = 0 mod 1 and the form stays valid whichever sign the support
+    # condition m = +-Q(mu) mod 1 takes
+    a1, u = GramLattice([[2]]), GramLattice([[0, 1], [1, 0]])
+    lat = direct_sum([u, u, a1, a1], name="U+U+A1+A1")
+    disc = discriminant_form(lat)
+    assert disc.q((1, 1)) == Fraction(1, 2)
+    form = WHForm(disc, 0, {(Fraction(-1, 2), (1, 1)): 2, (Fraction(-1), (0, 0)): 3,
+                            (Fraction(0), (0, 0)): 5}, 1)
+    save_lattice(tmp_path / "uua1a1.json", lat)
+    path = tmp_path / "f.json"
+    save_form(path, form, "uua1a1.json")
+    assert main(["relation", "--form", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == "2 * Z(1/2, [1,1])\n3 * Z(1, [0,0])\n-5 * omega\n"
+    assert out.splitlines() == repr(borcherds_relation(form)).split(" + ")
 
 
 def test_cli_pair(capsys):

@@ -624,6 +624,26 @@ def test_cusp_data_rejects_bad_input():
         cusp_data(UU, (2, 0, 0, 0))  # imprimitive
     with pytest.raises(ValueError):
         cusp_data(UU, (1, 1, 0, 0))  # not isotropic
+    # ell is read exactly, not truncated to the cusp of (1, 0, 0, 0)
+    for ell in [(Fraction(3, 2), 0, 0, 0), (1.9, 0, 0, 0)]:
+        with pytest.raises(ValueError, match="expected an integer"):
+            cusp_data(UU, ell)
+
+
+def test_cusp_data_reads_ell_and_k_exactly():
+    data, ref = cusp_data(UU, (1.0, 0, 0, 0)), cusp_data(UU, (1, 0, 0, 0))
+    assert data.ell == ref.ell and all(type(x) is int for x in data.ell)
+    assert data.k0 == ref.k0
+    assert data.lift_rows == ref.lift_rows
+    assert data.v0.gram == ref.v0.gram
+    # a dual k with a half-integral entry, given as a Fraction; as a float
+    # it raises like every other inexact coordinate
+    n2 = GramLattice([[0, 2, 0], [2, 0, 0], [0, 0, 2]])
+    dual_k = cusp_data(n2, (1, 0, 0), k=(0, 1, Fraction(1, 2)))
+    assert dual_k.k == (0, 1, Fraction(1, 2))
+    assert dual_k.n_value == 2
+    with pytest.raises(ValueError):
+        cusp_data(n2, (1, 0, 0), k=(0, 1, 0.5))
 
 
 def test_cusp_data_maximal_forces_n_one():

@@ -7,6 +7,7 @@ from borcherds_kit.lattice import GramLattice
 from borcherds_kit.qseries import (
     FracQSeries,
     LatticeQSeries,
+    _binomial,
     delta_series,
     eisenstein,
     j_series,
@@ -331,3 +332,22 @@ def test_lattice_series_validates_only_in_the_public_constructor(monkeypatch):
     assert prod.coeffs == {(Fraction(k), Fraction(k)): Fraction(3 * (k + 2))
                            for k in range(5)}
     assert all(type(c) is Fraction for c in prod.coeffs.values())
+
+
+def former_binomial(e, k):
+    """The hand-rolled C(e, k) over Fraction that math.comb replaced."""
+    num = 1
+    for i in range(k):
+        num *= e - i
+    den = 1
+    for i in range(2, k + 1):
+        den *= i
+    return Fraction(num, den)
+
+
+def test_binomial_matches_former_loop():
+    for e in range(-12, 13):
+        for k in range(13):
+            value = _binomial(e, k)
+            assert type(value) is int
+            assert value == former_binomial(e, k), (e, k)
