@@ -198,7 +198,8 @@ class ProductExpansion:
 
     body is graded by [., w] with constant term 1; the prefactor q_rho and
     the constant A are stored, not multiplied in, since rho may have
-    nonpositive grading.  weight_out records c(0, 0).
+    nonpositive grading.  weight_out is Borcherds' weight c(0, 0)/2 of the
+    product (Invent. Math. 132 (1998), Thm 13.3), a Fraction.
     """
 
     def __init__(self, body, weyl_exponent, constant, weight_out, skipped=0):
@@ -296,7 +297,8 @@ def product_expand(form, data, chamber, weyl_vector, cutoff):
 
 
 def _weight_out(form):
+    """The weight c(0, 0)/2 of the product of an integral form."""
     c00 = form.coefficient(0, form.disc.zero)
     if c00.denominator != 1:
         raise ValueError("c(0, 0) must be an integer")
-    return int(c00)
+    return Fraction(c00) / 2

@@ -501,6 +501,16 @@ def test_cli_rejects_threads(capsys):
     assert "--threads" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("form, weight", [("knz-input", "0"), ("one-over-delta", "12"),
+                                           ("one-over-delta-x24", "288")])
+def test_cli_expand_prints_half_the_constant_term(tmp_path, form, weight):
+    # the weight line is Borcherds' weight c(0, 0)/2 (c(0, 0) = 0, 24, 576)
+    out = tmp_path / "expand.txt"
+    assert main(["expand", "--lattice", "u-plus-u", "--form", form, "--chamber-point",
+                 "2,-1", "--weyl", "0,-1", "--cutoff", "3", "--out", str(out)]) == 0
+    assert out.read_text().splitlines()[4] == f"weight: {weight}"
+
+
 EXPAND_KNZ = ["expand", "--lattice", "u-plus-u", "--form", "knz-input",
               "--chamber-point", "2,-1", "--weyl", "0,-1"]
 

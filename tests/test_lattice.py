@@ -422,6 +422,34 @@ def test_theta_matches_eisenstein_for_e8():
         assert th.coefficient(n) == e4.coefficient(n)
 
 
+def test_witt_pair_share_theta_e4_squared():
+    # Witt's pair, the even unimodular lattices of rank 16: E8+E8 by the
+    # direct walk and D16+ (D16 glued along a spinor coset) by the glue
+    # route both give theta = E4^2 through q^4
+    from borcherds_kit.qseries import eisenstein
+    gram = [[2 * (i == j) for j in range(16)] for i in range(16)]
+    for i, j in [(i, i + 1) for i in range(14)] + [(13, 15)]:
+        gram[i][j] = gram[j][i] = -1
+    d16 = GramLattice(gram, name="D16")
+    disc = discriminant_form(d16)
+    assert disc.order == 4
+    # the two spinor cosets have Q = 16/8 = 0 mod 1, the vector coset 1/2
+    spinor = [c for c in disc.cosets() if c != disc.zero and disc.q(c) == 0]
+    assert len(spinor) == 2
+    d16_plus = glue_lattice([d16], [(spinor[0],)], name="D16+")
+    e8_e8 = direct_sum([E8, E8])
+    assert abs(d16_plus.det) == abs(e8_e8.det) == 1
+    assert e8_e8.glue is None and d16_plus.glue is not None
+    e4 = eisenstein(4, 4)
+    e4_squared = [sum(e4.coefficient(k) * e4.coefficient(n - k) for k in range(n + 1))
+                  for n in range(5)]
+    assert e4_squared == [1, 480, 61920, 1050240, 7926240]
+    for lat in (e8_e8, d16_plus):
+        theta = theta_series(lat, 4)
+        assert [theta.coefficient(n) for n in range(5)] == e4_squared, lat.name
+        assert theta.prec == 5
+
+
 @pytest.mark.parametrize("name", ["_THETA_CACHE", "_REP_COUNT_CACHE"])
 def test_caches_are_bounded_and_keep_warm_entries(monkeypatch, name):
     module_cache = getattr(lattice_module, name)

@@ -261,6 +261,21 @@ def test_product_expand_knz_matches_j_difference():
             assert shifted.get(key, 0) == val, f"missing {key}"
 
 
+@pytest.mark.parametrize("c00, weight", [(24, 12), (5, Fraction(5, 2)), (0, 0)])
+def test_weight_out_is_half_the_constant_term(c00, weight):
+    # Borcherds' weight is c(0, 0)/2: 1/Delta = q^-1 + 24 + ... gives 12
+    base = knz_form()
+    zero = DISC_UU.zero
+    coeffs = {k: v for k, v in base.coefficients.items() if k != (0, zero)}
+    if c00:
+        coeffs[(Fraction(0), zero)] = Fraction(c00)
+    f = WHForm(DISC_UU, 0, coeffs, base.prec)
+    ch = chamber_of((2, -1), reduce_f0(f, CUSP_UU), CUSP_UU)
+    pe = product_expand(f, CUSP_UU, ch, (0, -1), 3)
+    assert pe.weight_out == weight
+    assert f"weight={weight})" in repr(pe)
+
+
 def test_product_expand_empty_principal_part():
     f = WHForm(DISC_UU, 0, {}, 2)
     f0 = reduce_f0(f, CUSP_UU)
