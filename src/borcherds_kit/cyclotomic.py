@@ -5,12 +5,17 @@ root of unity, kept reduced modulo the M-th cyclotomic polynomial, so
 equality is decidable coefficientwise.  Mixed-conductor arithmetic promotes
 both operands to the least common conductor.  Square roots of positive
 integers are represented exactly through quadratic Gauss sums, which keeps
-the whole scalar tower inside one cyclotomic field.  One long division by a
-monic polynomial (`_monic_divmod`) builds the cyclotomic polynomials and
-reduces modulo them; the inverse solves x y = 1 with `linalg.solve_rational`
-on the matrix of multiplication by x, whose columns that division reduces.
+the whole scalar tower inside one cyclotomic field: for an odd prime p the
+sum sum_a zeta_p^(a^2) is one CycScalar built from the count of each a^2
+mod p, reduced once, as `weil.milgram_sum` builds its sum.  One long
+division by a monic polynomial (`_monic_divmod`) builds the cyclotomic
+polynomials, at most 128 of them cached, and reduces modulo them, on the
+integers over the common denominator of the coefficients; the inverse
+solves x y = 1 with `linalg.solve_rational` on the matrix of
+multiplication by x, whose columns that division reduces.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -18,7 +23,9 @@ from math import lcm
 from .linalg import solve_rational, transpose
 
 
-@lru_cache(maxsize=None)
+# the library code touches about 60 conductors in a pass of the test suite and
+# fewer in a benchmark pass; an evicted polynomial is only recomputed
+@lru_cache(maxsize=128)
 def cyclotomic_polynomial(m):
     """Coefficients (low degree first) of the m-th cyclotomic polynomial."""
     if m == 1:
@@ -52,12 +59,14 @@ def _monic_divmod(num, den):
 
 
 def _reduce_mod_cyclotomic(coeffs, m):
-    """Reduce {exponent: coeff} modulo zeta_m^m = 1 and the cyclotomic polynomial."""
-    dense = [Fraction(0)] * m
+    """Reduce {exponent: Fraction} modulo zeta_m^m = 1 and the cyclotomic
+    polynomial, dividing the integers over the common denominator."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    dense = [0] * m
     for e, c in coeffs.items():
-        dense[e % m] += c
+        dense[e % m] += c.numerator * (den // c.denominator)
     _, rem = _monic_divmod(dense, cyclotomic_polynomial(m))
-    return {e: c for e, c in enumerate(rem) if c != 0}
+    return {e: Fraction(c, den) for e, c in enumerate(rem) if c}
 
 
 class CycScalar:
@@ -247,12 +256,8 @@ def sqrt_positive_int(n):
 def _sqrt_prime(p):
     if p == 2:
         return e(Fraction(1, 8)) + e(Fraction(-1, 8))
-    gauss = CycScalar.from_rational(0)
-    for a in range(p):
-        gauss = gauss + e(Fraction(a * a, p))
-    if p % 4 == 1:
-        return gauss
-    return e(Fraction(-1, 4)) * gauss
+    gauss = CycScalar(p, Counter(a * a % p for a in range(p)))
+    return gauss if p % 4 == 1 else e(Fraction(-1, 4)) * gauss
 
 
 def _factor(n):

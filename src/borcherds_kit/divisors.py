@@ -2,10 +2,10 @@
 
 DivisorExpr is a finite rational combination of symbols Z(m, mu) with m > 0
 together with the tautological line-bundle symbol omega.  Every symbol enters
-through one place, `DivisorExpr._add`, which reads m and the coefficient as
-exact rationals (ints and Fractions as they are, an integral float as its
-int) and mu as exact ints; anything else raises ValueError.  It then applies
-the constant-term conventions as rewrite rules:
+through one place, `DivisorExpr._add`, which reads m and the coefficient
+with `linalg.exact_rational` (ints and Fractions as they are, an integral
+float as its int) and mu with `linalg.exact_int`; anything else raises
+ValueError.  It then applies the constant-term conventions as rewrite rules:
 
     Z(0, 0)      -> -omega        (omega^{-1} as a line bundle)
     Z(0, mu!=0)  -> 0
@@ -19,17 +19,11 @@ import math
 from fractions import Fraction
 
 from .forms import PrecisionError, divide_by_24delta
-from .lattice import _exact_int, coset_theta, theta_series
-from .linalg import row_reduce, solve_rational, transpose
+from .lattice import coset_theta, theta_series
+from .linalg import exact_int, exact_rational, row_reduce, solve_rational, transpose
 from .qseries import delta_series
 
 OMEGA = "omega"
-
-
-def _rational(x):
-    """x as a Fraction: ints and Fractions as they are, an integral float
-    through `_exact_int` (1.0 is 1; 0.1, inf and NaN raise ValueError)."""
-    return Fraction(x if isinstance(x, (int, Fraction)) else _exact_int(x))
 
 
 def _symbol(key):
@@ -37,7 +31,7 @@ def _symbol(key):
     if key == OMEGA:
         return key
     m, mu = key
-    return _rational(m), tuple(map(_exact_int, mu))
+    return exact_rational(m), tuple(map(exact_int, mu))
 
 
 def _symbol_order(key):
@@ -60,7 +54,7 @@ class DivisorExpr:
 
     def _add(self, key, coeff):
         """Add coeff * key to `terms`: the only way a symbol enters them."""
-        key, coeff = _symbol(key), _rational(coeff)
+        key, coeff = _symbol(key), exact_rational(coeff)
         if key != OMEGA:
             m, mu = key
             if m < 0 or (m == 0 and any(mu)):
@@ -93,7 +87,7 @@ class DivisorExpr:
         return self + other * -1
 
     def __mul__(self, scalar):
-        scalar = _rational(scalar)
+        scalar = exact_rational(scalar)
         out = DivisorExpr()
         if scalar:
             out.terms = {k: v * scalar for k, v in self.terms.items()}
@@ -159,7 +153,7 @@ def pullback(m, mu, lam):
     mu2 is normalized in D(Lambda).  The inner sum is finite: m2 runs over
     values of Q on the coset mu2 of Lambda inside [0, m].
     """
-    m = _rational(m)
+    m = exact_rational(m)
     if m < 0:
         return DivisorExpr()
     mu1, mu2 = mu

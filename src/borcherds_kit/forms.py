@@ -4,7 +4,10 @@ A WHForm stores finitely many principal-part coefficients (m < 0) and a
 truncated nonnegative part, one exact rational per (exponent, coset) pair.
 The constructor enforces the form's invariants, so every WHForm, including
 the results of `scale`, `+` and `divide_by_24delta`, has a positive
-precision and satisfies the support condition m = Q(mu) mod 1.
+precision and satisfies the support condition m = Q(mu) mod 1.  The
+weight, the precision, every m and every coefficient, and the m asked of
+`coefficient`, are read with `linalg.exact_rational`: ints and Fractions as
+they are, an integral float as its int, anything else raises ValueError.
 `is_integral()` tells whether the relation and product code may use it.
 No analytic transformation property is checked here.
 """
@@ -12,6 +15,7 @@ No analytic transformation property is checked here.
 import math
 from fractions import Fraction
 
+from .linalg import exact_rational
 from .qseries import FracQSeries, delta_series
 
 
@@ -24,15 +28,15 @@ class WHForm:
 
     def __init__(self, disc, weight, coefficients, prec):
         self.disc = disc
-        self.weight = Fraction(weight)
-        self.prec = Fraction(prec)
+        self.weight = exact_rational(weight)
+        self.prec = exact_rational(prec)
         if self.prec <= 0:
             raise ValueError("precision must be positive so that c(0, 0) is known")
         coeffs = {}
         for (m, mu), c in coefficients.items():
-            m = Fraction(m)
+            m = exact_rational(m)
             mu = disc.normalize(mu)
-            c = Fraction(c)
+            c = exact_rational(c)
             if c == 0 or m >= self.prec:
                 continue
             if (m - disc.q(mu)).denominator != 1:
@@ -50,7 +54,7 @@ class WHForm:
         return cls(disc, weight, coeffs, series.prec)
 
     def coefficient(self, m, mu):
-        m = Fraction(m)
+        m = exact_rational(m)
         if m >= self.prec:
             raise ValueError(f"coefficient at exponent {m} is beyond precision "
                              f"{self.prec}")

@@ -15,6 +15,8 @@ from operator import getitem, mul
 
 from .linalg import (
     _det_and_signature,
+    exact_int,
+    exact_rational,
     hermite_normal_form,
     invert_rational,
     kernel_basis,
@@ -37,7 +39,7 @@ class GramLattice:
     __slots__ = ("rank", "gram", "name", "glue", "det", "signature_pair", "_disc")
 
     def __init__(self, gram, name=None, glue=None):
-        gram = tuple(tuple(map(_exact_int, row)) for row in gram)
+        gram = tuple(tuple(map(exact_int, row)) for row in gram)
         rank = len(gram)
         for i, row in enumerate(gram):
             if len(row) != rank:
@@ -173,7 +175,7 @@ class DiscriminantForm:
     def normalize(self, coset):
         if len(coset) != len(self.invariant_factors):
             raise ValueError("coset tuple has wrong length")
-        return tuple(_exact_int(a) % f for a, f in zip(coset, self.invariant_factors))
+        return tuple(exact_int(a) % f for a, f in zip(coset, self.invariant_factors))
 
     def add(self, c1, c2):
         return tuple((a + b) % f for a, b, f in
@@ -229,28 +231,17 @@ class DiscriminantForm:
         return f"DiscriminantForm({parts})"
 
 
-def _exact_int(x):
-    """x as an int; raises ValueError when x is not an integer (or is inf/NaN)."""
-    try:
-        i = int(x)
-    except (OverflowError, ValueError):  # inf and NaN
-        i = None
-    if i != x:
-        raise ValueError(f"expected an integer, got {x!r}")
-    return i
-
-
 def _coordinates(v, n):
     """v as n exact coordinates: ints and Fractions as they are, the rest
-    through `_exact_int` (1.0 is 1; 0.1, inf and NaN raise ValueError)."""
-    v = tuple(c if isinstance(c, (int, Fraction)) else _exact_int(c) for c in v)
+    through `exact_int` (1.0 is 1; 0.1, inf and NaN raise ValueError)."""
+    v = tuple(c if isinstance(c, (int, Fraction)) else exact_int(c) for c in v)
     if len(v) != n:
         raise ValueError(f"expected {n} coordinates, got {len(v)}")
     return v
 
 
 def _int_matrix(m):
-    return [[_exact_int(x) for x in row] for row in m]
+    return [[exact_int(x) for x in row] for row in m]
 
 
 def discriminant_form(lattice):
@@ -607,15 +598,16 @@ def _qf_enumerate(a, shift, bound):
 
 
 def vectors_below(lattice, bound, coset_rep=None):
-    """All v in coset_rep + L with Q(v) <= bound, sorted lexicographically."""
+    """All v in coset_rep + L with Q(v) <= bound, sorted lexicographically;
+    bound is read by `exact_rational`, so 0.1 raises ValueError."""
     return sorted((tuple(Fraction(c) for c in y), val / 2) for y, val in
                   _qf_enumerate([list(r) for r in lattice.gram],
-                                _coset_rep(lattice, coset_rep), 2 * Fraction(bound)))
+                                _coset_rep(lattice, coset_rep), 2 * exact_rational(bound)))
 
 
 def short_vectors(lattice, m, coset_rep=None):
     """R_Lambda(m, mu) = {v in mu + L : Q(v) = m}, sorted lexicographically."""
-    m = Fraction(m)
+    m = exact_rational(m)
     return [v for v, val in vectors_below(lattice, m, coset_rep) if val == m]
 
 
@@ -684,7 +676,7 @@ def _coset_counts(lattice, coset_rep, bound):
     past `bound`.
     """
     rep = _coset_rep(lattice, coset_rep)
-    bound = Fraction(bound)
+    bound = exact_rational(bound)
     if bound < 0:
         return {}
     key = (lattice.gram, rep)
@@ -701,9 +693,10 @@ def representation_count(lattice, m, coset_rep=None):
     Always computed by direct enumeration (so it can serve as the independent
     cross-check of the glue-code theta decomposition), from the count memo
     it shares with `coset_theta` and `theta_series`.  A representative of
-    the wrong length or with a non-integral float coordinate raises ValueError.
+    the wrong length or with a non-integral float coordinate raises
+    ValueError, and so does an m that `exact_rational` rejects, such as 0.1.
     """
-    m = Fraction(m)
+    m = exact_rational(m)
     return _coset_counts(lattice, coset_rep, m).get(m, 0)
 
 
@@ -722,7 +715,7 @@ def coset_theta(lattice, coset_rep, bound):
     G rep (d = 1 for a dual vector); the precision is the first grid point
     past bound, so bound + 1 for the zero coset and an integer bound.  The
     counts come from the memo shared with `representation_count`, and a
-    representative raises ValueError as it does there.
+    representative or bound raises ValueError as it does there.
     """
     counts = _coset_counts(lattice, coset_rep, bound)
     return FracQSeries(counts, _theta_prec(lattice, coset_rep, bound))
@@ -733,7 +726,7 @@ def _theta_prec(lattice, coset_rep, bound):
     rep = coset_rep or (0,) * lattice.rank
     q0 = lattice.q(rep)
     d = lcm(*(c.denominator for c in lattice.image(rep)))
-    return q0 + Fraction(floor((Fraction(bound) - q0) * d) + 1, d)
+    return q0 + Fraction(floor((exact_rational(bound) - q0) * d) + 1, d)
 
 
 def theta_series(lattice, bound):
@@ -746,7 +739,8 @@ def theta_series(lattice, bound):
     evaluated at the blocks' coset theta series (Conway-Sloane, SPLAG,
     ch. 7 sec. 2): exponentially faster than direct enumeration in rank 24.
     Only these glue-route series are cached, in `_THETA_CACHE`.  The
-    precision is that of `coset_theta` on the zero coset.
+    precision is that of `coset_theta` on the zero coset, and a bound that
+    `exact_rational` rejects, such as 0.1, raises ValueError.
     """
     if lattice.glue is None:
         return coset_theta(lattice, None, bound)
@@ -1009,7 +1003,7 @@ def cusp_data(lattice, ell, k=None):
     rational ones (an integral float is read as its int); anything else
     raises ValueError.
     """
-    ell = tuple(map(_exact_int, ell))
+    ell = tuple(map(exact_int, ell))
     if lattice.q(ell) != 0:
         raise ValueError("ell must be isotropic")
     g = gcd(*(abs(c) for c in ell))

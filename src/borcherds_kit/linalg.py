@@ -1,11 +1,33 @@
 """Exact integer and rational linear algebra.
 
 Everything here works over Python ints and fractions.Fraction; no floating
-point anywhere.  Matrices are lists (or tuples) of rows.
+point anywhere.  Matrices are lists (or tuples) of rows.  `exact_int` and
+`exact_rational` are the one rule by which the package reads a number given
+to it: ints and Fractions as they are, an integral float as its int, and
+anything else (0.1, inf, NaN, a string) raises ValueError.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
+
+
+def exact_int(x):
+    """x as an int; raises ValueError when x is not an integer (or is inf/NaN)."""
+    try:
+        i = int(x)
+    except (OverflowError, TypeError, ValueError):  # inf, NaN, non-numbers
+        i = None
+    if i is None or i != x:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return i
+
+
+def exact_rational(x):
+    """x as a Fraction: a Fraction as it is, an int or an integral float
+    (1.0 is 1) as its Fraction; 0.1, inf and NaN raise ValueError."""
+    if isinstance(x, Fraction):
+        return x
+    return Fraction(x if isinstance(x, int) else exact_int(x))
 
 
 def identity(n):

@@ -6,6 +6,9 @@ holds a truncated multivariate series over the dual of a Lorentzian lattice,
 graded by pairing against a fixed interior point of the light cone; it works
 on integers throughout (exponents scaled onto one integer grid, gradings as
 ints on a common scale) and builds Fractions only for what it returns.
+FracQSeries reads its exponents, coefficients and precision with
+`linalg.exact_rational`: ints and Fractions as they are, an integral float
+as its int, and anything else, such as 0.1, raises ValueError.
 
 Every operation computes the tightest sound precision for its result;
 consumers must check `.prec` rather than assume.
@@ -16,6 +19,8 @@ from functools import lru_cache
 from math import ceil, comb, floor, isqrt, lcm
 from operator import add, itemgetter, mul
 
+from .linalg import exact_rational
+
 
 class FracQSeries:
     """Truncated series sum_e c_e q^e with e in (1/L)Z, c_e rational, e < prec;
@@ -24,11 +29,11 @@ class FracQSeries:
     __slots__ = ("denominator", "prec", "coeffs")
 
     def __init__(self, coeffs, prec):
-        self.prec = Fraction(prec)
+        self.prec = exact_rational(prec)
         cleaned = {}
         for e, c in coeffs.items():
-            e = Fraction(e)
-            c = Fraction(c)
+            e = exact_rational(e)
+            c = exact_rational(c)
             if c == 0 or e >= self.prec:
                 continue
             cleaned[e] = cleaned.get(e, Fraction(0)) + c
@@ -48,13 +53,13 @@ class FracQSeries:
         return min(self.coeffs) if self.coeffs else self.prec
 
     def coefficient(self, e):
-        e = Fraction(e)
+        e = exact_rational(e)
         if e >= self.prec:
             raise ValueError(f"coefficient of q^{e} not known below precision {self.prec}")
         return self.coeffs.get(e, Fraction(0))
 
     def truncate(self, prec):
-        prec = Fraction(prec)
+        prec = exact_rational(prec)
         if prec > self.prec:
             raise ValueError("cannot raise precision by truncation")
         return FracQSeries({e: c for e, c in self.coeffs.items() if e < prec}, prec)
@@ -124,7 +129,7 @@ class FracQSeries:
 
     def shift(self, e):
         """Multiply by q^e."""
-        e = Fraction(e)
+        e = exact_rational(e)
         return FracQSeries({k + e: c for k, c in self.coeffs.items()}, self.prec + e)
 
     def inverse(self):

@@ -24,15 +24,15 @@ Because rho_S = c Z with c != 0, the braid relation holds exactly when
 
 entry by entry, where T = diag(zeta_N^t_mu).  `braid_holds` computes every
 entry of (Z T)^3 and Z^2 as integer counts over Z/N (T is diagonal, so a
-product step only adds exponents) and compares the two sides in the one
-field Q(zeta_M), M = lcm(N, 8, conductor of sqrt(|D|)), as integer vectors
-over a common denominator.
+product step only adds exponents), reads each distinct count vector once as
+the CycScalar sum_r a_r zeta_N^r, and decides each distinct entry pair
+(x, y) as the CycScalar identity e(-sig8/8) x == sqrt(|D|) y.  All Q(zeta)
+arithmetic is CycScalar's.
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul
 
 from .cyclotomic import CycScalar, e, sqrt_positive_int
@@ -129,9 +129,18 @@ def _packed_mat_mul(a, b, level, width):
     return out
 
 
-def _unpack(packed, level, width):
+def _entry_reader(level, width):
+    """The reader of packed entries: packed -> the CycScalar
+    sum_r a_r zeta_N^r, built once per distinct packed int."""
     mask = (1 << width) - 1
-    return [(packed >> (r * width)) & mask for r in range(level)]
+    values = {}
+
+    def value(packed):
+        if packed not in values:
+            values[packed] = CycScalar(level, {r: (packed >> (r * width)) & mask
+                                               for r in range(level)})
+        return values[packed]
+    return value
 
 
 def _s_products(rep):
@@ -144,42 +153,23 @@ def _s_products(rep):
 def braid_holds(rep):
     """(rho_S rho_T)^3 == rho_S^2, exactly, over every entry.
 
-    Entries are compared as pairs ((Z T)^3 entry, Z^2 entry); each distinct
-    pair is decided once.
+    Entries are compared as pairs (x, y) of a (Z T)^3 entry and a Z^2 entry;
+    each distinct pair is decided once, as e(-sig8/8) x == sqrt(|D|) y.
     """
     n = rep.level
     z2, width = _s_products(rep)
     zt = _pack_matrix([[(x + tj) % n for x, tj in zip(row, rep.t)] for row in rep.z],
                       width)
     zt3 = _packed_mat_mul(_packed_mat_mul(zt, zt, n, width), zt, n, width)
-
+    value = _entry_reader(n, width)
+    turn = e(Fraction(-rep.sig8, 8))
     sqrt_d = sqrt_positive_int(rep.disc.order)
-    m = lcm(n, 8, sqrt_d.conductor)
-    den = lcm(*(c.denominator for c in sqrt_d.coeffs.values()))
-    sqrt_terms = [(x * (m // sqrt_d.conductor), int(c * den))
-                  for x, c in sqrt_d.coeffs.items()]
-    step, turn = m // n, (-rep.sig8 * m // 8) % m
     decided = {}
-
-    def sides_agree(lhs, rhs):
-        # den * e(-sig8/8) * lhs - (den * sqrt|D|) * rhs over Z/M, then mod Phi_M
-        diff = {}
-        for r, a in enumerate(_unpack(lhs, n, width)):
-            if a:
-                x = (r * step + turn) % m
-                diff[x] = diff.get(x, 0) + den * a
-        for r, b in enumerate(_unpack(rhs, n, width)):
-            if b:
-                for y, s in sqrt_terms:
-                    x = (r * step + y) % m
-                    diff[x] = diff.get(x, 0) - b * s
-        return CycScalar(m, diff).is_zero()
-
     for row3, row2 in zip(zt3, z2):
-        for pair in zip(row3, row2):
-            agree = decided.get(pair)
+        for x, y in zip(row3, row2):
+            agree = decided.get((x, y))
             if agree is None:
-                agree = decided[pair] = sides_agree(*pair)
+                agree = decided[x, y] = turn * value(x) == sqrt_d * value(y)
             if not agree:
                 return False
     return True
@@ -193,13 +183,7 @@ def s_fourth_power_scalar(rep):
     n = rep.level
     z2, width = _s_products(rep)
     z4 = _packed_mat_mul(z2, z2, n, width)
-    values = {}
-
-    def value(packed):
-        if packed not in values:
-            values[packed] = CycScalar(n, dict(enumerate(_unpack(packed, n, width))))
-        return values[packed]
-
+    value = _entry_reader(n, width)
     diagonal = value(z4[0][0])
     for i, row in enumerate(z4):
         for j, entry in enumerate(row):

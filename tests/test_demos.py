@@ -1,5 +1,6 @@
-"""Each demo runs to completion; demos 01, 03, 04 and 05 print exactly their
-recorded output.  Demo 02 prints timings, so it is only run."""
+"""Each demo runs to completion under `-X dev -W error`, with nothing on
+stderr; demos 01, 03, 04 and 05 print exactly their recorded output.  Demo
+02 prints timings, so its stdout is not compared."""
 
 import os
 import subprocess
@@ -21,10 +22,10 @@ RECORDED = {
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_runs(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=path),
+    proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", str(demo)],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=path),
                           capture_output=True, check=False)
-    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.returncode == 0 and proc.stderr == b"", proc.stderr.decode()
     if demo.name in RECORDED:
         expected = (Path(__file__).parent / RECORDED[demo.name]).read_bytes()
         assert proc.stdout == expected

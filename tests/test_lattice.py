@@ -1180,6 +1180,23 @@ def test_float_coordinates_are_exact_or_rejected():
     assert A2.q((Fraction(1, 3), Fraction(2, 3))) == Fraction(1, 3)
 
 
+def test_float_values_and_bounds_are_exact_or_rejected():
+    # an integral float m or bound is read as its int
+    assert representation_count(E8, 1.0) == representation_count(E8, 1) == 240
+    assert coset_theta(A2, None, 2.0) == coset_theta(A2, None, 2)
+    assert theta_series(E8, 1.0) == theta_series(E8, 1)
+    assert vectors_below(A2, 1.0) == vectors_below(A2, 1)
+    assert short_vectors(A2, 1.0) == short_vectors(A2, 1)
+    # any other float raises instead of entering as a binary fraction
+    calls = [lambda x: representation_count(E8, x), lambda x: coset_theta(A2, None, x),
+             lambda x: theta_series(E8, x), lambda x: vectors_below(A2, x),
+             lambda x: short_vectors(A2, x)]
+    for bad in (0.1, 0.5, float("inf"), float("nan")):
+        for call in calls:
+            with pytest.raises(ValueError, match="expected an integer"):
+                call(bad)
+
+
 def _cold_counts(lat, rep, bound):
     """{Q value: count} through bound, from one cold `_qf_value_counts` walk."""
     counts = _qf_value_counts([list(r) for r in lat.gram], rep, 2 * Fraction(bound))

@@ -7,6 +7,8 @@ from borcherds_kit.io import load_lattice
 from borcherds_kit.lattice import GramLattice, direct_sum
 from borcherds_kit.linalg import (
     det_int,
+    exact_int,
+    exact_rational,
     hermite_normal_form,
     identity,
     invert_rational,
@@ -532,3 +534,20 @@ def test_rational_gcd():
     assert rational_gcd([Fraction(4, 3), Fraction(2, 3)]) == Fraction(2, 3)
     assert rational_gcd([0, Fraction(5, 7)]) == Fraction(5, 7)
     assert rational_gcd([]) == 0
+
+
+def test_exact_number_rule():
+    for x in (3, -3, 3.0, True):
+        assert exact_int(x) == int(x) and type(exact_int(x)) is int
+    half = Fraction(1, 2)
+    assert exact_rational(half) is half
+    for x, want in ((3, 3), (-2.0, -2), (Fraction(6, 4), Fraction(3, 2))):
+        got = exact_rational(x)
+        assert got == want and type(got) is Fraction
+    for bad in (0.1, 0.5, float("inf"), float("-inf"), float("nan"), "1", None, 1j, [1]):
+        with pytest.raises(ValueError, match="expected an integer"):
+            exact_rational(bad)
+        with pytest.raises(ValueError, match="expected an integer"):
+            exact_int(bad)
+    with pytest.raises(ValueError, match="expected an integer"):
+        exact_int(half)

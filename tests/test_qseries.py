@@ -109,6 +109,22 @@ def test_j_series():
     assert j_series(8).is_integral()
 
 
+def test_exact_numbers_in_series():
+    # ints, Fractions and integral floats are read exactly
+    assert FracQSeries({1.0: 2.0, Fraction(1, 2): 3}, 3.0) == \
+        FracQSeries({1: 2, Fraction(1, 2): 3}, 3)
+    f = FracQSeries({0: 1, 1: 2}, 3)
+    assert f.coefficient(1.0) == 2 and f.truncate(2.0) == f.truncate(2)
+    assert f.shift(1.0) == f.shift(1)
+    # anything else raises instead of entering as a binary fraction
+    bad_calls = [lambda x: FracQSeries({x: 1}, 1), lambda x: FracQSeries({0: x}, 1),
+                 lambda x: FracQSeries({}, x), f.coefficient, f.truncate, f.shift]
+    for bad in (0.1, 0.5, float("inf"), float("nan"), "1/2"):
+        for call in bad_calls:
+            with pytest.raises(ValueError, match="expected an integer"):
+                call(bad)
+
+
 def test_mul_basic():
     one_plus = FracQSeries({0: 1, 1: 1}, 5)
     one_minus = FracQSeries({0: 1, 1: -1}, 5)

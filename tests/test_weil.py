@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,6 +11,7 @@ from borcherds_kit.cyclotomic import (
     CycScalar,
     _monic_divmod,
     _reduce_mod_cyclotomic,
+    _sqrt_prime,
     cyclotomic_polynomial,
     e,
     sqrt_positive_int,
@@ -19,6 +22,9 @@ from borcherds_kit.linalg import mat_mul
 from borcherds_kit.qseries import delta_series
 from borcherds_kit.weil import (
     WeilRepData,
+    _pack_matrix,
+    _packed_mat_mul,
+    _s_products,
     braid_holds,
     build_weil_rep,
     conjugate_rep,
@@ -64,9 +70,36 @@ def test_cyc_scalar_random_field_axioms():
 
 
 def test_sqrt_positive_int():
-    for n in (1, 2, 3, 4, 5, 6, 8, 9, 12, 24):
-        s = sqrt_positive_int(n)
-        assert s * s == n
+    for n in range(1, 201):
+        assert sqrt_positive_int(n) ** 2 == n
+
+
+def _former_sqrt_prime(p):
+    if p == 2:
+        return e(Fraction(1, 8)) + e(Fraction(-1, 8))
+    gauss = CycScalar.from_rational(0)
+    for a in range(p):
+        gauss = gauss + e(Fraction(a * a, p))
+    if p % 4 == 1:
+        return gauss
+    return e(Fraction(-1, 4)) * gauss
+
+
+def test_gauss_sum_in_one_step_matches_former_loop():
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+              71, 73, 79, 83, 89, 97):
+        new, old = _sqrt_prime(p), _former_sqrt_prime(p)
+        assert (new.conductor, new.coeffs) == (old.conductor, old.coeffs)
+
+
+def test_cyclotomic_polynomial_cache_is_bounded():
+    assert cyclotomic_polynomial.cache_info().maxsize == 128
+    before = [cyclotomic_polynomial(m) for m in range(1, 301)]
+    assert cyclotomic_polynomial.cache_info().currsize <= 128
+    cyclotomic_polynomial.cache_clear()
+    assert [cyclotomic_polynomial(m) for m in range(1, 301)] == before
+    assert all(cyclotomic_polynomial(m) == _former_cyclotomic_polynomial(m)
+               for m in range(1, 61))
 
 
 def test_gauss_sum_sign_conventions():
@@ -178,13 +211,120 @@ def test_exponent_rep_matches_cyc_scalar_reference(name):
         assert braid_holds(bad) is _reference_braid_holds(rho_t, rho_s) is False
 
 
+def _z_perturbations(rep):
+    """`rep` with one entry z_ij moved to z_ij + 1, for every i, j."""
+    for i, row in enumerate(rep.z):
+        for j in range(len(row)):
+            z = [list(r) for r in rep.z]
+            z[i][j] = (z[i][j] + 1) % rep.level
+            yield WeilRepData(rep.disc, rep.sig8, rep.level, rep.t, z)
+
+
+def _t_perturbations(rep):
+    """`rep` with one exponent t_i moved to t_i + 1, for every i."""
+    for i in range(len(rep.t)):
+        t = list(rep.t)
+        t[i] = (t[i] + 1) % rep.level
+        yield WeilRepData(rep.disc, rep.sig8, rep.level, t, rep.z)
+
+
 def test_braid_fails_for_a_perturbed_t_exponent():
     for lat, sig in (SIG8["A1"], SIG8["A2"], SIG8["A1+A2"], (A1_CUBED, 3)):
         rep = build_weil_rep(discriminant_form(lat), sig)
-        for i in range(len(rep.t)):
-            t = list(rep.t)
-            t[i] = (t[i] + 1) % rep.level
-            assert not braid_holds(WeilRepData(rep.disc, rep.sig8, rep.level, t, rep.z))
+        assert all(not braid_holds(bad) for bad in _t_perturbations(rep))
+
+
+def test_braid_fails_for_a_perturbed_z_exponent():
+    for lat, sig in (SIG8["A1"], SIG8["A2"], SIG8["A1+A2"], (A1_CUBED, 3)):
+        rep = build_weil_rep(discriminant_form(lat), sig)
+        assert all(not braid_holds(bad) for bad in _z_perturbations(rep))
+
+
+def test_s_fourth_power_is_not_scalar_for_a_perturbed_z_exponent():
+    # on A1 two of the four perturbations keep Z^4 scalar, so A1 is left out
+    for lat, sig in (SIG8["A2"], SIG8["A1+A2"], (A1_CUBED, 3)):
+        rep = build_weil_rep(discriminant_form(lat), sig)
+        assert all(s_fourth_power_scalar(bad) is None for bad in _z_perturbations(rep))
+
+
+# The braid check that compared the two sides as integer vectors in a
+# hand-built Q(zeta_M), kept as the reference of the differential test below.
+
+def _unpack(packed, level, width):
+    mask = (1 << width) - 1
+    return [(packed >> (r * width)) & mask for r in range(level)]
+
+
+def _former_braid_holds(rep):
+    """(rho_S rho_T)^3 == rho_S^2, exactly, over every entry.
+
+    Entries are compared as pairs ((Z T)^3 entry, Z^2 entry); each distinct
+    pair is decided once.
+    """
+    n = rep.level
+    z2, width = _s_products(rep)
+    zt = _pack_matrix([[(x + tj) % n for x, tj in zip(row, rep.t)] for row in rep.z],
+                      width)
+    zt3 = _packed_mat_mul(_packed_mat_mul(zt, zt, n, width), zt, n, width)
+
+    sqrt_d = sqrt_positive_int(rep.disc.order)
+    m = lcm(n, 8, sqrt_d.conductor)
+    den = lcm(*(c.denominator for c in sqrt_d.coeffs.values()))
+    sqrt_terms = [(x * (m // sqrt_d.conductor), int(c * den))
+                  for x, c in sqrt_d.coeffs.items()]
+    step, turn = m // n, (-rep.sig8 * m // 8) % m
+    decided = {}
+
+    def sides_agree(lhs, rhs):
+        # den * e(-sig8/8) * lhs - (den * sqrt|D|) * rhs over Z/M, then mod Phi_M
+        diff = {}
+        for r, a in enumerate(_unpack(lhs, n, width)):
+            if a:
+                x = (r * step + turn) % m
+                diff[x] = diff.get(x, 0) + den * a
+        for r, b in enumerate(_unpack(rhs, n, width)):
+            if b:
+                for y, s in sqrt_terms:
+                    x = (r * step + y) % m
+                    diff[x] = diff.get(x, 0) - b * s
+        return CycScalar(m, diff).is_zero()
+
+    for row3, row2 in zip(zt3, z2):
+        for pair in zip(row3, row2):
+            agree = decided.get(pair)
+            if agree is None:
+                agree = decided[pair] = sides_agree(*pair)
+            if not agree:
+                return False
+    return True
+
+
+def _niemeier_a1():
+    from borcherds_kit.codes import binary_golay_generators
+    from borcherds_kit.lattice import glue_lattice
+    return glue_lattice([A1] * 24,
+                        [tuple((c,) for c in r) for r in binary_golay_generators()])
+
+
+def test_braid_matches_former_integer_vector_check():
+    # every (lattice, sig8) of this file: each signature on the groups of
+    # order at most 8, with every perturbation of t and z, and the true and
+    # the next signature on |D| = 81 and 75, where one check takes 0.2 s
+    small = [lat for lat, _ in SIG8.values()] + [A1_CUBED, D4, UA1, _niemeier_a1()]
+    large = [direct_sum([A2] * 4), direct_sum([A4, A4, A2])]
+    outcomes = Counter()
+    for lat in small + large:
+        disc = discriminant_form(lat)
+        rep = build_weil_rep(disc, disc.signature_mod8)
+        sigs = range(8) if lat in small else (rep.sig8, rep.sig8 + 1)
+        cases = [WeilRepData(disc, sig, rep.level, rep.t, rep.z) for sig in sigs]
+        if lat in small:
+            cases += [*_t_perturbations(rep), *_z_perturbations(rep)]
+        for case in cases:
+            got = braid_holds(case)
+            assert got is _former_braid_holds(case), (lat.name, case.sig8)
+            outcomes[got] += 1
+    assert outcomes[True] >= len(small + large) and outcomes[False] > 100
 
 
 def test_braid_compares_every_entry(monkeypatch):
@@ -201,6 +341,25 @@ def test_braid_compares_every_entry(monkeypatch):
     assert braid_holds(rep)
     monkeypatch.setattr(weil, "_packed_mat_mul", corrupt_last_entry)
     assert not braid_holds(rep)
+
+
+def test_s_fourth_power_compares_every_entry(monkeypatch):
+    # one more zeta^0 in the last entry of the first row of Z^4, the second
+    # packed product, so only an off-diagonal entry changes
+    real = weil._packed_mat_mul
+    calls = []
+
+    def corrupt_z4(a, b, level, width):
+        out = real(a, b, level, width)
+        calls.append(level)
+        if len(calls) == 2:
+            out[0][-1] += 1
+        return out
+
+    rep = build_weil_rep(discriminant_form(A1A2), 3)
+    assert s_fourth_power_scalar(rep) == e(Fraction(-3, 2))
+    monkeypatch.setattr(weil, "_packed_mat_mul", corrupt_z4)
+    assert s_fourth_power_scalar(rep) is None and len(calls) == 2
 
 
 @pytest.mark.parametrize("blocks, order, sig", [
@@ -336,6 +495,23 @@ def test_support_enforced_on_nontrivial_group():
         WHForm(d, 0, {(Fraction(-3, 4), (0,)): 1}, 2)
     with pytest.raises(ValueError, match="precision must be positive"):
         WHForm(d, 0, {}, 0)
+
+
+def test_exact_numbers_in_forms():
+    d = discriminant_form(UA1)
+    # ints, Fractions and integral floats are read exactly
+    f = WHForm(d, -2.0, {(Fraction(-3, 4), (1,)): 2.0, (1.0, (0,)): 5}, 2.0)
+    assert f == WHForm(d, -2, {(Fraction(-3, 4), (1,)): 2, (1, (0,)): 5}, 2)
+    assert f.coefficient(1.0, (0,)) == 5
+    # anything else raises instead of entering as a binary fraction
+    bad_calls = [lambda x: WHForm(d, x, {}, 1), lambda x: WHForm(d, 0, {}, x),
+                 lambda x: WHForm(d, 0, {(x, (0,)): 1}, 1),
+                 lambda x: WHForm(d, 0, {(0, (0,)): x}, 1),
+                 lambda x: f.coefficient(x, (0,))]
+    for bad in (0.1, 0.5, float("inf"), float("nan")):
+        for call in bad_calls:
+            with pytest.raises(ValueError, match="expected an integer"):
+                call(bad)
 
 
 def test_derived_forms_keep_support_on_nontrivial_group():
