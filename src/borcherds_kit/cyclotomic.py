@@ -58,15 +58,28 @@ def _monic_divmod(num, den):
     return quot, rem[:deg]
 
 
+def _numerators(coeffs):
+    """(den, [(exponent, integer numerator)]): {exponent: Fraction} over its
+    common denominator."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in coeffs.items()]
+
+
+def _reduce_dense(dense, den, m):
+    """dense / den, integers indexed by exponents mod m, reduced modulo the
+    cyclotomic polynomial and divided once: {exponent: Fraction}."""
+    _, rem = _monic_divmod(dense, cyclotomic_polynomial(m))
+    return {e: Fraction(c, den) for e, c in enumerate(rem) if c}
+
+
 def _reduce_mod_cyclotomic(coeffs, m):
     """Reduce {exponent: Fraction} modulo zeta_m^m = 1 and the cyclotomic
     polynomial, dividing the integers over the common denominator."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
+    den, terms = _numerators(coeffs)
     dense = [0] * m
-    for e, c in coeffs.items():
-        dense[e % m] += c.numerator * (den // c.denominator)
-    _, rem = _monic_divmod(dense, cyclotomic_polynomial(m))
-    return {e: Fraction(c, den) for e, c in enumerate(rem) if c}
+    for e, c in terms:
+        dense[e % m] += c
+    return _reduce_dense(dense, den, m)
 
 
 class CycScalar:
@@ -139,13 +152,18 @@ class CycScalar:
             return CycScalar(self.conductor,
                              {e: c * other for e, c in self.coeffs.items()
                               if c * other != 0}, reduced=True)
+        # the term pairs multiply integer numerators over the product of the
+        # common denominators; exponents below phi(M) sum to less than 2M
         a, b = self._pair(other)
-        out = {}
-        for e1, c1 in a.coeffs.items():
-            for e2, c2 in b.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return CycScalar(a.conductor, out)
+        m = a.conductor
+        den_a, terms_a = _numerators(a.coeffs)
+        den_b, terms_b = _numerators(b.coeffs)
+        dense = [0] * (2 * m)
+        for e1, c1 in terms_a:
+            for e2, c2 in terms_b:
+                dense[e1 + e2] += c1 * c2
+        return CycScalar(m, _reduce_dense([x + y for x, y in zip(dense, dense[m:])],
+                                          den_a * den_b, m), reduced=True)
 
     def __rmul__(self, other):
         return self.__mul__(other)

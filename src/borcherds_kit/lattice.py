@@ -372,7 +372,7 @@ _TALLY_ORDER = 1 << 16
 def _qf_value_counts(a, shift, bound):
     """Map exact form value -> number of solutions, tallied by state.
 
-    The walk of `_qf_leaves`, counted without a list of leaves.  Level m
+    The walk of `_qf_leaves`, counted without visiting each leaf.  Level m
     has p_m = s_m x_m + sk_m, the offset sk_m fixed by the x above it.  The
     subtree below a level is fixed by its state: the budget left, the half
     flag and the offsets sk_m of every lower level.  Shifting x_m by k
@@ -521,56 +521,84 @@ def _qf_value_counts(a, shift, bound):
 
 
 def _qf_leaves(a, shift, bound):
-    """The all-integer Fincke-Pohst point walk: (base, cols, zden,
-    [(entries, used)]), or None for a negative bound.
+    """The all-integer Fincke-Pohst point walk: (base, cols, zden, leaves),
+    or None for a negative bound.
 
-    `entries` are the nonzero (index, value) pairs of the integer vector x.
-    The point y = shift + T^T x is base + sum_j x_j cols[j] (`_qf_point`),
-    base the shift with integral coordinates as ints and cols = T; its exact
-    value is used / zden.  v and -v are both visited; `_qf_value_counts`,
-    which wants only values, walks each pair once when 2 shift is integral.
+    `leaves` is an iterator that yields each leaf (entries, used) as the walk
+    reaches it; `entries` are the nonzero (index, value) pairs of the
+    integer vector x.  The point y = shift + T^T x is base + sum_j x_j
+    cols[j] (`_qf_point`), base the shift with integral coordinates as ints
+    and cols = T; its exact value is used / zden.  v and -v are both
+    visited; `_qf_value_counts`, which wants only values, walks each pair
+    once when 2 shift is integral.
+
+    The walk runs in one frame on an explicit stack of its levels and hands
+    each leaf on before it takes the next, so its memory is O(depth + what
+    the caller keeps), however many leaves it walks: `chamber_of` at the
+    E8+U cusp keeps 2812 walls of 20931 leaves, and the list of every leaf
+    had taken 5.5 MB.  A chain of one `yield from` generator per level
+    yields the same leaves but resumes a frame per level for each one: it
+    took 1.22 times as long on those 20931 leaves (rank 10) and 1.31 times
+    on the 195657 vectors of N(A1^24) + A1 + A1 with 2Q <= 4 (rank 26),
+    medians of alternating runs on a 2-CPU VM with Python 3.11.
     """
     n = len(a)
     bound = Fraction(bound)
     if bound < 0:
         return None
+    base = [int(c) if c.denominator == 1 else c for c in map(Fraction, shift or [0] * n)]
     if n == 0:
-        return [], [], 1, [((), 0)]
+        return base, [], 1, iter([((), 0)])
     t_t, scales, lint, cint, zden, weights = _qf_prepare(a, shift)
     total_budget = (bound.numerator * zden) // bound.denominator
-    leaves = []
-    nonzero = []
 
-    def descend(level, remaining):
-        w = weights[level]
-        s = scales[level]
-        row = lint[level]
-        sk = cint[level]
-        for j, xj in nonzero:
-            sk += row[j] * xj
-        froot = isqrt(remaining // w)
-        lo = -((sk + froot) // s)
-        hi = (froot - sk) // s
-        if level == 0:
-            used = total_budget - remaining
-            for xv in range(lo, hi + 1):
-                p = s * xv + sk
-                leaves.append((nonzero + [(0, xv)] if xv else tuple(nonzero),
-                               used + w * p * p))
-        else:
-            for xv in range(lo, hi + 1):
-                p = s * xv + sk
-                rem2 = remaining - w * p * p
+    def walk():
+        # each level above 0 on the path keeps its x, the last x it takes,
+        # its offset sk and the budget it was entered with; `nonzero` holds
+        # the nonzero x of those levels, top level first
+        xs, his, sks, rems = [0] * n, [0] * n, [0] * n, [0] * n
+        nonzero = []
+        level, remaining = n - 1, total_budget
+        while True:
+            s, row, sk, w = scales[level], lint[level], cint[level], weights[level]
+            for j, xj in nonzero:
+                sk += row[j] * xj
+            froot = isqrt(remaining // w)
+            lo = -((sk + froot) // s)
+            hi = (froot - sk) // s
+            if level == 0:
+                used = total_budget - remaining
+                for xv in range(lo, hi + 1):
+                    p = s * xv + sk
+                    yield (nonzero + [(0, xv)] if xv else tuple(nonzero),
+                           used + w * p * p)
+            elif lo <= hi:
+                xs[level], his[level], sks[level], rems[level] = lo, hi, sk, remaining
+                if lo:
+                    nonzero.append((level, lo))
+                p = s * lo + sk
+                remaining -= w * p * p
+                level -= 1
+                continue
+            # up to the lowest level with an x left, and on to its next x
+            while True:
+                level += 1
+                if level == n:
+                    return
+                xv = xs[level]
                 if xv:
-                    nonzero.append((level, xv))
-                    descend(level - 1, rem2)
                     nonzero.pop()
-                else:
-                    descend(level - 1, rem2)
+                if xv < his[level]:
+                    break
+            xv += 1
+            xs[level] = xv
+            if xv:
+                nonzero.append((level, xv))
+            p = scales[level] * xv + sks[level]
+            remaining = rems[level] - weights[level] * p * p
+            level -= 1
 
-    descend(n - 1, total_budget)
-    base = [int(c) if c.denominator == 1 else c for c in map(Fraction, shift or [0] * n)]
-    return base, transpose(t_t), zden, leaves
+    return base, transpose(t_t), zden, walk()
 
 
 def _qf_point(base, cols, entries):

@@ -13,12 +13,14 @@ constants are carried alongside, never multiplied in.
 
 Walls and product factors are both filtered from one walk of the cosets of
 V0 under the positive-definite majorant 2Q(x) + [x, w]^2 / |Q(w)|
-(`_cone_points`).  After the walk everything stays in integers until a
-point is kept: [x, w] is an integer on the grading scale of the product's
-series (x scaled onto the dual grid, paired with an integer multiple of
-G w), Q(x) is read off the walk's exact integer majorant value, and both
-are compared against integer targets.  Wall signs come from the same
-integer pairing; the series multiply on integer exponents and gradings.
+(`_cone_points`).  The walk streams its leaves and each is filtered as it
+arrives, so memory is O(depth + kept), not O(leaves walked).  After the
+walk everything stays in integers until a point is kept: [x, w] is an
+integer on the grading scale of the product's series (x scaled onto the
+dual grid, paired with an integer multiple of G w), Q(x) is read off the
+walk's exact integer majorant value, and both are compared against
+integer targets.  Wall signs come from the same integer pairing; the
+series multiply on integer exponents and gradings.
 """
 
 from fractions import Fraction

@@ -22,12 +22,13 @@ Because rho_S = c Z with c != 0, the braid relation holds exactly when
 
     e(-sig8/8) (Z T)^3 = sqrt(|D|) Z^2
 
-entry by entry, where T = diag(zeta_N^t_mu).  `braid_holds` computes every
-entry of (Z T)^3 and Z^2 as integer counts over Z/N (T is diagonal, so a
-product step only adds exponents), reads each distinct count vector once as
-the CycScalar sum_r a_r zeta_N^r, and decides each distinct entry pair
-(x, y) as the CycScalar identity e(-sig8/8) x == sqrt(|D|) y.  All Q(zeta)
-arithmetic is CycScalar's.
+entry by entry, where T = diag(zeta_N^t_mu).  `braid_holds` computes the
+entries of (Z T)^3 and Z^2 as integer counts over Z/N (T is diagonal, so a
+product step only adds exponents), one row of each at a time, reads each
+distinct count vector once as the CycScalar sum_r a_r zeta_N^r, and decides
+each distinct entry pair (x, y) as the CycScalar identity
+e(-sig8/8) x == sqrt(|D|) y, stopping at the first row that fails.  All
+Q(zeta) arithmetic is CycScalar's.
 """
 
 from collections import Counter
@@ -115,18 +116,20 @@ def _pack_matrix(exponents, width):
     return [[1 << (x * width) for x in row] for row in exponents]
 
 
-def _packed_mat_mul(a, b, level, width):
+def _packed_row_mul(row, cols, level, width):
+    """The packed row vector row * B, given the columns of B."""
     shift = level * width
     mask = (1 << shift) - 1
-    cols = list(zip(*b))
     out = []
-    for row in a:
-        new = []
-        for col in cols:
-            acc = sum(map(mul, row, col))
-            new.append((acc & mask) + (acc >> shift))
-        out.append(new)
+    for col in cols:
+        acc = sum(map(mul, row, col))
+        out.append((acc & mask) + (acc >> shift))
     return out
+
+
+def _packed_mat_mul(a, b, level, width):
+    cols = list(zip(*b))
+    return [_packed_row_mul(row, cols, level, width) for row in a]
 
 
 def _entry_reader(level, width):
@@ -143,10 +146,15 @@ def _entry_reader(level, width):
     return value
 
 
+def _packed_z(rep):
+    """Z (packed) and the field width it was packed with."""
+    width = (rep.disc.order ** 3).bit_length()
+    return _pack_matrix(rep.z, width), width
+
+
 def _s_products(rep):
     """Z^2 (packed) and the field width it was packed with."""
-    width = (rep.disc.order ** 3).bit_length()
-    zz = _pack_matrix(rep.z, width)
+    zz, width = _packed_z(rep)
     return _packed_mat_mul(zz, zz, rep.level, width), width
 
 
@@ -154,18 +162,23 @@ def braid_holds(rep):
     """(rho_S rho_T)^3 == rho_S^2, exactly, over every entry.
 
     Entries are compared as pairs (x, y) of a (Z T)^3 entry and a Z^2 entry;
-    each distinct pair is decided once, as e(-sig8/8) x == sqrt(|D|) y.
+    each distinct pair is decided once, as e(-sig8/8) x == sqrt(|D|) y.  The
+    rows are built and compared one at a time, row i of (Z T)^3 as
+    ((e_i Z T) Z T) Z T and row i of Z^2 as (e_i Z) Z, so a wrong signature
+    or exponent stops at its first failing row.
     """
     n = rep.level
-    z2, width = _s_products(rep)
+    zz, width = _packed_z(rep)
     zt = _pack_matrix([[(x + tj) % n for x, tj in zip(row, rep.t)] for row in rep.z],
                       width)
-    zt3 = _packed_mat_mul(_packed_mat_mul(zt, zt, n, width), zt, n, width)
+    zz_cols, zt_cols = list(zip(*zz)), list(zip(*zt))
     value = _entry_reader(n, width)
     turn = e(Fraction(-rep.sig8, 8))
     sqrt_d = sqrt_positive_int(rep.disc.order)
     decided = {}
-    for row3, row2 in zip(zt3, z2):
+    for row_zt, row_z in zip(zt, zz):
+        row3 = _packed_row_mul(_packed_row_mul(row_zt, zt_cols, n, width), zt_cols, n, width)
+        row2 = _packed_row_mul(row_z, zz_cols, n, width)
         for x, y in zip(row3, row2):
             agree = decided.get((x, y))
             if agree is None:

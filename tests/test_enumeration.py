@@ -6,11 +6,15 @@ provably contains every solution.  The oracle enumerates that box directly.
 
 The value counts walk each pair {v, -v} once when 2 shift is integral; they
 are also compared with the per-leaf tally of the full walk they replace, and
-with the former node-by-node walk that the state tally replaced.
+with the former node-by-node walk that the state tally replaced.  The point
+walk streams its leaves; they are compared, in order, with the former walk
+that built a list of them, and the chamber walls are checked to be found
+without holding one.
 """
 
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import isqrt, lcm
@@ -18,14 +22,16 @@ from math import isqrt, lcm
 import pytest
 
 from borcherds_kit import lattice as lattice_module
-from borcherds_kit.io import load_lattice
+from borcherds_kit.io import load_form, load_lattice
 from borcherds_kit.lattice import (
     GramLattice,
     _qf_enumerate,
     _qf_leaves,
     _qf_prepare,
     _qf_value_counts,
+    cusp_data,
     discriminant_form,
+    isotropic_line,
 )
 from borcherds_kit.linalg import (
     invert_rational,
@@ -34,6 +40,7 @@ from borcherds_kit.linalg import (
     smith_normal_form,
     transpose,
 )
+from borcherds_kit.product import chamber_of, reduce_f0
 
 
 def dominant_gram(rng, n, slack=2):
@@ -418,3 +425,139 @@ def test_state_tally_on_e8_and_the_niemeier_lattices(splits):
         assert counts == {0: 1, 2: roots}
         assert counts == level_walk_value_counts(gram, None, 2) == former_value_counts(gram, None, 2)
         assert splits == [5]
+
+
+# The former `_qf_leaves`, copied verbatim under a new name: the point walk
+# that appended every leaf to a list before returning, the reference of the
+# streamed walk.
+def former_qf_leaves(a, shift, bound):
+    """The all-integer Fincke-Pohst point walk: (base, cols, zden,
+    [(entries, used)]), or None for a negative bound.
+
+    `entries` are the nonzero (index, value) pairs of the integer vector x.
+    The point y = shift + T^T x is base + sum_j x_j cols[j] (`_qf_point`),
+    base the shift with integral coordinates as ints and cols = T; its exact
+    value is used / zden.  v and -v are both visited; `_qf_value_counts`,
+    which wants only values, walks each pair once when 2 shift is integral.
+    """
+    n = len(a)
+    bound = Fraction(bound)
+    if bound < 0:
+        return None
+    if n == 0:
+        return [], [], 1, [((), 0)]
+    t_t, scales, lint, cint, zden, weights = _qf_prepare(a, shift)
+    total_budget = (bound.numerator * zden) // bound.denominator
+    leaves = []
+    nonzero = []
+
+    def descend(level, remaining):
+        w = weights[level]
+        s = scales[level]
+        row = lint[level]
+        sk = cint[level]
+        for j, xj in nonzero:
+            sk += row[j] * xj
+        froot = isqrt(remaining // w)
+        lo = -((sk + froot) // s)
+        hi = (froot - sk) // s
+        if level == 0:
+            used = total_budget - remaining
+            for xv in range(lo, hi + 1):
+                p = s * xv + sk
+                leaves.append((nonzero + [(0, xv)] if xv else tuple(nonzero),
+                               used + w * p * p))
+        else:
+            for xv in range(lo, hi + 1):
+                p = s * xv + sk
+                rem2 = remaining - w * p * p
+                if xv:
+                    nonzero.append((level, xv))
+                    descend(level - 1, rem2)
+                    nonzero.pop()
+                else:
+                    descend(level - 1, rem2)
+
+    descend(n - 1, total_budget)
+    base = [int(c) if c.denominator == 1 else c for c in map(Fraction, shift or [0] * n)]
+    return base, transpose(t_t), zden, leaves
+
+
+def streamed_leaves(a, shift, bound):
+    """`_qf_leaves` with its leaves drawn into a list, after checking that
+    they come as an iterator."""
+    walked = _qf_leaves(a, shift, bound)
+    if walked is None:
+        return None
+    base, cols, zden, leaves = walked
+    assert iter(leaves) is leaves
+    return base, cols, zden, list(leaves)
+
+
+def test_streamed_leaves_match_the_former_list():
+    # integral and rational matrices, shifts None, half-integral and
+    # rational, bounds negative, zero, integral and off the grid
+    rng = random.Random(20)
+    kinds = Counter()
+    leaves = 0
+    for trial in range(160):
+        n = rng.randint(1, 5)
+        if rng.random() < 0.25:
+            a = [list(r) for r in dominant_gram(rng, n).gram]
+        else:
+            a = random_definite(rng, n)
+        kind = rng.random()
+        if kind < 0.2:
+            shift = None
+        elif kind < 0.5:
+            shift = [Fraction(rng.randint(-3, 3), 2) for _ in range(n)]
+        else:
+            shift = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 6])) for _ in range(n)]
+        bound = Fraction(rng.randint(-4, 40), rng.choice([1, 1, 2, 3, 7]))
+        got = streamed_leaves(a, shift, bound)
+        assert got == former_qf_leaves(a, shift, bound), (a, shift, bound)
+        kinds["negative" if got is None else "empty" if not got[3] else "leaves"] += 1
+        leaves += 0 if got is None else len(got[3])
+    assert streamed_leaves([], None, 1) == former_qf_leaves([], None, 1)
+    assert kinds["negative"] >= 10 and kinds["empty"] >= 10 and kinds["leaves"] >= 80, kinds
+    assert leaves > 5000, leaves
+
+
+E8_U = load_lattice("e8-plus-2u")
+E8_U_POINTS = {
+    "w-star": (840, 1100, 1350, 910, 460, 680, 570, 290, 74, -1055),
+    "w2": (1260, 1650, 2025, 1365, 690, 1020, 855, 435, 123, -985),
+    "w3": (504, 660, 810, 546, 276, 408, 342, 174, 93, -214),
+}
+
+
+@pytest.mark.parametrize("name", E8_U_POINTS)
+def test_streamed_leaves_on_the_e8_u_majorants(name):
+    # the majorant 2Q(x) + [x, w]^2 / |Q(w)| of V0 = E8 + U at each chamber
+    # point of the cusp benchmark, walked to the wall bound of chamber_of
+    # at radius 2, (2 + 2^2) * 1
+    v0 = cusp_data(E8_U, isotropic_line(E8_U)).v0
+    w = E8_U_POINTS[name]
+    gw, nqw = v0.image(w), -v0.q(w)
+    a = [[v0.gram[i][j] + gw[i] * gw[j] / nqw for j in range(10)] for i in range(10)]
+    got = streamed_leaves(a, None, 6)
+    assert got == former_qf_leaves(a, None, 6)
+    assert name != "w-star" or len(got[3]) == 20931
+
+
+def test_chamber_walls_are_found_without_a_list_of_leaves():
+    # chamber_of at w* keeps 2812 walls of the 20931 leaves it walks; the
+    # list of every leaf took 5.5 MB, so the peak over the retained result
+    # shows whether the walk holds one
+    form, _ = load_form("e4sq-over-delta")
+    data = cusp_data(E8_U, isotropic_line(E8_U))
+    f0 = reduce_f0(form, data)
+    chamber_of(E8_U_POINTS["w-star"], f0, data)  # warm the reduction caches
+    tracemalloc.start()
+    try:
+        chamber = chamber_of(E8_U_POINTS["w-star"], f0, data)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(chamber.wall_signs) == 2812
+    assert peak <= kept + 512 * 1024, (kept, peak)

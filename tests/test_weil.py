@@ -74,6 +74,47 @@ def test_sqrt_positive_int():
         assert sqrt_positive_int(n) ** 2 == n
 
 
+# The former `CycScalar.__mul__`, copied verbatim under a new name: every
+# term pair multiplied and added as Fractions, the reference of the integer
+# product below.
+def _former_mul(self, other):
+    if isinstance(other, (int, Fraction)):
+        return CycScalar(self.conductor,
+                         {e: c * other for e, c in self.coeffs.items()
+                          if c * other != 0}, reduced=True)
+    a, b = self._pair(other)
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return CycScalar(a.conductor, out)
+
+
+def test_integer_mul_matches_former_fraction_loop():
+    # random elements of Q(zeta_m), m = 1..60, with Fraction coefficients,
+    # times elements of the same field, of a field of another conductor
+    # (promoted to the least common one) and rationals, zero included
+    rng = random.Random(47)
+
+    def rand_scalar(m):
+        return CycScalar(m, {rng.randrange(m): Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+                             for _ in range(rng.randint(0, m))})
+
+    products = 0
+    for m in range(1, 61):
+        for _ in range(3):
+            a = rand_scalar(m)
+            other = rng.choice([d for d in range(1, 61) if lcm(m, d) <= 120])
+            for b in (rand_scalar(m), rand_scalar(other), a,
+                      Fraction(rng.randint(-5, 5), rng.randint(1, 5)), rng.randint(-3, 3)):
+                new, old = a * b, _former_mul(a, b)
+                assert (new.conductor, list(new.coeffs.items())) == \
+                    (old.conductor, list(old.coeffs.items())), (a, b)
+                products += not new.is_zero()
+    assert products > 600  # not vacuous
+
+
 def _former_sqrt_prime(p):
     if p == 2:
         return e(Fraction(1, 8)) + e(Fraction(-1, 8))
@@ -328,19 +369,48 @@ def test_braid_matches_former_integer_vector_check():
 
 
 def test_braid_compares_every_entry(monkeypatch):
-    # one more zeta^0 in the last entry of each packed product, so only the
-    # last row of (ZT)^3 and Z^2 changes
-    real = weil._packed_mat_mul
+    # one more zeta^0 in the last entry of each packed row product of the
+    # last row (the last three of the three per row), so only the last row
+    # of (ZT)^3 and Z^2 changes
+    real = weil._packed_row_mul
+    rep = build_weil_rep(discriminant_form(A1A2), 3)
+    order = rep.disc.order
+    calls = []
 
-    def corrupt_last_entry(a, b, level, width):
-        out = real(a, b, level, width)
-        out[-1][-1] += 1
+    def corrupt_last_row(row, cols, level, width):
+        out = real(row, cols, level, width)
+        calls.append(level)
+        if len(calls) > 3 * (order - 1):
+            out[-1] += 1
         return out
 
-    rep = build_weil_rep(discriminant_form(A1A2), 3)
     assert braid_holds(rep)
-    monkeypatch.setattr(weil, "_packed_mat_mul", corrupt_last_entry)
+    monkeypatch.setattr(weil, "_packed_row_mul", corrupt_last_row)
     assert not braid_holds(rep)
+    assert len(calls) == 3 * order
+
+
+def test_braid_stops_at_the_first_failing_row(monkeypatch):
+    # a wrong signature on A2^4 (|D| = 81) is rejected before the products
+    # are complete: fewer packed row products than rows, where the full
+    # (ZT)^3 and Z^2 take 3 |D| of them
+    disc = discriminant_form(direct_sum([A2] * 4))
+    rep = build_weil_rep(disc, disc.signature_mod8)
+    real = weil._packed_row_mul
+    calls = []
+
+    def counted(row, cols, level, width):
+        calls.append(level)
+        return real(row, cols, level, width)
+
+    monkeypatch.setattr(weil, "_packed_row_mul", counted)
+    for sig in range(rep.sig8 + 1, rep.sig8 + 8):
+        calls.clear()
+        assert not braid_holds(WeilRepData(disc, sig, rep.level, rep.t, rep.z))
+        assert 0 < len(calls) < disc.order, sig
+    calls.clear()
+    assert braid_holds(rep)
+    assert len(calls) == 3 * disc.order
 
 
 def test_s_fourth_power_compares_every_entry(monkeypatch):
