@@ -335,38 +335,30 @@ def _qf_reduce(a):
 
 
 def _qf_prepare(a, shift):
-    """Scaled-integer Fincke-Pohst data for y = shift + x, value y^T a y."""
-    n = len(a)
-    shift = [Fraction(x) for x in shift or [0] * n]
-    t_t, d, lmat = _qf_reduce(a)
-    # T is unimodular, so the zero shift reduces to zero without a solve
-    shift_red = solve_rational(t_t, shift) if any(shift) else shift
+    """Scaled-integer Fincke-Pohst data for y = shift + x, value y^T a y.
 
-    consts = []
-    for i in range(n):
-        c = shift_red[i]
-        for j in range(i + 1, n):
-            c += lmat[i][j] * shift_red[j]
-        consts.append(c)
+    Level i scales its row of l and its constant by the least common
+    denominator s_i, read off the Fractions without arithmetic on them; the
+    zero shift has every constant 0 and needs no solve, as T is unimodular.
+    """
+    n = len(a)
+    t_t, d, lmat = _qf_reduce(a)
+    consts = [0] * n
+    if shift and any(shift):
+        y = solve_rational(t_t, [Fraction(x) for x in shift])
+        consts = [y[i] + sum(map(mul, lmat[i][i + 1:], y[i + 1:])) for i in range(n)]
     scales = []
     lint = []
     cint = []
-    for i in range(n):
-        s = lcm(consts[i].denominator,
-                *(lmat[i][j].denominator for j in range(i + 1, n)))
+    for row, c in zip(lmat, consts):
+        s = lcm(c.denominator, *(x.denominator for x in row))
         scales.append(s)
-        lint.append([int(lmat[i][j] * s) for j in range(n)])
-        cint.append(int(consts[i] * s))
-    zden = 1
-    for i in range(n):
-        zden = lcm(zden, d[i].denominator * scales[i] * scales[i])
-    weights = [d[i].numerator * (zden // (d[i].denominator * scales[i] * scales[i]))
-               for i in range(n)]
+        lint.append([x.numerator * (s // x.denominator) for x in row])
+        cint.append(c.numerator * (s // c.denominator))
+    dens = [di.denominator * s * s for di, s in zip(d, scales)]
+    zden = lcm(*dens)
+    weights = [di.numerator * (zden // den) for di, den in zip(d, dens)]
     return t_t, scales, lint, cint, zden, weights
-
-
-# the largest order of Z^t / M Z^t below which `_qf_value_counts` tallies
-_TALLY_ORDER = 1 << 16
 
 
 def _qf_value_counts(a, shift, bound):
@@ -378,30 +370,17 @@ def _qf_value_counts(a, shift, bound):
     flag and the offsets sk_m of every lower level.  Shifting x_m by k
     moves sk_m by k s_m and each lower sk_i by k carry[m][i] and leaves
     every p unchanged, so offsets reduced into [0, s_m) top level down are
-    a canonical form: equal reduced states have equal subtrees.  Below a
-    split level t the count keeps one entry per distinct state with its
-    multiplicity and expands each once per level, down to level 0, where a
-    state is one range of p0.  Above t it walks node by node on the sparse
-    x-prefix, where a state holds many offsets and rarely meets its equal.
+    a canonical form: equal reduced states have equal subtrees.  The count
+    keeps one entry per distinct state with its multiplicity and expands
+    each once per level, from the top down to level 0, where a state is one
+    range of p0.
 
-    t is the highest level with s_0 s_1 ... s_{t-1} <= `_TALLY_ORDER`;
-    that product is the order of Z^t / M Z^t, M the upper triangular
-    matrix of those shifts (columns (carry[m], s_m)), so it bounds the
-    reduced offsets a state below t can have.  The walk keys each node at
-    t by the class of its offsets as Smith residues U v mod D of M
-    (U M V = D), linear in x, so a node costs one sum over its nonzero x
-    per residue; each distinct class is reduced once.  (Keying each node by
-    its t offsets, reduced, ran 6 % more bytecodes than the level-1 tally
-    on niemeier-a1 at 2Q <= 3; the residues run 5 % fewer.)  The former
-    level-1 tally is the case t = 1.  Measured on a 2-CPU VM with Python
-    3.11 (reference-speed seconds, against the level-1 tally): E8 to
-    2Q <= 20 (t = 8) 0.19 -> 0.0055; E8+E8 to 2Q <= 8 (t = 10) 8.6 ->
-    0.015, where an order bound of 2^10 (t = 5) gives 0.77; the rank-24
-    Niemeier counts (t = 5) within 4 % at 2Q <= 4 (2.9 and 3.6 s) and
-    1-3 ms slower at 2Q <= 2 (0.035 s), where the levels below t hold
-    only some 20 nodes each.  A bound of 2^24 (t = 7) runs 7 % more
-    bytecodes at 2Q <= 2; tallying every level took those counts from
-    0.03 to 0.065 s but the ones at 2Q <= 4 from 2.9 to 0.42 s.
+    On the basis of `lll_reduce_gram` (delta = 99/100) the states merge on
+    every level, also at rank 24.  Measured on a 2-CPU VM with Python 3.11,
+    against the former count, which walked node by node above level 5 on a
+    basis reduced at delta = 3/4: niemeier-a1 to 2Q <= 2 0.03 -> 0.015 s,
+    to 2Q <= 4 2.3 -> 0.055 s, to 2Q <= 6 58 -> 0.17 s; E8+E8 to 2Q <= 8
+    0.010 -> 0.003 s.
 
     When 2 shift is integral, v -> -v maps the coset to itself and negates
     every level's p = s x + sk.  The walk then takes only p >= 0 at a level
@@ -419,12 +398,8 @@ def _qf_value_counts(a, shift, bound):
     _, scales, lint, cint, zden, weights = _qf_prepare(a, shift)
     total_budget = (bound.numerator * zden) // bound.denominator
     half = all((2 * c).denominator == 1 for c in shift)
-    split, order = 1, scales[0]
-    while split < n and order * scales[split] <= _TALLY_ORDER:
-        order *= scales[split]
-        split += 1
     # carry[m][i]: the change of sk_i (i < m) when x_m grows by 1
-    carry = [[row[m] for row in lint[:m]] for m in range(split)]
+    carry = [[row[m] for row in lint[:m]] for m in range(n)]
 
     def reduced(offs):
         # shift each x_m, top level down, so that sk_m lies in [0, s_m)
@@ -436,61 +411,8 @@ def _qf_value_counts(a, shift, bound):
                     offs[i] -= c * q
         return tuple(offs)
 
-    if split == n:
-        states = {(total_budget, half, reduced(list(cint))): 1}
-    else:
-        # the offsets v = (sk_0, ..., sk_{split-1}) matter modulo M Z^split,
-        # M the leading block of lint (upper triangular, s_m on the
-        # diagonal); with U M V = D they are labelled by U v mod D, and
-        # U^-1 = M V D^-1 maps labels back to offsets
-        rel = [row[:split] for row in lint[:split]]
-        dmat, u, v = smith_normal_form(rel)
-        comps = [i for i in range(split) if dmat[i][i] > 1]
-        mods = [dmat[i][i] for i in comps]
-        coefs = [[sum(map(mul, u[i], col)) for col in zip(*lint[:split])] for i in comps]
-        consts = [sum(map(mul, u[i], cint[:split])) for i in comps]
-        steps = [cf[split] for cf in coefs]
-        back = [[row[i] // dmat[i][i] for i in comps] for row in mat_mul(rel, v)]
-        levels = list(zip(weights, scales, lint, cint))
-        nonzero = []
-        labels = {}
-        lget = labels.get
-
-        def descend(level, remaining, half):
-            w, s, row, sk = levels[level]
-            for j, xj in nonzero:
-                sk += row[j] * xj
-            froot = isqrt(remaining // w)
-            lo = -(sk // s) if half else -((sk + froot) // s)
-            hi = (froot - sk) // s
-            if level > split:
-                for xv in range(lo, hi + 1):
-                    p = s * xv + sk
-                    rem = remaining - w * p * p
-                    if xv:
-                        nonzero.append((level, xv))
-                        descend(level - 1, rem, half and not p)
-                        nonzero.pop()
-                    else:
-                        descend(level - 1, rem, half and not p)
-            elif lo <= hi:
-                base = []
-                for cf, c in zip(coefs, consts):
-                    for j, xj in nonzero:
-                        c += cf[j] * xj
-                    base.append(c)
-                for xv in range(lo, hi + 1):
-                    p = s * xv + sk
-                    key = (remaining - w * p * p, half and not p,
-                           tuple([(c + t * xv) % d for c, t, d in zip(base, steps, mods)]))
-                    labels[key] = lget(key, 0) + 1
-
-        descend(n - 1, total_budget, half)
-        states = {}
-        for (rem, h, residues), mult in labels.items():
-            key = (rem, h, reduced([sum(map(mul, residues, row)) for row in back]))
-            states[key] = states.get(key, 0) + mult
-    for level in range(split - 1, 0, -1):
+    states = {(total_budget, half, reduced(list(cint))): 1}
+    for level in range(n - 1, 0, -1):
         w, s, col = weights[level], scales[level], carry[level]
         below = {}
         get = below.get

@@ -6,38 +6,40 @@ provably contains every solution.  The oracle enumerates that box directly.
 
 The value counts walk each pair {v, -v} once when 2 shift is integral; they
 are also compared with the per-leaf tally of the full walk they replace, and
-with the former node-by-node walk that the state tally replaced.  The point
-walk streams its leaves; they are compared, in order, with the former walk
+with the former node-by-node walk that the state tally replaced; the direct
+rank-24 counts are compared with the glue-code theta series, and the
+scaled-integer rows with the former Fraction code.  The point walk streams
+its leaves; they are compared, in order, with the former walk
 that built a list of them, and the chamber walls are checked to be found
 without holding one.
 """
 
-import itertools
 import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from math import isqrt, lcm
+from math import floor, isqrt, lcm
 
 import pytest
 
-from borcherds_kit import lattice as lattice_module
 from borcherds_kit.io import load_form, load_lattice
 from borcherds_kit.lattice import (
     GramLattice,
     _qf_enumerate,
     _qf_leaves,
     _qf_prepare,
+    _qf_reduce,
     _qf_value_counts,
     cusp_data,
     discriminant_form,
     isotropic_line,
+    theta_series,
 )
 from borcherds_kit.linalg import (
     invert_rational,
     lll_reduce_gram,
     mat_mul,
-    smith_normal_form,
+    solve_rational,
     transpose,
 )
 from borcherds_kit.product import chamber_of, reduce_f0
@@ -62,38 +64,19 @@ def dominant_gram(rng, n, slack=2):
             continue
 
 
-def brute_force(gram, shift, bound):
-    """Every y in the box with Q(y) <= bound, as {y: Q(y)}.
+def box_values(gram, base, den, ranges, limit):
+    """Every integer vector Y = base + den * x, x in the box of `ranges`,
+    with Y^T gram Y <= limit, as {Y: Y^T gram Y}, for an integer gram.
 
-    All in integers: with den the common denominator of the shift, the point
-    y = shift + x is Y / den for the integer vector Y, and Q(y) <= bound
-    exactly when Y^T G Y <= floor(2 * bound * den^2).  The value Y^T G Y is
-    accumulated one coordinate at a time; Fractions are built only for the
-    points found.
+    The value is accumulated one coordinate at a time, all in integers.
     """
     n = len(gram)
-    radii = [gram[i][i] - sum(abs(gram[i][j]) for j in range(n) if j != i)
-             for i in range(n)]
-    assert all(r > 0 for r in radii)
     found = {}
-    # |y_i| <= sqrt(2*bound / r_i); with shift s, x ranges so that y = s + x
-    # covers the ball
-    ranges = []
-    for i in range(n):
-        r = isqrt(int(2 * bound / radii[i])) + 2
-        lo = -r - 1
-        hi = r + 1
-        ranges.append(range(lo, hi + 1))
-    shift = [Fraction(s) for s in shift]
-    den = lcm(*(s.denominator for s in shift))
-    base = [s.numerator * (den // s.denominator) for s in shift]
-    bound = Fraction(bound)
-    limit = 2 * bound.numerator * den * den // bound.denominator
 
     def rec(i, big, value):
         if i == n:
             if value <= limit:
-                found[tuple(Fraction(c, den) for c in big)] = Fraction(value, 2 * den * den)
+                found[tuple(big)] = value
             return
         row = gram[i]
         cross = 2 * sum(row[j] * big[j] for j in range(i))
@@ -103,6 +86,33 @@ def brute_force(gram, shift, bound):
 
     rec(0, [], 0)
     return found
+
+
+def brute_force(gram, shift, bound):
+    """Every y in the box with Q(y) <= bound, as {y: Q(y)}.
+
+    All in integers: with den the common denominator of the shift, the point
+    y = shift + x is Y / den for the integer vector Y, and Q(y) <= bound
+    exactly when Y^T G Y <= floor(2 * bound * den^2) (`box_values`);
+    Fractions are built only for the points found.
+    """
+    n = len(gram)
+    radii = [gram[i][i] - sum(abs(gram[i][j]) for j in range(n) if j != i)
+             for i in range(n)]
+    assert all(r > 0 for r in radii)
+    # |y_i| <= sqrt(2*bound / r_i); with shift s, x ranges so that y = s + x
+    # covers the ball
+    ranges = []
+    for i in range(n):
+        r = isqrt(int(2 * bound / radii[i])) + 2
+        ranges.append(range(-r - 1, r + 2))
+    shift = [Fraction(s) for s in shift]
+    den = lcm(*(s.denominator for s in shift))
+    base = [s.numerator * (den // s.denominator) for s in shift]
+    bound = Fraction(bound)
+    limit = 2 * bound.numerator * den * den // bound.denominator
+    return {tuple(Fraction(c, den) for c in big): Fraction(value, 2 * den * den)
+            for big, value in box_values(gram, base, den, ranges, limit).items()}
 
 
 def former_value_counts(a, shift, bound):
@@ -195,21 +205,6 @@ def level_walk_value_counts(a, shift, bound):
     return {Fraction(used, zden): c for used, c in counts.items()}
 
 
-@pytest.fixture
-def splits(monkeypatch):
-    """The split level t of each `_qf_value_counts` call that walks part of
-    its levels: the size of the t x t relation matrix it hands to
-    `smith_normal_form`.  A call that tallies every level adds nothing."""
-    seen = []
-
-    def recording(m):
-        seen.append(len(m))
-        return smith_normal_form(m)
-
-    monkeypatch.setattr(lattice_module, "smith_normal_form", recording)
-    return seen
-
-
 def test_enumeration_matches_brute_force():
     rng = random.Random(77)
     for trial in range(60):
@@ -297,8 +292,10 @@ def test_lll_on_rational_gram():
 
 def brute_force_pd(a, shift, bound):
     """All y = shift + x, x integer, with y^T a y <= bound, for rational
-    positive-definite a.  On that ellipsoid y_i^2 <= bound * (a^-1)_ii, so a
-    coordinate box of that half-width holds every solution."""
+    positive-definite a, as {y: y^T a y}.  On that ellipsoid
+    y_i^2 <= bound * (a^-1)_ii, so a coordinate box of that half-width holds
+    every solution.  All in integers, as `brute_force`: with A = s a
+    integral and y = Y / den, y^T a y = Y^T A Y / (s den^2)."""
     n = len(a)
     ainv = invert_rational(a)
     ranges = []
@@ -306,13 +303,14 @@ def brute_force_pd(a, shift, bound):
         r = isqrt(int(bound * ainv[i][i])) + 1  # |y_i| <= r
         c = int(shift[i])
         ranges.append(range(-r - c - 1, r - c + 2))
-    found = {}
-    for x in itertools.product(*ranges):
-        y = tuple(s + c for s, c in zip(shift, x))
-        val = sum(y[i] * a[i][j] * y[j] for i in range(n) for j in range(n))
-        if val <= bound:
-            found[y] = val
-    return found
+    s = lcm(*(Fraction(x).denominator for row in a for x in row))
+    den = lcm(*(c.denominator for c in shift))
+    base = [c.numerator * (den // c.denominator) for c in shift]
+    scale = s * den * den
+    limit = floor(bound * scale)
+    found = box_values([[int(x * s) for x in row] for row in a], base, den, ranges, limit)
+    return {tuple(Fraction(c, den) for c in big): Fraction(value, scale)
+            for big, value in found.items()}
 
 
 LORENTZIAN = [
@@ -376,9 +374,8 @@ def random_definite(rng, n):
              for j in range(n)] for i in range(n)]
 
 
-def test_state_tally_matches_the_level_walk(splits):
+def test_state_tally_matches_the_level_walk():
     rng = random.Random(18)
-    kinds = Counter()
     for trial in range(240):
         n = rng.randint(1, 8)
         a = random_definite(rng, n)
@@ -393,38 +390,92 @@ def test_state_tally_matches_the_level_walk(splits):
             shift = [Fraction(rng.randint(-6, 6), den) for _ in range(n)]
         # negative, zero, integral and off-grid bounds
         bound = Fraction(rng.randint(-2, 16), rng.choice([1, 1, 2, 3, 7]))
-        before = len(splits)
         counts = _qf_value_counts(a, shift, bound)
-        walked = len(splits) > before
         assert counts == level_walk_value_counts(a, shift, bound), (a, shift, bound)
         if n <= 5:
             assert counts == former_value_counts(a, shift, bound), (a, shift, bound)
         assert bound >= 0 or counts == {}
-        if bound >= 0:
-            kinds["split mid-walk" if walked else "every level tallied"] += 1
-            assert not walked or 1 <= splits[-1] < n
-    # both sides of the split rule are exercised
-    assert kinds["every level tallied"] >= 40 and kinds["split mid-walk"] >= 40, kinds
 
 
-def test_state_tally_on_e8_and_the_niemeier_lattices(splits):
-    # theta e8 to q^15, every level tallied: 3721681 vectors, against the
-    # level walk and the coefficients 240 sigma_3(m) of E4
+def test_state_tally_on_e8_and_the_niemeier_lattices():
+    # theta e8 to q^15: 3721681 vectors, against the level walk and the
+    # coefficients 240 sigma_3(m) of E4
     counts = _qf_value_counts(E8, None, 30)
     assert counts == level_walk_value_counts(E8, None, 30)
-    assert splits == []  # E8's scales multiply to 2880: every level tallied
     sigma3 = [sum(d ** 3 for d in range(1, m + 1) if m % d == 0) for m in range(16)]
     assert [counts.get(2 * m, 0) for m in range(16)] == [1] + [240 * sigma3[m] for m in range(1, 16)]
-    # the direct rank-24 counts at 2Q <= 2, split mid-walk at level 5: the
-    # scales 2, 2, 2, 6, 13 (niemeier-a1) and 2, 2, 7, 33, 28 (niemeier-a2)
-    # multiply to at most 2^16, with the next scale to more
+    # the direct rank-24 counts at 2Q <= 2
     for name, roots in (("niemeier-a1", 48), ("niemeier-a2", 72)):
         gram = [list(r) for r in load_lattice(name).gram]
-        splits.clear()  # loading takes Smith forms of its own
         counts = _qf_value_counts(gram, None, 2)
         assert counts == {0: 1, 2: roots}
         assert counts == level_walk_value_counts(gram, None, 2) == former_value_counts(gram, None, 2)
-        assert splits == [5]
+
+
+@pytest.mark.parametrize("name", ["niemeier-a1", "niemeier-a2"])
+def test_direct_rank24_counts_match_the_glue_theta(name):
+    # the direct counts to 2Q <= 6 (16.8 million vectors at Q = 3), against
+    # the glue-code theta series: the theta trick's cross-check two levels
+    # past criterion 1's
+    lat = load_lattice(name)
+    counts = _qf_value_counts([list(r) for r in lat.gram], None, 6)
+    theta = theta_series(lat, 3)
+    assert counts == {2 * m: theta.coefficient(m) for m in range(4)}
+
+
+# The former `_qf_prepare`, copied verbatim under a new name: the scaled
+# integer rows computed in Fraction arithmetic, the reference of the
+# integer reading that replaced it.
+def former_qf_prepare(a, shift):
+    """Scaled-integer Fincke-Pohst data for y = shift + x, value y^T a y."""
+    n = len(a)
+    shift = [Fraction(x) for x in shift or [0] * n]
+    t_t, d, lmat = _qf_reduce(a)
+    # T is unimodular, so the zero shift reduces to zero without a solve
+    shift_red = solve_rational(t_t, shift) if any(shift) else shift
+
+    consts = []
+    for i in range(n):
+        c = shift_red[i]
+        for j in range(i + 1, n):
+            c += lmat[i][j] * shift_red[j]
+        consts.append(c)
+    scales = []
+    lint = []
+    cint = []
+    for i in range(n):
+        s = lcm(consts[i].denominator,
+                *(lmat[i][j].denominator for j in range(i + 1, n)))
+        scales.append(s)
+        lint.append([int(lmat[i][j] * s) for j in range(n)])
+        cint.append(int(consts[i] * s))
+    zden = 1
+    for i in range(n):
+        zden = lcm(zden, d[i].denominator * scales[i] * scales[i])
+    weights = [d[i].numerator * (zden // (d[i].denominator * scales[i] * scales[i]))
+               for i in range(n)]
+    return t_t, scales, lint, cint, zden, weights
+
+
+def test_prepare_matches_the_former_fraction_code():
+    # the seeded matrices of the state-tally test, each with the zero
+    # shift (as None and as zeros) and a rational one, and the two
+    # Niemeier Grams with the zero shift
+    rng = random.Random(18)
+    cases = []
+    for _ in range(120):
+        n = rng.randint(1, 8)
+        a = random_definite(rng, n)
+        den = rng.choice([1, 2, 3, 4, 6])
+        cases += [(a, None), (a, [0] * n),
+                  (a, [Fraction(rng.randint(-6, 6), den) for _ in range(n)])]
+    cases += [([list(r) for r in load_lattice(name).gram], None)
+              for name in ("niemeier-a1", "niemeier-a2")]
+    for a, shift in cases:
+        got = _qf_prepare(a, shift)
+        assert got == former_qf_prepare(a, shift), (a, shift)
+        _, scales, lint, cint, zden, weights = got
+        assert all(type(x) is int for x in [*scales, *cint, zden, *weights, *sum(lint, [])])
 
 
 # The former `_qf_leaves`, copied verbatim under a new name: the point walk

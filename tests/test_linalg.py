@@ -500,32 +500,49 @@ def random_rational_gram(rng, n):
             return gram
 
 
-def check_lll_against_former(gram):
+def assert_lll_reduced(gram, t, d, l):
+    """t is unimodular and (d, l) the LDL^T of t gram t^T, size-reduced
+    (|mu| <= 1/2) and Lovasz-reduced at delta = 99/100."""
     n = len(gram)
-    t, d, l = lll_reduce_gram(gram)
-    g_ref, t_ref = former_lll_reduce_gram(gram)
-    reduced = mat_mul(mat_mul(t, gram), transpose(t))
-    assert t == t_ref
-    assert reduced == g_ref
-    assert (d, l) == ldl_decomposition(reduced)
+    assert abs(det_int(t)) == 1
+    assert (d, l) == ldl_decomposition(mat_mul(mat_mul(t, gram), transpose(t)))
     for i in range(n):
         assert all(abs(l[j][i]) <= Fraction(1, 2) for j in range(i))
     for k in range(1, n):
-        assert d[k] >= (Fraction(3, 4) - l[k - 1][k] ** 2) * d[k - 1]
+        assert d[k] >= (Fraction(99, 100) - l[k - 1][k] ** 2) * d[k - 1]
+
+
+def check_lll_against_former(gram):
+    t, d, l = lll_reduce_gram(gram)
+    g_ref, t_ref = former_lll_reduce_gram(gram, Fraction(99, 100))
+    assert t == t_ref
+    assert mat_mul(mat_mul(t, gram), transpose(t)) == g_ref
+    assert_lll_reduced(gram, t, d, l)
 
 
 def test_lll_matches_former():
-    # the O(n) swap update of (d, l) gives the former transform exactly
+    # the integral LLL gives the former transform at the same delta exactly
     rng = random.Random(2024)
     for case in range(300):
         check_lll_against_former(random_rational_gram(rng, 1 + case % 7))
 
 
 def test_lll_matches_former_on_niemeier_a1():
-    gram = [list(r) for r in load_lattice("niemeier-a1").gram]
-    check_lll_against_former(gram)
-    t, d, l = lll_reduce_gram(gram)
-    assert t != identity(24)
+    # and on niemeier-a2
+    for name in ("niemeier-a1", "niemeier-a2"):
+        gram = [list(r) for r in load_lattice(name).gram]
+        check_lll_against_former(gram)
+        t, d, l = lll_reduce_gram(gram)
+        assert t != identity(24)
+
+
+def test_lll_output_is_reduced():
+    # rational grams of rank 1 to 8, by another seed than the former
+    # comparison
+    rng = random.Random(99)
+    for case in range(300):
+        gram = random_rational_gram(rng, 1 + case % 8)
+        assert_lll_reduced(gram, *lll_reduce_gram(gram))
 
 
 def test_rational_gcd():
