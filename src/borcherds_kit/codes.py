@@ -28,31 +28,23 @@ if not _divides_x_n_minus_1(TERNARY_GOLAY_POLY, 11, 3):
     raise AssertionError("ternary Golay generator polynomial must divide x^11 - 1")
 
 
-def _cyclic_generator_rows(poly, length, dim):
+def _extended_cyclic_rows(poly, length, dim, modulus):
+    """The dim shifts of the generator polynomial, each extended by the parity
+    digit that makes its entries sum to 0 mod modulus."""
     rows = []
     for i in range(dim):
         row = [0] * length
         for j, c in enumerate(poly):
             row[(i + j) % length] = c
-        rows.append(row)
+        rows.append(tuple(row) + ((-sum(row)) % modulus,))
     return rows
 
 
 def binary_golay_generators():
     """Generator rows of the extended binary Golay code [24, 12, 8] over Z/2."""
-    rows = _cyclic_generator_rows(BINARY_GOLAY_POLY, 23, 12)
-    out = []
-    for row in rows:
-        parity = sum(row) % 2
-        out.append(tuple(row) + (parity,))
-    return out
+    return _extended_cyclic_rows(BINARY_GOLAY_POLY, 23, 12, 2)
 
 
 def ternary_golay_generators():
     """Generator rows of the extended ternary Golay code [12, 6, 6] over Z/3."""
-    rows = _cyclic_generator_rows(TERNARY_GOLAY_POLY, 11, 6)
-    out = []
-    for row in rows:
-        parity = (-sum(row)) % 3
-        out.append(tuple(row) + (parity,))
-    return out
+    return _extended_cyclic_rows(TERNARY_GOLAY_POLY, 11, 6, 3)

@@ -12,7 +12,8 @@ division by a monic polynomial (`_monic_divmod`) builds the cyclotomic
 polynomials, at most 128 of them cached, and reduces modulo them, on the
 integers over the common denominator of the coefficients; the inverse
 solves x y = 1 with `linalg.solve_rational` on the matrix of
-multiplication by x, whose columns that division reduces.
+multiplication by x, whose columns that division reduces.  Numbers are
+read by `linalg.exact_int` and `exact_rational` (README, Conventions).
 """
 
 from collections import Counter
@@ -20,7 +21,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .linalg import solve_rational, transpose
+from .linalg import exact_int, exact_rational, solve_rational, transpose
 
 
 # the library code touches about 60 conductors in a pass of the test suite and
@@ -88,24 +89,25 @@ class CycScalar:
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor, coeffs, reduced=False):
-        self.conductor = int(conductor)
+        self.conductor = exact_int(conductor)
         if self.conductor < 1:
             raise ValueError("conductor must be positive")
         if reduced:
             self.coeffs = dict(coeffs)
         else:
             self.coeffs = _reduce_mod_cyclotomic(
-                {int(e): Fraction(c) for e, c in coeffs.items()}, self.conductor)
+                {exact_int(e): exact_rational(c) for e, c in coeffs.items()},
+                self.conductor)
 
     @classmethod
     def from_rational(cls, value, conductor=1):
-        value = Fraction(value)
+        value = exact_rational(value)
         return cls(conductor, {0: value} if value else {})
 
     @classmethod
     def root_of_unity(cls, exponent):
         """e(exponent) = exp(2 pi i exponent) for a rational exponent."""
-        exponent = Fraction(exponent)
+        exponent = exact_rational(exponent)
         m = exponent.denominator
         return cls(m, {exponent.numerator % m: Fraction(1)})
 
@@ -260,6 +262,7 @@ def sqrt_positive_int(n):
     sum_a e(a^2/p) for p = 1 mod 4 and e(-1/4) * sum_a e(a^2/p) for
     p = 3 mod 4; sqrt(2) = e(1/8) + e(-1/8).
     """
+    n = exact_int(n)
     if n <= 0:
         raise ValueError("need a positive integer")
     result = CycScalar.from_rational(1)

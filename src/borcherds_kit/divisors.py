@@ -3,9 +3,9 @@
 DivisorExpr is a finite rational combination of symbols Z(m, mu) with m > 0
 together with the tautological line-bundle symbol omega.  Every symbol enters
 through one place, `DivisorExpr._add`, which reads m and the coefficient
-with `linalg.exact_rational` (ints and Fractions as they are, an integral
-float as its int) and mu with `linalg.exact_int`; anything else raises
-ValueError.  It then applies the constant-term conventions as rewrite rules:
+with `linalg.exact_rational` and mu with `linalg.exact_int`, the package's
+one rule (README, Conventions).  It then applies the constant-term
+conventions as rewrite rules:
 
     Z(0, 0)      -> -omega        (omega^{-1} as a line bundle)
     Z(0, mu!=0)  -> 0
@@ -197,7 +197,7 @@ class EmbeddingData:
     def __init__(self, lambda1, lambda2, precision=8):
         self.lambda1 = lambda1
         self.lambda2 = lambda2
-        self.precision = precision
+        self.precision = precision = exact_int(precision)
         self.theta1 = theta_series(lambda1, precision)
         self.theta2 = theta_series(lambda2, precision)
         delta = delta_series(precision)
@@ -240,6 +240,7 @@ def fourier_splitting_holds(form, embedding, through):
     exponents m <= through, three ways: convolution sums, series products,
     and the original coefficients.
     """
+    through = exact_rational(through)
     g = divide_by_24delta(form)
     pole = g.max_pole_order()
     if through >= g.prec or through + pole > embedding.precision:
@@ -252,7 +253,7 @@ def fourier_splitting_holds(form, embedding, through):
         # exponents congruent to Q(mu) mod 1, from the deepest pole upward
         base = disc.q(mu)
         tmin = math.ceil(-pole - base)
-        tmax = math.floor(Fraction(through) - base)
+        tmax = math.floor(through - base)
         for t in range(tmin, tmax + 1):
             m = base + t
             direct = form.coefficient(m, mu)
@@ -285,7 +286,8 @@ def modularity_pairing(form, values):
         key = (m, mu)
         if key not in values:
             raise KeyError(f"pairing needs a value at (m={m}, mu={mu})")
-        term = values[key] * c
+        value = values[key]
+        term = (value if isinstance(value, DivisorExpr) else exact_rational(value)) * c
         result = term if result is None else result + term
     if result is None:
         return Fraction(0)

@@ -4,10 +4,9 @@ A WHForm stores finitely many principal-part coefficients (m < 0) and a
 truncated nonnegative part, one exact rational per (exponent, coset) pair.
 The constructor enforces the form's invariants, so every WHForm, including
 the results of `scale`, `+` and `divide_by_24delta`, has a positive
-precision and satisfies the support condition m = Q(mu) mod 1.  The
-weight, the precision, every m and every coefficient, and the m asked of
-`coefficient`, are read with `linalg.exact_rational`: ints and Fractions as
-they are, an integral float as its int, anything else raises ValueError.
+precision and satisfies the support condition m = Q(mu) mod 1.  Numbers
+are read by the package's one rule, `linalg.exact_rational` (README,
+Conventions).
 `is_integral()` tells whether the relation and product code may use it.
 No analytic transformation property is checked here.
 """

@@ -856,7 +856,7 @@ def glue_lattice(blocks, generators, name=None):
 # isotropic lines and cusp data
 # ---------------------------------------------------------------------------
 
-def isotropic_line(lattice, budget=ISOTROPIC_SEARCH_BUDGET):
+def isotropic_line(lattice):
     """A primitive isotropic vector, or None when none exists (or is found).
 
     Definite lattices return None immediately.  Otherwise basis vectors with
@@ -874,14 +874,14 @@ def isotropic_line(lattice, budget=ISOTROPIC_SEARCH_BUDGET):
             return tuple(int(i == j) for j in range(n))
     bound = 4 * max(abs(x) for row in lattice.gram for x in row) * n
     shells = (x for shell in range(1, bound + 1) for x in _shell_vectors(n, shell))
-    for x in itertools.islice(shells, budget):
+    for x in itertools.islice(shells, ISOTROPIC_SEARCH_BUDGET):
         if lattice.q(x) == 0:
             g = gcd(*(abs(c) for c in x))
             return tuple(c // g for c in x)
     if n >= 5:
-        raise ValueError(f"isotropic search exhausted (budget {budget}, coordinate "
-                         f"bound {bound}) on an indefinite lattice of rank {n}, "
-                         "which is isotropic (Meyer)")
+        raise ValueError(f"isotropic search exhausted (budget {ISOTROPIC_SEARCH_BUDGET}, "
+                         f"coordinate bound {bound}) on an indefinite lattice of "
+                         f"rank {n}, which is isotropic (Meyer)")
     if next(shells, None) is not None:
         warnings.warn("isotropic search budget exhausted before the "
                       "coordinate bound; returning None", RuntimeWarning)

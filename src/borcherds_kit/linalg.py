@@ -439,7 +439,7 @@ def rational_gcd(values):
     """gcd of a collection of rationals: the largest g with every value in g*Z."""
     g = Fraction(0)
     for v in values:
-        f = abs(Fraction(v))
+        f = abs(exact_rational(v))
         if f == 0:
             continue
         if g == 0:

@@ -20,7 +20,8 @@ integer on the grading scale of the product's series (x scaled onto the
 dual grid, paired with an integer multiple of G w), Q(x) is read off the
 walk's exact integer majorant value, and both are compared against
 integer targets.  Wall signs come from the same integer pairing; the
-series multiply on integer exponents and gradings.
+series multiply on integer exponents and gradings.  Points, radii, Weyl
+vectors and cutoffs are read by `linalg.exact_rational` (README, Conventions).
 """
 
 from fractions import Fraction
@@ -30,7 +31,7 @@ from operator import mul
 from .cyclotomic import CycScalar, e
 from .forms import PrecisionError, WHForm
 from .lattice import _qf_leaves, _qf_point
-from .linalg import rational_gcd
+from .linalg import exact_rational, rational_gcd
 from .qseries import LatticeQSeries, _grading_scale, _on_grid, lattice_binomial
 
 
@@ -105,8 +106,8 @@ def enumerate_walls(f0, data, w, radius):
     so one walk of each coset under it finds every wall, with Q(x) taken
     from the walk's exact value.
     """
-    w = tuple(Fraction(x) for x in w)
-    r2 = Fraction(radius) ** 2
+    w = tuple(map(exact_rational, w))
+    r2 = exact_rational(radius) ** 2
     by_coset = {}
     for (m, lam), c in f0.principal_part().items():
         if c != 0:
@@ -125,16 +126,15 @@ def _pairings(xs, v0, w):
     """unit * [x, w] for each x, on integers: x scaled onto the dual grid,
     paired with the integer multiple of G w of `_grading_scale`."""
     s, gw, _ = _grading_scale(v0, w)
-    return [sum(_on_grid(c, s) * g for c, g in zip(x, gw)) for x in xs]
+    return [_on_grid(x, s, gw)[1] for x in xs]
 
 
 class WeylChamber:
     """An interior point off every enumerated wall, plus the wall signs."""
 
-    def __init__(self, w, wall_signs, radius):
-        self.w = tuple(Fraction(x) for x in w)
+    def __init__(self, w, wall_signs):
+        self.w = tuple(map(exact_rational, w))
         self.wall_signs = dict(wall_signs)
-        self.radius = Fraction(radius)
 
     def __repr__(self):
         return f"WeylChamber(w={self.w}, {len(self.wall_signs)} walls)"
@@ -146,14 +146,14 @@ def chamber_of(w, f0, data, radius=2):
     Raises when w lies on one of the enumerated walls; the caller must
     perturb and retry.
     """
-    w = tuple(Fraction(x) for x in w)
+    w = tuple(map(exact_rational, w))
     walls = enumerate_walls(f0, data, w, radius)
     signs = {}
     for x, p in zip(walls, _pairings(walls, data.v0, w)):
         if p == 0:
             raise ValueError(f"chamber point lies on the wall through {x}")
         signs[x] = 1 if p > 0 else -1
-    return WeylChamber(w, signs, radius)
+    return WeylChamber(w, signs)
 
 
 def constant_a(form, data):
@@ -189,10 +189,7 @@ def check_weyl_integrality(rho, data):
 
     Raises ValueError when rho does not have rank V0 coordinates.
     """
-    v0 = data.v0
-    if len(rho) != v0.rank:
-        raise ValueError(f"Weyl vector: expected {v0.rank} coordinates, got {len(rho)}")
-    return all(g.denominator == 1 for g in v0.image([Fraction(c) for c in rho]))
+    return all(g.denominator == 1 for g in data.v0.image(rho))
 
 
 class ProductExpansion:
@@ -206,7 +203,7 @@ class ProductExpansion:
 
     def __init__(self, body, weyl_exponent, constant, weight_out, skipped=0):
         self.body = body
-        self.weyl_exponent = tuple(Fraction(x) for x in weyl_exponent)
+        self.weyl_exponent = tuple(map(exact_rational, weyl_exponent))
         self.constant = constant
         self.weight_out = weight_out
         self.skipped = skipped
@@ -240,11 +237,11 @@ def product_expand(form, data, chamber, weyl_vector, cutoff):
     """
     if not form.is_integral():
         raise ValueError("product expansion requires an integral form")
-    cutoff = Fraction(cutoff)
+    cutoff = exact_rational(cutoff)
     if cutoff <= 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     v0 = data.v0
-    weyl_vector = tuple(Fraction(x) for x in weyl_vector)
+    weyl_vector = tuple(map(exact_rational, weyl_vector))
     if not check_weyl_integrality(weyl_vector, data):
         raise ValueError("Weyl vector must lie in the dual exponent lattice")
     w = chamber.w
@@ -303,4 +300,4 @@ def _weight_out(form):
     c00 = form.coefficient(0, form.disc.zero)
     if c00.denominator != 1:
         raise ValueError("c(0, 0) must be an integer")
-    return Fraction(c00) / 2
+    return c00 / 2

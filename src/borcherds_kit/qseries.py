@@ -6,9 +6,8 @@ holds a truncated multivariate series over the dual of a Lorentzian lattice,
 graded by pairing against a fixed interior point of the light cone; it works
 on integers throughout (exponents scaled onto one integer grid, gradings as
 ints on a common scale) and builds Fractions only for what it returns.
-FracQSeries reads its exponents, coefficients and precision with
-`linalg.exact_rational`: ints and Fractions as they are, an integral float
-as its int, and anything else, such as 0.1, raises ValueError.
+Numbers given to either are read by the package's one rule,
+`linalg.exact_rational` and `exact_int` (README, Conventions).
 
 Every operation computes the tightest sound precision for its result;
 consumers must check `.prec` rather than assume.
@@ -19,7 +18,8 @@ from functools import lru_cache
 from math import ceil, comb, floor, isqrt, lcm
 from operator import add, itemgetter, mul
 
-from .linalg import exact_rational
+from .cyclotomic import CycScalar
+from .linalg import exact_int, exact_rational
 
 
 class FracQSeries:
@@ -195,6 +195,7 @@ def _sigma(n, k):
 
 def eisenstein(k, b):
     """Normalized Eisenstein series E4 or E6 with terms through q^b."""
+    k, b = exact_int(k), exact_int(b)
     if k == 4:
         mult = 240
     elif k == 6:
@@ -209,6 +210,7 @@ def eisenstein(k, b):
 
 def delta_series(b):
     """The discriminant cusp form q * prod (1-q^n)^24 with terms through q^b."""
+    b = exact_int(b)
     if b < 1:
         raise ValueError("need b >= 1")
     # prod (1-q^n) through q^(b-1) by Euler's pentagonal number theorem
@@ -222,6 +224,7 @@ def delta_series(b):
 
 def j_series(b):
     """The modular j-function E4^3 / Delta with terms through q^b."""
+    b = exact_int(b)
     e4 = eisenstein(4, b + 2)
     delta = delta_series(b + 3)
     j = (e4 * e4 * e4) * delta.inverse()
@@ -241,20 +244,25 @@ def _grading_scale(lattice, w):
     if lattice.q(w) >= 0:
         raise ValueError("grading point must lie in the light cone")
     s = max(lattice.discriminant_form().invariant_factors, default=1)
-    image = [Fraction(c) for c in lattice.image(w)]
+    image = lattice.image(w)
     d = lcm(*(c.denominator for c in image))
     return s, tuple(int(c * d) for c in image), s * d
 
 
-def _on_grid(x, s):
-    """s * x as an int; raises ValueError when x is off the grid (1/s)Z."""
-    if not isinstance(x, (int, Fraction)):
-        x = Fraction(x)
-    q, r = divmod(s, x.denominator)
-    if r:
-        raise ValueError(f"exponent coordinate {x} is off the grid (1/{s})Z "
-                         f"of the dual lattice")
-    return x.numerator * q
+def _on_grid(alpha, s, gw):
+    """(a, g) for an exponent alpha: the ints a = s * alpha and the grading
+    a . gw.  Raises ValueError when alpha does not have len(gw) coordinates
+    or is off the grid (1/s)Z of the dual lattice."""
+    if len(alpha) != len(gw):
+        raise ValueError(f"expected {len(gw)} coordinates, got {len(alpha)}")
+    a = []
+    for x in map(exact_rational, alpha):
+        q, r = divmod(s, x.denominator)
+        if r:
+            raise ValueError(f"exponent coordinate {x} is off the grid (1/{s})Z "
+                             f"of the dual lattice")
+        a.append(x.numerator * q)
+    return tuple(a), sum(map(mul, a, gw))
 
 
 def _as_int(c):
@@ -284,16 +292,17 @@ class LatticeQSeries:
                  "_terms", "_coeffs")
 
     def __init__(self, lattice, w, cutoff, coeffs):
-        w = tuple(Fraction(x) for x in w)
+        w = tuple(map(exact_rational, w))
         s, gw, unit = _grading_scale(lattice, w)
-        cutoff = Fraction(cutoff)
+        cutoff = exact_rational(cutoff)
         cut = floor(cutoff * unit)
         terms = {}
         for alpha, c in coeffs.items():
-            if _is_zero_coeff(c):
+            if not isinstance(c, CycScalar):
+                c = exact_rational(c)
+            if c == 0:
                 continue
-            a = tuple(_on_grid(x, s) for x in alpha)
-            g = sum(map(mul, a, gw))
+            a, g = _on_grid(alpha, s, gw)
             if any(a):
                 if g <= 0:
                     raise ValueError("exponent with nonpositive grading")
@@ -336,11 +345,10 @@ class LatticeQSeries:
 
     def coefficient(self, alpha):
         """The coefficient of q^alpha; 0 for an alpha off the dual grid."""
-        try:
-            a = tuple(_on_grid(x, self._scale) for x in alpha)
-        except ValueError:
+        alpha = tuple(map(exact_rational, alpha))
+        if len(alpha) == len(self._gw) and any(self._scale % x.denominator for x in alpha):
             return Fraction(0)
-        c = self._terms.get(a, (0,))[0]
+        c = self._terms.get(_on_grid(alpha, self._scale, self._gw)[0], (0,))[0]
         return Fraction(c) if isinstance(c, int) else c
 
     def _check_compatible(self, other):
@@ -357,7 +365,7 @@ class LatticeQSeries:
         if isinstance(other, (int, Fraction)):
             terms = {a: (_as_int(c * other), g) for a, (c, g) in self._terms.items()}
             return self._derive(self.cutoff, self._cut,
-                                {a: t for a, t in terms.items() if not _is_zero_coeff(t[0])})
+                                {a: t for a, t in terms.items() if t[0] != 0})
         self._check_compatible(other)
         cutoff, cut = self._common_cutoff(other)
         right = sorted(((g, a, c) for a, (c, g) in other._terms.items()),
@@ -375,7 +383,7 @@ class LatticeQSeries:
                 else:
                     out[a] = (prev[0] + c1 * c2, prev[1])
         return self._derive(cutoff, cut,
-                            {a: t for a, t in out.items() if not _is_zero_coeff(t[0])})
+                            {a: t for a, t in out.items() if t[0] != 0})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -389,7 +397,7 @@ class LatticeQSeries:
                 prev = out.get(a)
                 out[a] = (c, g) if prev is None else (prev[0] + c, g)
         return self._derive(cutoff, cut,
-                            {a: t for a, t in out.items() if not _is_zero_coeff(t[0])})
+                            {a: t for a, t in out.items() if t[0] != 0})
 
     def __sub__(self, other):
         return self + (other * (-1))
@@ -403,7 +411,7 @@ class LatticeQSeries:
                 == {a: c for a, (c, _) in other._terms.items()})
 
     def truncate(self, cutoff):
-        cutoff = Fraction(cutoff)
+        cutoff = exact_rational(cutoff)
         if cutoff > self.cutoff:
             raise ValueError("cannot raise the cutoff by truncation")
         cut = floor(cutoff * self._unit)
@@ -413,12 +421,6 @@ class LatticeQSeries:
     def __repr__(self):
         n = len(self._terms)
         return f"LatticeQSeries({n} terms, cutoff={self.cutoff})"
-
-
-def _is_zero_coeff(c):
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    return getattr(c, "is_zero", lambda: False)()
 
 
 def _binomial(e, k):
@@ -437,8 +439,10 @@ def lattice_binomial(lattice, w, cutoff, alpha, zeta, e):
     along the ray of alpha, built on the series' integer grid.
     """
     series = LatticeQSeries(lattice, w, cutoff, {})
-    a = tuple(_on_grid(x, series._scale) for x in alpha)
-    g = sum(map(mul, a, series._gw))
+    if not isinstance(zeta, CycScalar):
+        zeta = exact_rational(zeta)
+    e = exact_int(e)
+    a, g = _on_grid(alpha, series._scale, series._gw)
     if g <= 0:
         raise ValueError("alpha must have positive grading")
     terms = {}
@@ -446,7 +450,7 @@ def lattice_binomial(lattice, w, cutoff, alpha, zeta, e):
     zeta_pow = 1
     while k * g <= series._cut:
         coeff = _as_int(_binomial(e, k) * (-1) ** k * zeta_pow)
-        if not _is_zero_coeff(coeff):
+        if coeff != 0:
             terms[tuple(k * x for x in a)] = (coeff, k * g)
         if e >= 0 and k == e:
             break

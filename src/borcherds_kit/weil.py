@@ -37,6 +37,7 @@ from functools import cached_property
 from operator import mul
 
 from .cyclotomic import CycScalar, e, sqrt_positive_int
+from .linalg import exact_int
 
 
 class WeilRepData:
@@ -85,7 +86,7 @@ def build_weil_rep(disc, sig8):
     Raises when the Milgram identity fails for the supplied signature, which
     catches any mismatch between the form and sig8.
     """
-    sig8 = sig8 % 8
+    sig8 = exact_int(sig8) % 8
     if milgram_sum(disc) != sqrt_positive_int(disc.order) * e(Fraction(sig8, 8)):
         raise ValueError("signature is inconsistent with the discriminant form "
                          "(Milgram check failed)")

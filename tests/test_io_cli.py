@@ -556,16 +556,13 @@ def test_cli_nonpositive_cutoff_exits_1(capsys, cutoff):
 def test_cli_expand_rank5_search_exhausted_exits_1(tmp_path, capsys, monkeypatch):
     # rank 5 and indefinite, so isotropic (Meyer): a search that runs out is
     # an error, not "no isotropic line"
-    import functools
-
-    from borcherds_kit import cli
-    from borcherds_kit.lattice import isotropic_line
+    from borcherds_kit import lattice as lattice_module
     lat = GramLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
                        [0, 0, 0, 2, 0], [0, 0, 0, 0, -14]], name="diag5")
     save_lattice(tmp_path / "diag5.json", lat)
     f = WHForm(discriminant_form(lat), 0, {(Fraction(0), discriminant_form(lat).zero): 1}, 2)
     save_form(tmp_path / "f.json", f, "diag5.json")
-    monkeypatch.setattr(cli, "isotropic_line", functools.partial(isotropic_line, budget=20))
+    monkeypatch.setattr(lattice_module, "ISOTROPIC_SEARCH_BUDGET", 20)
     assert main(["expand", "--lattice", str(tmp_path / "diag5.json"),
                  "--form", str(tmp_path / "f.json"), "--chamber-point", "1,0,0,0,1",
                  "--weyl", "0,0,0", "--cutoff", "2"]) == 1

@@ -601,12 +601,13 @@ def test_isotropic_line():
     assert gcd(*(abs(c) for c in ell)) == 1
 
 
-def test_isotropic_search_budget_warning():
+def test_isotropic_search_budget_warning(monkeypatch):
     # x^2 + y^2 = 7 z^2 has no nonzero solution (mod 8 descent), so the
     # shell search exhausts its budget and warns
     lat = GramLattice([[2, 0, 0], [0, 2, 0], [0, 0, -14]])
+    monkeypatch.setattr(lattice_module, "ISOTROPIC_SEARCH_BUDGET", 5000)
     with pytest.warns(RuntimeWarning):
-        assert isotropic_line(lat, budget=5000) is None
+        assert isotropic_line(lat) is None
 
 
 def test_vectors_below_negative_bound():
@@ -1256,13 +1257,15 @@ def test_count_memo_matches_cold_walks(memo_walks):
                 theta_series(lat, m)
 
 
-def test_isotropic_line_rank5_never_returns_none():
+def test_isotropic_line_rank5_never_returns_none(monkeypatch):
     # an indefinite form of rank >= 5 is isotropic (Meyer): a search that
     # runs out raises instead of returning None
     lat = GramLattice([[2, 0, 0, 0, 0], [0, 2, 0, 0, 0], [0, 0, 2, 0, 0],
                        [0, 0, 0, 2, 0], [0, 0, 0, 0, -14]])
-    with pytest.raises(ValueError, match="isotropic search exhausted"):
-        isotropic_line(lat, budget=20)
+    with monkeypatch.context() as patch:
+        patch.setattr(lattice_module, "ISOTROPIC_SEARCH_BUDGET", 20)
+        with pytest.raises(ValueError, match="isotropic search exhausted"):
+            isotropic_line(lat)
     ell = isotropic_line(lat)
     assert ell == (1, -2, -1, -1, -1)
     assert lat.q(ell) == 0

@@ -327,7 +327,7 @@ def test_prefix_stability_random():
 def test_product_requires_integral_form():
     f = knz_form().scale(Fraction(1, 7))
     f0 = reduce_f0(f, CUSP_UU)
-    ch = WeylChamber((2, -1), {}, 2)
+    ch = WeylChamber((2, -1), {})
     with pytest.raises(ValueError):
         product_expand(f, CUSP_UU, ch, (0, -1), 3)
 
@@ -343,7 +343,7 @@ def test_product_rejects_nonpositive_cutoff(cutoff):
 
 def test_product_rejects_nonintegral_weyl():
     f = knz_form()
-    ch = WeylChamber((2, -1), {}, 2)
+    ch = WeylChamber((2, -1), {})
     with pytest.raises(ValueError):
         product_expand(f, CUSP_UU, ch, (Fraction(1, 2), 0), 3)
 
@@ -646,7 +646,7 @@ def test_product_expand_rejects_inconsistent_chamber():
     good = chamber_of((2, -1), f0, CUSP_UU)
     flipped = {x: -s for x, s in good.wall_signs.items()}
     with pytest.raises(ValueError, match="inconsistent"):
-        product_expand(f, CUSP_UU, WeylChamber((2, -1), flipped, 2), (0, -1), 3)
+        product_expand(f, CUSP_UU, WeylChamber((2, -1), flipped), (0, -1), 3)
 
 
 def test_one_reduction_per_majorant(monkeypatch):
@@ -776,7 +776,7 @@ def former_chamber_of(w, f0, data, radius=2):
         if s == 0:
             raise ValueError(f"chamber point lies on the wall through {x}")
         signs[x] = 1 if s > 0 else -1
-    return WeylChamber(w, signs, radius)
+    return WeylChamber(w, signs)
 
 
 def former_body(form, data, chamber, cutoff):
