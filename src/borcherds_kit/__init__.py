@@ -32,7 +32,6 @@ from .lattice import (
     glue_lattice,
     is_maximal,
     isotropic_line,
-    lift_of_coset,
     overlattice_witness,
     representation_count,
     short_vectors,
@@ -80,7 +79,7 @@ __all__ = [
     "discriminant_form", "divide_by_24delta", "e", "eisenstein",
     "embedding_trick", "enumerate_walls", "fourier_splitting_holds",
     "glue_lattice", "is_maximal", "isotropic_line", "j_series",
-    "lattice_binomial", "lift_of_coset", "milgram_sum", "modularity_pairing",
+    "lattice_binomial", "milgram_sum", "modularity_pairing",
     "overlattice_witness", "product_expand", "pullback", "pullback_expr",
     "reduce_f0", "relation_ideal", "representation_count", "short_vectors",
     "sqrt_positive_int", "theta_series", "vectors_below", "zeta_mu",

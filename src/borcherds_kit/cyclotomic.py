@@ -120,10 +120,8 @@ class CycScalar:
         return CycScalar(conductor, {e * scale: c for e, c in self.coeffs.items()})
 
     def _pair(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = CycScalar.from_rational(other)
         if not isinstance(other, CycScalar):
-            raise TypeError(f"cannot combine CycScalar with {type(other).__name__}")
+            other = CycScalar.from_rational(other)
         m = lcm(self.conductor, other.conductor)
         return self.promote(m), other.promote(m)
 
@@ -150,7 +148,8 @@ class CycScalar:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycScalar):
+            other = exact_rational(other)
             return CycScalar(self.conductor,
                              {e: c * other for e, c in self.coeffs.items()
                               if c * other != 0}, reduced=True)
@@ -189,8 +188,8 @@ class CycScalar:
         return CycScalar(m, {e: c for e, c in enumerate(y) if c != 0}, reduced=True)
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
+        if not isinstance(other, CycScalar):
+            return self * (1 / exact_rational(other))
         a, b = self._pair(other)
         return a * b.inverse()
 
@@ -198,6 +197,7 @@ class CycScalar:
         return CycScalar.from_rational(other) / self
 
     def __pow__(self, n):
+        n = exact_int(n)
         if n < 0:
             return self.inverse() ** (-n)
         result = CycScalar.from_rational(1, self.conductor)
@@ -227,11 +227,10 @@ class CycScalar:
         return None
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, CycScalar):
+            other = exact_rational(other)
             r = self.try_rational()
             return r is not None and r == other
-        if not isinstance(other, CycScalar):
-            return NotImplemented
         a, b = self._pair(other)
         return a.coeffs == b.coeffs
 

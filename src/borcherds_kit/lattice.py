@@ -906,7 +906,11 @@ class CuspData:
     line, the quotient lattice V0 of (ell-perp in L) / Z*ell with its induced
     Gram matrix, and integer lifts of the V0 basis back into ell-perp.
     `reduction`, computed once, maps each coset mu of D(V) with a lift into
-    ell-perp to (lam, [lift, k] mod 1), lam the V0 coset of the lift.
+    ell-perp to (lam, [lift, k] mod 1), lam the V0 coset of the lift.  The
+    lift, lam and the root of unity are read off one integral inverse of the
+    basis B = (k0, ell, lift rows) of L: a representative c B of mu pairs to
+    N c_0 with ell, so it lifts exactly when c_0 is an integer, to
+    c B - c_0 k0, whose V0 coordinates are c_2, c_3, ...
     """
 
     def __init__(self, lattice, ell, n_value, k, k0, ell_star, v0, lift_rows):
@@ -918,7 +922,6 @@ class CuspData:
         self.ell_star = ell_star
         self.v0 = v0
         self.lift_rows = lift_rows
-        self._gl = list(lattice.image(self.ell))
 
     @property
     def disc_v(self):
@@ -930,12 +933,15 @@ class CuspData:
 
     @cached_property
     def reduction(self):
+        cols = list(zip(*_int_matrix(invert_rational((self.k0, self.ell) + self.lift_rows))))
         out = {}
         for mu in self.disc_v.cosets():
-            lifted = lift_of_coset(mu, self)
-            if lifted is not None:
-                lam = _project_to_v0_coset(lifted, self)
-                out[mu] = lam, self.lattice.bilinear(lifted, self.k) % 1
+            rep = self.disc_v.rep(mu)
+            c = [sum(map(mul, rep, col)) for col in cols]
+            if c[0].denominator == 1:
+                lift = tuple(a - c[0] * b for a, b in zip(rep, self.k0))
+                out[mu] = (self.disc_v0.coset_of_dual(c[2:]),
+                           self.lattice.bilinear(lift, self.k) % 1)
         return out
 
     def __repr__(self):
@@ -1006,27 +1012,3 @@ def coset_reduce(mu, data):
     """
     entry = data.reduction.get(data.disc_v.normalize(mu))
     return None if entry is None else entry[0]
-
-
-def lift_of_coset(mu, data):
-    """A lift rep - (r / N) k0 of mu into ell-perp intersect (mu + L), r = [rep, ell],
-    or None when N does not divide r."""
-    rep = data.disc_v.rep(mu)
-    r = sum(a * b for a, b in zip(rep, data._gl))
-    if Fraction(r).denominator != 1:
-        raise AssertionError("[mu, ell] must be integral for a dual vector")
-    t, rest = divmod(int(r), data.n_value)
-    if rest:
-        return None
-    return tuple(a - t * b for a, b in zip(rep, data.k0))
-
-
-def _project_to_v0_coset(vec, data):
-    """Express a vector of ell-perp as c*ell + sum lambda_i b_i; return the
-    V0 coset of (lambda_i)."""
-    cols = [list(data.ell)] + [list(r) for r in data.lift_rows]
-    sol = solve_rational(transpose(cols), list(vec))
-    if sol is None:
-        raise ValueError("vector does not lie in ell-perp")
-    lam = sol[1:]
-    return data.disc_v0.coset_of_dual(tuple(lam))

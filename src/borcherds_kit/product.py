@@ -30,7 +30,7 @@ from operator import mul
 
 from .cyclotomic import CycScalar, e
 from .forms import PrecisionError, WHForm
-from .lattice import _qf_leaves, _qf_point
+from .lattice import _coordinates, _qf_leaves, _qf_point
 from .linalg import exact_rational, rational_gcd
 from .qseries import LatticeQSeries, _grading_scale, _on_grid, lattice_binomial
 
@@ -203,7 +203,8 @@ class ProductExpansion:
 
     def __init__(self, body, weyl_exponent, constant, weight_out, skipped=0):
         self.body = body
-        self.weyl_exponent = tuple(map(exact_rational, weyl_exponent))
+        self.weyl_exponent = tuple(map(exact_rational,
+                                       _coordinates(weyl_exponent, body.lattice.rank)))
         self.constant = constant
         self.weight_out = weight_out
         self.skipped = skipped

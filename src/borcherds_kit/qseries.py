@@ -94,9 +94,9 @@ class FracQSeries:
         return self._coerce(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, FracQSeries):
+            other = exact_rational(other)
             return FracQSeries({e: c * other for e, c in self.coeffs.items()}, self.prec)
-        other = self._coerce(other)
         prec = min(self.prec + other.m_min, other.prec + self.m_min)
         out = {}
         for e1, c1 in self.coeffs.items():
@@ -110,8 +110,7 @@ class FracQSeries:
         return self.__mul__(other)
 
     def __pow__(self, n):
-        if not isinstance(n, int):
-            raise TypeError("integer powers only")
+        n = exact_int(n)
         if n < 0:
             return self.inverse() ** (-n)
         if n == 0:
@@ -161,11 +160,10 @@ class FracQSeries:
         return FracQSeries(out, span - m0)
 
     def _coerce(self, other):
+        """other as a series: a number is the constant series of its value."""
         if isinstance(other, FracQSeries):
             return other
-        if isinstance(other, (int, Fraction)):
-            return FracQSeries({Fraction(0): Fraction(other)}, self.prec)
-        raise TypeError(f"cannot combine FracQSeries with {type(other).__name__}")
+        return FracQSeries({0: other}, self.prec)
 
     def is_integral(self):
         return all(c.denominator == 1 for c in self.coeffs.values())
@@ -362,7 +360,8 @@ class LatticeQSeries:
                 else (other.cutoff, other._cut))
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LatticeQSeries):
+            other = exact_rational(other)
             terms = {a: (_as_int(c * other), g) for a, (c, g) in self._terms.items()}
             return self._derive(self.cutoff, self._cut,
                                 {a: t for a, t in terms.items() if t[0] != 0})
@@ -389,6 +388,8 @@ class LatticeQSeries:
         return self.__mul__(other)
 
     def __add__(self, other):
+        if not isinstance(other, LatticeQSeries):
+            raise TypeError(f"cannot add {type(other).__name__} to LatticeQSeries")
         self._check_compatible(other)
         cutoff, cut = self._common_cutoff(other)
         out = {a: t for a, t in self._terms.items() if t[1] <= cut}

@@ -60,6 +60,8 @@ KNZ0 = reduce_f0(KNZ, CUSP_UU)
 CHAMBER = chamber_of((2, -1), KNZ0, CUSP_UU)
 SERIES = LatticeQSeries(V0, (2, -1), 6, {(0, 1): 2, (1, 1): 3})
 PAIRED = WHForm(discriminant_form(U), 0, {(-1, ()): 1, (1, ()): 5}, 2)
+FSERIES = FracQSeries({-1: 1, 0: 3, 2: 5}, 4)
+ZETA = e(Fraction(1, 5))
 SPLIT = WHForm.from_scalar_series(discriminant_form(UU), 0, delta_series(9).inverse() * 24)
 
 
@@ -128,6 +130,18 @@ ENTRY_POINTS = [
      lambda x: fourier_splitting_holds(SPLIT, embedding(), x), 1),
     ("modularity_pairing-value", lambda x: modularity_pairing(PAIRED, {(1, ()): x}), 2),
     ("rational_gcd", lambda x: rational_gcd([x, 4]), 6),
+    # operators read their scalar operand by the same rule
+    ("LatticeQSeries*", lambda x: SERIES * x, 2),
+    ("FracQSeries*", lambda x: FSERIES * x, 2),
+    ("FracQSeries+", lambda x: FSERIES + x, 2),
+    ("FracQSeries-", lambda x: FSERIES - x, 2),
+    ("FracQSeries**", lambda x: FSERIES ** x, 2),
+    ("CycScalar*", lambda x: _cyc(ZETA * x), 2),
+    ("CycScalar+", lambda x: _cyc(ZETA + x), 2),
+    ("CycScalar-", lambda x: _cyc(ZETA - x), 2),
+    ("CycScalar/", lambda x: _cyc(ZETA / x), 2),
+    ("CycScalar**", lambda x: _cyc(ZETA ** x), 2),
+    ("CycScalar==", lambda x: CycScalar.from_rational(1) == x, 1),
 ]
 
 
@@ -155,6 +169,19 @@ def test_floats_no_longer_read_as_binary_fractions():
         chamber_of((0.5, -1.1), KNZ0, CUSP_UU)
     # an exponent read exactly but off the dual grid still has coefficient 0
     assert SERIES.coefficient((Fraction(1, 3), 1)) == 0
+    # CycScalar == 1.0 was False; series * 2.0 raised AttributeError
+    assert CycScalar.from_rational(1) == 1.0
+    assert SERIES * 2.0 == SERIES + SERIES
+
+
+def test_a_number_added_to_a_lattice_series_raises_type_error():
+    # a LatticeQSeries has no constant to add a number to (this was an
+    # AttributeError)
+    for x in (1, 1.0, Fraction(1, 2)):
+        with pytest.raises(TypeError, match="cannot add"):
+            SERIES + x
+        with pytest.raises(TypeError, match="cannot add"):
+            SERIES - x
 
 
 def test_knz_job_with_integral_floats_matches_ints():
@@ -177,9 +204,10 @@ def test_knz_job_with_integral_floats_matches_ints():
     lambda v: SERIES.coefficient(v),
     lambda v: lattice_binomial(V0, v, 6, (0, 1), 1, 3),
     lambda v: lattice_binomial(V0, (2, -1), 6, v, 1, 3),
+    lambda v: ProductExpansion(SERIES, v, 1, 0),
 ], ids=["enumerate_walls-w", "chamber_of-w", "WeylChamber-w", "LatticeQSeries-w",
         "LatticeQSeries-alpha", "LatticeQSeries.coefficient-alpha", "lattice_binomial-w",
-        "lattice_binomial-alpha"])
+        "lattice_binomial-alpha", "ProductExpansion-weyl_exponent"])
 def test_vectors_of_the_wrong_length_raise(call):
     # V0 has rank 2; (2, -1, 0) and (0, 1, 0) extend a valid vector by a zero,
     # and (1/3, 1, 0) is off the dual grid as well.

@@ -22,7 +22,6 @@ from borcherds_kit.lattice import (
     glue_lattice,
     is_maximal,
     isotropic_line,
-    lift_of_coset,
     overlattice_witness,
     representation_count,
     short_vectors,
@@ -697,26 +696,26 @@ def test_coset_reduce_a1_coset():
     lam = coset_reduce((1,), data)
     assert lam == (1,)
     assert d0.q(lam) == d.q((1,))
-    # the lift really lies in ell-perp and in mu + L
-    lifted = lift_of_coset((1,), data)
-    assert lat.bilinear(lifted, data.ell) == 0
-    diff = [a - b for a, b in zip(lifted, d.rep((1,)))]
-    assert all(Fraction(x).denominator == 1 for x in diff)
+    # k = k0 is integral, so both roots of unity are 1
+    assert data.reduction == {(0,): ((0,), 0), (1,): ((1,), 0)}
 
 
 def test_coset_reduce_lift_independent():
-    # shifting a lift by any kernel vector of [., ell] lands in the same coset
-    from borcherds_kit.lattice import _project_to_v0_coset
-    from borcherds_kit.linalg import kernel_basis, mat_vec
+    # shifting a lift by any kernel vector of [., ell] lands in the same
+    # coset: write the moved lift as c ell + sum c_i lift_i and read off c_i
+    from borcherds_kit.linalg import kernel_basis, mat_vec, solve_rational, transpose
     lat = direct_sum([U, A1])
     data = cusp_data(lat, (1, 0, 0))
-    lifted = lift_of_coset((1,), data)
+    lifted = discriminant_form(lat).rep((1,))
+    assert lat.bilinear(lifted, data.ell) == 0
     target = coset_reduce((1,), data)
+    cols = transpose([data.ell, *data.lift_rows])
     gl = mat_vec([list(r) for r in lat.gram], list(data.ell))
     for kv in kernel_basis([gl]):
         for scale in (-2, 1, 3):
-            moved = tuple(a + scale * b for a, b in zip(lifted, kv))
-            assert _project_to_v0_coset(moved, data) == target
+            moved = [a + scale * b for a, b in zip(lifted, kv)]
+            coords = solve_rational(cols, moved)
+            assert data.disc_v0.coset_of_dual(coords[1:]) == target
 
 
 def test_coset_reduce_no_lift():

@@ -12,7 +12,6 @@ from borcherds_kit.lattice import (
     cusp_data,
     direct_sum,
     discriminant_form,
-    lift_of_coset,
 )
 from borcherds_kit.product import (
     PrecisionError,
@@ -25,7 +24,7 @@ from borcherds_kit.product import (
     reduce_f0,
     zeta_mu,
 )
-from borcherds_kit.linalg import rational_gcd, solve_int, solve_rational, transpose
+from borcherds_kit.linalg import det_int, rational_gcd, solve_int, solve_rational, transpose
 from borcherds_kit.qseries import (
     FracQSeries,
     LatticeQSeries,
@@ -201,8 +200,7 @@ def test_zeta_mu_lift_independence():
     lat = direct_sum([U, A1])
     data = cusp_data(lat, (1, 0, 0))
     d = discriminant_form(lat)
-    from borcherds_kit.lattice import lift_of_coset
-    lifted = lift_of_coset((1,), data)
+    lifted = former_lift_of_coset((1,), data)
     # shifting the lift by kernel vectors must not change zeta
     from borcherds_kit.linalg import kernel_basis, mat_vec
     gl = mat_vec([list(r) for r in lat.gram], list(data.ell))
@@ -477,20 +475,28 @@ def test_cusp_reduction_matches_per_coset_lifts(name):
     data = REDUCTION_CASES[name]()
     disc = data.disc_v
     coeffs = {}
+    # the reduction reads each coset off the inverse of (k0, ell, lift rows),
+    # which must be a basis of L with [k0, ell] = N and the rest in ell-perp
+    assert abs(det_int((data.k0, data.ell) + data.lift_rows)) == 1
+    assert data.lattice.bilinear(data.k0, data.ell) == data.n_value
+    assert all(data.lattice.bilinear(r, data.ell) == 0 for r in data.lift_rows)
     for i, mu in enumerate(disc.cosets()):
         lam = former_coset_reduce(mu, data)
         assert coset_reduce(mu, data) == lam
-        lifted = lift_of_coset(mu, data)
+        lifted = former_lift_of_coset(mu, data)
         if lam is None:
             assert mu not in data.reduction and lifted is None
             with pytest.raises(ValueError, match="no lift"):
                 zeta_mu(mu, data)
         else:
-            assert data.reduction[mu][0] == lam
-            assert zeta_mu(mu, data) == former_zeta_mu(mu, data)
             assert data.lattice.bilinear(lifted, data.ell) == 0
             assert all(Fraction(a - b).denominator == 1
                        for a, b in zip(lifted, disc.rep(mu)))
+            # any two lifts differ by a vector of ell-perp in L, so they give
+            # the same V0 coset, of the same norm, and the same [lift, k] mod 1
+            assert data.reduction[mu] == (lam, data.lattice.bilinear(lifted, data.k) % 1)
+            assert data.disc_v0.q(lam) == disc.q(mu)
+            assert zeta_mu(mu, data) == former_zeta_mu(mu, data)
         coeffs[(disc.q(mu) - 1, mu)] = i + 1
     # reduce_f0 against the sum over the former reductions
     form = WHForm(disc, 0, coeffs, 1)
@@ -503,12 +509,12 @@ def test_cusp_reduction_matches_per_coset_lifts(name):
 
 
 def test_cusp_reduction_lifts_each_coset_once(monkeypatch):
-    from borcherds_kit import lattice as lattice_module
+    # each coset's representative is read once per cusp, by the reduction
     form, data, w, cutoff = _nontrivial_zeta_case()
+    disc = data.disc_v
     calls = []
-    real = lattice_module.lift_of_coset
-    monkeypatch.setattr(lattice_module, "lift_of_coset",
-                        lambda mu, d: calls.append(mu) or real(mu, d))
+    real = disc.rep
+    monkeypatch.setattr(disc, "rep", lambda mu: calls.append(mu) or real(mu))
     f0 = reduce_f0(form, data)
     chamber = chamber_of(w, f0, data)
     product_expand(form, data, chamber, (0,) * data.v0.rank, cutoff)
