@@ -7,7 +7,7 @@ hyperbolic plane; the product expansion over a Weyl chamber then reproduces
 
     j(p) - j(q) = (p^{-1} - q^{-1}) prod_{m,n >= 1} (1 - p^m q^n)^{c(mn)}
 
-where j is computed independently as E4^3 / Delta.  Every coefficient match
+where j is computed independently as E6^2 / Delta + 1728.  Every coefficient match
 below is exact integer arithmetic.
 """
 

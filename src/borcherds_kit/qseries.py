@@ -65,11 +65,19 @@ class FracQSeries:
         return FracQSeries({e: c for e, c in self.coeffs.items() if e < prec}, prec)
 
     def __eq__(self, other):
-        if not isinstance(other, FracQSeries):
-            return NotImplemented
-        return self.prec == other.prec and self.coeffs == other.coeffs
+        """Two series are equal when their precisions and terms are.  A number
+        is read by `exact_rational` and equals a series whose one term is that
+        constant (no term, for 0); a number is exact, so no precision is
+        compared."""
+        if isinstance(other, FracQSeries):
+            return self.prec == other.prec and self.coeffs == other.coeffs
+        c = exact_rational(other)
+        return self.coeffs == ({0: c} if c else {})
 
     def __hash__(self):
+        # a series equal to a number hashes as that number
+        if self.coeffs.keys() <= {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash((self.prec, frozenset(self.coeffs.items())))
 
     def __add__(self, other):
@@ -207,25 +215,32 @@ def eisenstein(k, b):
 
 
 def delta_series(b):
-    """The discriminant cusp form q * prod (1-q^n)^24 with terms through q^b."""
+    """The discriminant cusp form q * prod (1-q^n)^24 with terms through q^b.
+
+    Jacobi's triple product identity gives
+    prod (1-q^n)^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2), the series of
+    eta^3, so Delta = q * (that series)^8: three squarings.
+    """
     b = exact_int(b)
     if b < 1:
         raise ValueError("need b >= 1")
-    # prod (1-q^n) through q^(b-1) by Euler's pentagonal number theorem
-    pent = {0: 1}
-    m = 1
-    while m * (3 * m - 1) // 2 < b:
-        pent[m * (3 * m - 1) // 2] = pent[m * (3 * m + 1) // 2] = (-1) ** m
-        m += 1
-    return (FracQSeries(pent, b) ** 24).shift(1)
+    # prod (1-q^n)^3 through q^(b-1)
+    cube = {}
+    k = 0
+    while k * (k + 1) // 2 < b:
+        cube[k * (k + 1) // 2] = (-1) ** k * (2 * k + 1)
+        k += 1
+    return (FracQSeries(cube, b) ** 8).shift(1)
 
 
 def j_series(b):
-    """The modular j-function E4^3 / Delta with terms through q^b."""
+    """The modular j-function E4^3 / Delta with terms through q^b.
+
+    E4^3 - E6^2 = 1728 Delta, so j = E6^2 / Delta + 1728: two products.
+    """
     b = exact_int(b)
-    e4 = eisenstein(4, b + 2)
-    delta = delta_series(b + 3)
-    j = (e4 * e4 * e4) * delta.inverse()
+    e6 = eisenstein(6, b + 2)
+    j = (e6 * e6) * delta_series(b + 3).inverse() + 1728
     return j.truncate(b + 1)
 
 
@@ -361,7 +376,8 @@ class LatticeQSeries:
 
     def __mul__(self, other):
         if not isinstance(other, LatticeQSeries):
-            other = exact_rational(other)
+            if not isinstance(other, CycScalar):
+                other = exact_rational(other)
             terms = {a: (_as_int(c * other), g) for a, (c, g) in self._terms.items()}
             return self._derive(self.cutoff, self._cut,
                                 {a: t for a, t in terms.items() if t[0] != 0})

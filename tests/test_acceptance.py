@@ -90,8 +90,8 @@ def test_criterion_2_knz_oracle(knz_expansion):
     pe, data, elapsed = knz_expansion
     v0 = data.v0
     w = (2, -1)
-    # independent oracle: j from E4^3 / Delta, expanded as j(p) - j(q) in the
-    # exponent coordinates p = q_(0,1), q = q_(-1,0)
+    # independent oracle: j from E6^2 / Delta + 1728, expanded as j(p) - j(q)
+    # in the exponent coordinates p = q_(0,1), q = q_(-1,0)
     j = j_series(14)
     oracle = {}
     for n in range(-1, 15):

@@ -142,6 +142,8 @@ ENTRY_POINTS = [
     ("CycScalar/", lambda x: _cyc(ZETA / x), 2),
     ("CycScalar**", lambda x: _cyc(ZETA ** x), 2),
     ("CycScalar==", lambda x: CycScalar.from_rational(1) == x, 1),
+    ("FracQSeries==", lambda x: FracQSeries.one(5) == x, 1),
+    ("FracQSeries==-unequal", lambda x: FSERIES == x, 2),
 ]
 
 

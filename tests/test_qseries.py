@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 
+from borcherds_kit.cyclotomic import e
 from borcherds_kit.lattice import GramLattice
 from borcherds_kit.qseries import (
     FracQSeries,
@@ -16,10 +18,12 @@ from borcherds_kit.qseries import (
 
 
 def delta_by_jacobi(b):
-    """Independent oracle for Delta: (eta^3)^8 via Jacobi's identity.
+    """Delta as q * (eta^3 / q^(1/8))^8 on plain int dicts.
 
     eta(tau)^3 = q^(1/8) * sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2), so Delta =
-    q * (sum ...)^8.  This route never touches the Euler-product code path.
+    q * (sum ...)^8.  This is the identity `delta_series` computes with, so
+    it checks the FracQSeries products, not the formula;
+    `former_delta_series` (Euler's pentagonal product) checks the formula.
     """
     cube = {}
     k = 0
@@ -35,6 +39,27 @@ def delta_by_jacobi(b):
                     nxt[e1 + e2] = nxt.get(e1 + e2, 0) + c1 * c2
         acc = nxt
     return {n + 1: c for n, c in acc.items() if c != 0 and n + 1 <= b}
+
+
+@cache
+def former_delta_series(b):
+    """The former delta_series: (prod (1-q^n))^24 by Euler's pentagonal number
+    theorem, four squarings and a product.  Cached, so the j comparison
+    reuses the Deltas the Delta comparison built."""
+    pent = {0: 1}
+    m = 1
+    while m * (3 * m - 1) // 2 < b:
+        pent[m * (3 * m - 1) // 2] = pent[m * (3 * m + 1) // 2] = (-1) ** m
+        m += 1
+    return (FracQSeries(pent, b) ** 24).shift(1)
+
+
+def former_j_series(b):
+    """The former j_series: E4 * E4 * E4 / Delta, on the former Delta."""
+    e4 = eisenstein(4, b + 2)
+    delta = former_delta_series(b + 3)
+    j = (e4 * e4 * e4) * delta.inverse()
+    return j.truncate(b + 1)
 
 
 # tau(1..9), frozen from the Jacobi oracle above
@@ -96,6 +121,20 @@ def test_e4_cubed_minus_e6_squared():
         assert lhs.coefficient(n) == rhs.coefficient(n)
 
 
+def test_delta_matches_former_euler_product():
+    for b in range(1, 111):
+        new, old = delta_series(b), former_delta_series(b)
+        assert new.prec == old.prec == b + 1, b
+        assert new.coeffs == old.coeffs, b
+
+
+def test_j_matches_former_e4_cubed():
+    for b in range(-2, 101):
+        new, old = j_series(b), former_j_series(b)
+        assert new.prec == old.prec == b + 1, b
+        assert new.coeffs == old.coeffs, b
+
+
 def test_j_series():
     j = j_series(1)
     assert j.coefficient(-1) == 1
@@ -123,6 +162,28 @@ def test_exact_numbers_in_series():
         for call in bad_calls:
             with pytest.raises(ValueError, match="expected an integer"):
                 call(bad)
+
+
+def test_series_equals_a_number_by_its_constant_term():
+    # FracQSeries.one(5) == 1 was False, though FracQSeries.one(5) - 1 is
+    # the zero series
+    one = FracQSeries.one(5)
+    assert one == 1 and 1 == one and one == Fraction(1) and one == 1.0
+    assert one != 2 and one != 0 and FracQSeries({0: 1, 1: 1}, 5) != 1
+    assert one - 1 == 0 and FracQSeries.zero(3) == 0 and FracQSeries.zero(-1) == 0
+    assert FracQSeries({0: Fraction(1, 2)}, 2) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="expected an integer"):
+        one == 0.5
+    # a == b implies hash(a) == hash(b), so a number finds its series in a dict
+    assert hash(one) == hash(1) and hash(FracQSeries.zero(3)) == hash(0)
+    assert hash(FracQSeries({0: Fraction(1, 2)}, 2)) == hash(Fraction(1, 2))
+    assert {one: "one"}[1] == "one"
+    series = [FracQSeries({0: 1, 1: 2}, 3), FracQSeries({0: 1, 1: 2}, 4),
+              FracQSeries({1: 2}, 3), one, FracQSeries.one(6)]
+    for a in series:
+        for b in series:
+            assert (a == b) == (a is b)
+    assert len(set(series)) == len(series)  # one(5) and one(6) share a hash
 
 
 def test_mul_basic():
@@ -312,6 +373,19 @@ def test_lattice_binomial_inverse_pairs_random():
         zero = tuple([Fraction(0)] * 2)
         for key, val in prod.coeffs.items():
             assert val == (1 if key == zero else 0)
+
+
+def test_lattice_series_times_a_cyclotomic_scalar():
+    # the scalar branch raised "expected an integer, got z5^1"
+    zeta = e(Fraction(1, 5))
+    assert (LatticeQSeries.one(U_GRAM, W, 5) * zeta).coeffs == {(0, 0): zeta}
+    s = lattice_binomial(U_GRAM, W, 6, (1, 1), zeta, 2)  # 1 - 2 zeta q + zeta^2 q^2
+    assert (s * zeta).coeffs == {(0, 0): zeta, (1, 1): -2 * zeta ** 2,
+                                 (2, 2): zeta ** 3}
+    assert s * zeta ** 4 * zeta == s
+    rational = lattice_binomial(U_GRAM, W, 6, (1, 1), 1, 2)  # 1 - 2q + q^2
+    assert (rational * zeta).coeffs == {(0, 0): zeta, (1, 1): -2 * zeta, (2, 2): zeta}
+    assert rational * zeta * (zeta ** 4) == rational
 
 
 def test_grading_mismatch_rejected():
