@@ -2,12 +2,13 @@
 
 A CycScalar is a rational linear combination of powers of a primitive M-th
 root of unity, kept reduced modulo the M-th cyclotomic polynomial, so
-equality is decidable coefficientwise.  Mixed-conductor arithmetic promotes
-both operands to the least common conductor.  Square roots of positive
-integers are represented exactly through quadratic Gauss sums, which keeps
-the whole scalar tower inside one cyclotomic field: for an odd prime p the
-sum sum_a zeta_p^(a^2) is one CycScalar built from the count of each a^2
-mod p, reduced once, as `weil.milgram_sum` builds its sum.  One long
+equality is decidable coefficientwise.  The one constructor reduces; the
+results of + - *, `inverse` and negation are stored already reduced.
+Mixed-conductor arithmetic works over the least common conductor.  Square
+roots of positive integers are represented exactly through quadratic Gauss
+sums, which keeps the whole scalar tower inside one cyclotomic field: for an
+odd prime p the sum sum_a zeta_p^(a^2) is one CycScalar built from the count
+of each a^2 mod p, reduced once, as `weil.milgram_sum` builds its sum.  One long
 division by a monic polynomial (`_monic_divmod`) builds the cyclotomic
 polynomials, at most 128 of them cached, and reduces modulo them, on the
 integers over the common denominator of the coefficients; the inverse
@@ -73,36 +74,33 @@ def _reduce_dense(dense, den, m):
     return {e: Fraction(c, den) for e, c in enumerate(rem) if c}
 
 
-def _reduce_mod_cyclotomic(coeffs, m):
-    """Reduce {exponent: Fraction} modulo zeta_m^m = 1 and the cyclotomic
-    polynomial, dividing the integers over the common denominator."""
-    den, terms = _numerators(coeffs)
-    dense = [0] * m
-    for e, c in terms:
-        dense[e % m] += c
-    return _reduce_dense(dense, den, m)
-
-
 class CycScalar:
     """An element of Q(zeta_M), reduced to the power basis of degree < phi(M)."""
 
     __slots__ = ("conductor", "coeffs")
 
-    def __init__(self, conductor, coeffs, reduced=False):
-        self.conductor = exact_int(conductor)
-        if self.conductor < 1:
+    def __init__(self, conductor, coeffs):
+        """Reduce modulo zeta_M^M = 1 and Phi_M, on integers over one denominator."""
+        m = self.conductor = exact_int(conductor)
+        if m < 1:
             raise ValueError("conductor must be positive")
-        if reduced:
-            self.coeffs = dict(coeffs)
-        else:
-            self.coeffs = _reduce_mod_cyclotomic(
-                {exact_int(e): exact_rational(c) for e, c in coeffs.items()},
-                self.conductor)
+        den, terms = _numerators({exact_int(e): exact_rational(c) for e, c in coeffs.items()})
+        dense = [0] * m
+        for e, c in terms:
+            dense[e % m] += c
+        self.coeffs = _reduce_dense(dense, den, m)
 
     @classmethod
-    def from_rational(cls, value, conductor=1):
-        value = exact_rational(value)
-        return cls(conductor, {0: value} if value else {})
+    def _reduced(cls, conductor, coeffs):
+        """An arithmetic result: coefficients already reduced, zeros dropped."""
+        out = object.__new__(cls)
+        out.conductor = conductor
+        out.coeffs = {e: c for e, c in coeffs.items() if c}
+        return out
+
+    @classmethod
+    def from_rational(cls, value):
+        return cls(1, {0: value})
 
     @classmethod
     def root_of_unity(cls, exponent):
@@ -111,34 +109,29 @@ class CycScalar:
         m = exponent.denominator
         return cls(m, {exponent.numerator % m: Fraction(1)})
 
-    def promote(self, conductor):
-        if conductor == self.conductor:
-            return self
-        if conductor % self.conductor != 0:
-            raise ValueError("can only promote to a multiple of the conductor")
-        scale = conductor // self.conductor
-        return CycScalar(conductor, {e * scale: c for e, c in self.coeffs.items()})
-
     def _pair(self, other):
+        """self and other over the least common conductor."""
         if not isinstance(other, CycScalar):
             other = CycScalar.from_rational(other)
         m = lcm(self.conductor, other.conductor)
-        return self.promote(m), other.promote(m)
+
+        def over_m(x):
+            scale = m // x.conductor
+            return x if scale == 1 else CycScalar(m, {e * scale: c for e, c in x.coeffs.items()})
+        return over_m(self), over_m(other)
 
     def __add__(self, other):
         a, b = self._pair(other)
         out = dict(a.coeffs)
         for e, c in b.coeffs.items():
             out[e] = out.get(e, Fraction(0)) + c
-        return CycScalar(a.conductor, {e: c for e, c in out.items() if c != 0},
-                         reduced=True)
+        return CycScalar._reduced(a.conductor, out)
 
     def __radd__(self, other):
         return self.__add__(other)
 
     def __neg__(self):
-        return CycScalar(self.conductor, {e: -c for e, c in self.coeffs.items()},
-                         reduced=True)
+        return CycScalar._reduced(self.conductor, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other):
         a, b = self._pair(other)
@@ -149,10 +142,12 @@ class CycScalar:
 
     def __mul__(self, other):
         if not isinstance(other, CycScalar):
+            from .qseries import LatticeQSeries  # qseries imports this module
+            if isinstance(other, LatticeQSeries):
+                return NotImplemented  # its __rmul__ scales every coefficient
             other = exact_rational(other)
-            return CycScalar(self.conductor,
-                             {e: c * other for e, c in self.coeffs.items()
-                              if c * other != 0}, reduced=True)
+            return CycScalar._reduced(self.conductor,
+                                      {e: c * other for e, c in self.coeffs.items()})
         # the term pairs multiply integer numerators over the product of the
         # common denominators; exponents below phi(M) sum to less than 2M
         a, b = self._pair(other)
@@ -163,8 +158,8 @@ class CycScalar:
         for e1, c1 in terms_a:
             for e2, c2 in terms_b:
                 dense[e1 + e2] += c1 * c2
-        return CycScalar(m, _reduce_dense([x + y for x, y in zip(dense, dense[m:])],
-                                          den_a * den_b, m), reduced=True)
+        return CycScalar._reduced(m, _reduce_dense([x + y for x, y in zip(dense, dense[m:])],
+                                                   den_a * den_b, m))
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -185,7 +180,7 @@ class CycScalar:
             x[e] = c
         cols = [_monic_divmod([0] * j + x, phi)[1] for j in range(deg)]
         y = solve_rational(transpose(cols), [1] + [0] * (deg - 1))
-        return CycScalar(m, {e: c for e, c in enumerate(y) if c != 0}, reduced=True)
+        return CycScalar._reduced(m, dict(enumerate(y)))
 
     def __truediv__(self, other):
         if not isinstance(other, CycScalar):
@@ -200,7 +195,7 @@ class CycScalar:
         n = exact_int(n)
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycScalar.from_rational(1, self.conductor)
+        result = CycScalar.from_rational(1)
         base = self
         while n:
             if n & 1:

@@ -5,14 +5,17 @@ The standard-generator matrices act on C[D] by
     rho(T) phi_mu = e(Q(mu)) phi_mu
     rho(S) phi_mu = e(-sig8/8)/sqrt(|D|) * sum_nu e(-[mu, nu]) phi_nu
 
-and are stored as integer exponents of zeta_N = e(1/N), N the level of D:
+and are stored as integer exponents of zeta_N = e(1/N), N = `disc.level`, the
+level of D:
 
     rho_T = diag(zeta_N^t_mu),   t_mu = N Q(mu) mod N,
     rho_S = c * Z,  Z = (zeta_N^z_mu_nu),   z_mu_nu = -N [mu, nu] mod N,
 
 with the one scalar c = e(-sig8/8)/sqrt(|D|).  N and the exponents come from
 the discriminant form's integer generator Gram (`DiscriminantForm.level`,
-`q_exponent`, `pairing_row`); no rational lift is evaluated here.  The exact cyclotomic matrices
+`q_exponent`, `pairing_row`); no rational lift is evaluated here.
+`WeilRepData(disc, sig8, t, z)` holds the exponents and reads N off `disc`,
+so no other N can be paired with them.  The exact cyclotomic matrices
 `rho_t` and `rho_s` are derived from the exponents on first access.
 
 The convention is pinned by two self-verifying identities rather than by
@@ -43,14 +46,14 @@ from .linalg import exact_int
 class WeilRepData:
     """The Weil representation attached to (D, sig8), as exponents of zeta_N.
 
-    `level` is N, `t` the tuple of t_mu and `z` the matrix of z_mu_nu, both
-    indexed by `disc.cosets()` order.
+    `level` is N = `disc.level`, `t` the tuple of t_mu and `z` the matrix of
+    z_mu_nu, both indexed by `disc.cosets()` order.
     """
 
-    def __init__(self, disc, sig8, level, t, z):
+    def __init__(self, disc, sig8, t, z):
         self.disc = disc
         self.sig8 = sig8 % 8
-        self.level = level
+        self.level = disc.level
         self.t = tuple(t)
         self.z = tuple(tuple(row) for row in z)
 
@@ -95,13 +98,13 @@ def build_weil_rep(disc, sig8):
     t = [disc.q_exponent(mu) for mu in cosets]
     rows = [disc.pairing_row(mu) for mu in cosets]
     z = [[-sum(map(mul, row, nu)) % level for nu in cosets] for row in rows]
-    return WeilRepData(disc, sig8, level, t, z)
+    return WeilRepData(disc, sig8, t, z)
 
 
 def conjugate_rep(rep):
     """Complex conjugation (zeta -> zeta^{-1}): negate the exponents and sig8."""
     n = rep.level
-    return WeilRepData(rep.disc, -rep.sig8, n, [(-x) % n for x in rep.t],
+    return WeilRepData(rep.disc, -rep.sig8, [(-x) % n for x in rep.t],
                        [[(-x) % n for x in row] for row in rep.z])
 
 
@@ -153,12 +156,6 @@ def _packed_z(rep):
     return _pack_matrix(rep.z, width), width
 
 
-def _s_products(rep):
-    """Z^2 (packed) and the field width it was packed with."""
-    zz, width = _packed_z(rep)
-    return _packed_mat_mul(zz, zz, rep.level, width), width
-
-
 def braid_holds(rep):
     """(rho_S rho_T)^3 == rho_S^2, exactly, over every entry.
 
@@ -195,7 +192,8 @@ def s_fourth_power_scalar(rep):
     rho_S^4 = c^4 Z^4 with c^4 = e(-sig8/2)/|D|^2.
     """
     n = rep.level
-    z2, width = _s_products(rep)
+    z, width = _packed_z(rep)
+    z2 = _packed_mat_mul(z, z, n, width)
     z4 = _packed_mat_mul(z2, z2, n, width)
     value = _entry_reader(n, width)
     diagonal = value(z4[0][0])

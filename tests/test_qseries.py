@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from functools import cache
 
 import pytest
 
@@ -41,11 +40,9 @@ def delta_by_jacobi(b):
     return {n + 1: c for n, c in acc.items() if c != 0 and n + 1 <= b}
 
 
-@cache
 def former_delta_series(b):
     """The former delta_series: (prod (1-q^n))^24 by Euler's pentagonal number
-    theorem, four squarings and a product.  Cached, so the j comparison
-    reuses the Deltas the Delta comparison built."""
+    theorem, four squarings and a product."""
     pent = {0: 1}
     m = 1
     while m * (3 * m - 1) // 2 < b:
@@ -122,15 +119,19 @@ def test_e4_cubed_minus_e6_squared():
 
 
 def test_delta_matches_former_euler_product():
+    # the former Delta is built once, to q^110, and truncated for each b
+    former = former_delta_series(110)
     for b in range(1, 111):
-        new, old = delta_series(b), former_delta_series(b)
+        new, old = delta_series(b), former.truncate(b + 1)
         assert new.prec == old.prec == b + 1, b
         assert new.coeffs == old.coeffs, b
 
 
 def test_j_matches_former_e4_cubed():
+    # the former j is built once, to q^100, and truncated for each b
+    former = former_j_series(100)
     for b in range(-2, 101):
-        new, old = j_series(b), former_j_series(b)
+        new, old = j_series(b), former.truncate(b + 1)
         assert new.prec == old.prec == b + 1, b
         assert new.coeffs == old.coeffs, b
 
@@ -386,6 +387,14 @@ def test_lattice_series_times_a_cyclotomic_scalar():
     rational = lattice_binomial(U_GRAM, W, 6, (1, 1), 1, 2)  # 1 - 2q + q^2
     assert (rational * zeta).coeffs == {(0, 0): zeta, (1, 1): -2 * zeta, (2, 2): zeta}
     assert rational * zeta * (zeta ** 4) == rational
+    # the reflected product raised "expected an integer, got LatticeQSeries(...)"
+    one = LatticeQSeries.one(U_GRAM, W, 5)
+    assert (zeta * one).coeffs == (one * zeta).coeffs == {(0, 0): zeta}
+    assert (zeta * s).coeffs == (s * zeta).coeffs
+    assert (zeta ** 4) * (zeta * rational) == rational
+    # FracQSeries coefficients are rational, so a CycScalar does not scale one
+    with pytest.raises(ValueError, match="expected an integer"):
+        zeta * FracQSeries.one(3)
 
 
 def test_grading_mismatch_rejected():

@@ -10,7 +10,6 @@ from borcherds_kit.codes import BINARY_GOLAY_POLY, TERNARY_GOLAY_POLY, _divides_
 from borcherds_kit.cyclotomic import (
     CycScalar,
     _monic_divmod,
-    _reduce_mod_cyclotomic,
     _sqrt_prime,
     cyclotomic_polynomial,
     e,
@@ -24,7 +23,6 @@ from borcherds_kit.weil import (
     WeilRepData,
     _pack_matrix,
     _packed_mat_mul,
-    _s_products,
     braid_holds,
     build_weil_rep,
     conjugate_rep,
@@ -74,14 +72,14 @@ def test_sqrt_positive_int():
         assert sqrt_positive_int(n) ** 2 == n
 
 
-# The former `CycScalar.__mul__`, copied verbatim under a new name: every
-# term pair multiplied and added as Fractions, the reference of the integer
-# product below.
+# The former `CycScalar.__mul__`, copied under a new name: every term pair
+# multiplied and added as Fractions, the reference of the integer product
+# below.  Its rational branch now builds through the reducing constructor.
 def _former_mul(self, other):
     if isinstance(other, (int, Fraction)):
         return CycScalar(self.conductor,
                          {e: c * other for e, c in self.coeffs.items()
-                          if c * other != 0}, reduced=True)
+                          if c * other != 0})
     a, b = self._pair(other)
     out = {}
     for e1, c1 in a.coeffs.items():
@@ -113,6 +111,61 @@ def test_integer_mul_matches_former_fraction_loop():
                     (old.conductor, list(old.coeffs.items())), (a, b)
                 products += not new.is_zero()
     assert products > 600  # not vacuous
+
+
+def _assert_canonical(r):
+    """r is stored as the constructor stores it: reduced, with no zero."""
+    assert isinstance(r, CycScalar)
+    assert CycScalar(r.conductor, r.coeffs).coeffs == r.coeffs, r
+    assert all(c != 0 for c in r.coeffs.values()), r
+
+
+def test_every_arithmetic_result_is_reduced():
+    # + - * / ** inverse and conjugate on random elements of Q(zeta_m),
+    # m = 1..60, with elements of the same field, of another conductor and
+    # rationals, zero included, on either side
+    rng = random.Random(48)
+
+    def rand_scalar(m, terms):
+        return CycScalar(m, {rng.randrange(-m, 2 * m): Fraction(rng.randint(-4, 4),
+                                                                 rng.randint(1, 4))
+                             for _ in range(rng.randint(0, terms))})
+
+    def rand_divisor(m):
+        x = rand_scalar(m, 3)
+        return x if not x.is_zero() else rand_divisor(m)
+
+    results = 0
+    for m in range(1, 61):
+        a = rand_scalar(m, m)
+        other = rng.choice([d for d in range(1, 61) if lcm(m, d) <= 120])
+        for b in (rand_scalar(m, m), rand_scalar(other, other), -a,
+                  Fraction(rng.randint(-5, 5), rng.randint(1, 5)), rng.randint(-3, 3)):
+            outs = [a + b, b + a, a - b, b - a, a * b, b * a, a ** 2, a ** 0]
+            outs += [x.conjugate() for x in outs] + [-x for x in outs]
+            for r in outs:
+                _assert_canonical(r)
+            results += len(outs)
+        # the inverse solves a linear system of size phi(M): one division
+        # per conductor, by ** -1, a rational over x and x over another field
+        # in turn
+        x = rand_divisor(m)
+        inv = x ** -1 if m % 3 == 0 else 3 / x if m % 3 == 1 else rand_divisor(other) / x
+        outs = [a / 3, inv, inv.conjugate(), inv * inv, -inv]
+        for r in outs:
+            _assert_canonical(r)
+        results += len(outs)
+    assert results > 3000  # not vacuous
+
+
+def test_the_constructor_is_the_one_reducing_entry():
+    assert CycScalar(4, {2: 1}) == -1
+    assert CycScalar(4, {2: 1}).coeffs == {0: -1}
+    assert CycScalar(3, {0: 1, 1: 1, 2: 1}).coeffs == {}
+    with pytest.raises(TypeError):
+        CycScalar(4, {2: 1}, reduced=True)
+    with pytest.raises(TypeError):
+        CycScalar.from_rational(1, 4)
 
 
 def _former_sqrt_prime(p):
@@ -248,7 +301,7 @@ def test_exponent_rep_matches_cyc_scalar_reference(name):
         if wrong == sig % 8:
             continue
         rho_t, rho_s = _reference_matrices(disc, wrong)
-        bad = WeilRepData(disc, wrong, rep.level, rep.t, rep.z)
+        bad = WeilRepData(disc, wrong, rep.t, rep.z)
         assert braid_holds(bad) is _reference_braid_holds(rho_t, rho_s) is False
 
 
@@ -258,7 +311,7 @@ def _z_perturbations(rep):
         for j in range(len(row)):
             z = [list(r) for r in rep.z]
             z[i][j] = (z[i][j] + 1) % rep.level
-            yield WeilRepData(rep.disc, rep.sig8, rep.level, rep.t, z)
+            yield WeilRepData(rep.disc, rep.sig8, rep.t, z)
 
 
 def _t_perturbations(rep):
@@ -266,7 +319,7 @@ def _t_perturbations(rep):
     for i in range(len(rep.t)):
         t = list(rep.t)
         t[i] = (t[i] + 1) % rep.level
-        yield WeilRepData(rep.disc, rep.sig8, rep.level, t, rep.z)
+        yield WeilRepData(rep.disc, rep.sig8, t, rep.z)
 
 
 def test_braid_fails_for_a_perturbed_t_exponent():
@@ -303,7 +356,9 @@ def _former_braid_holds(rep):
     pair is decided once.
     """
     n = rep.level
-    z2, width = _s_products(rep)
+    width = (rep.disc.order ** 3).bit_length()
+    z = _pack_matrix(rep.z, width)
+    z2 = _packed_mat_mul(z, z, n, width)
     zt = _pack_matrix([[(x + tj) % n for x, tj in zip(row, rep.t)] for row in rep.z],
                       width)
     zt3 = _packed_mat_mul(_packed_mat_mul(zt, zt, n, width), zt, n, width)
@@ -358,7 +413,7 @@ def test_braid_matches_former_integer_vector_check():
         disc = discriminant_form(lat)
         rep = build_weil_rep(disc, disc.signature_mod8)
         sigs = range(8) if lat in small else (rep.sig8, rep.sig8 + 1)
-        cases = [WeilRepData(disc, sig, rep.level, rep.t, rep.z) for sig in sigs]
+        cases = [WeilRepData(disc, sig, rep.t, rep.z) for sig in sigs]
         if lat in small:
             cases += [*_t_perturbations(rep), *_z_perturbations(rep)]
         for case in cases:
@@ -406,7 +461,7 @@ def test_braid_stops_at_the_first_failing_row(monkeypatch):
     monkeypatch.setattr(weil, "_packed_row_mul", counted)
     for sig in range(rep.sig8 + 1, rep.sig8 + 8):
         calls.clear()
-        assert not braid_holds(WeilRepData(disc, sig, rep.level, rep.t, rep.z))
+        assert not braid_holds(WeilRepData(disc, sig, rep.t, rep.z))
         assert 0 < len(calls) < disc.order, sig
     calls.clear()
     assert braid_holds(rep)
@@ -707,8 +762,7 @@ def test_reduction_mod_cyclotomic_matches_former_loop():
         for _ in range(3):
             coeffs = {rng.randrange(-m, 3 * m): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                       for _ in range(rng.randint(0, m + 2))}
-            assert _reduce_mod_cyclotomic(coeffs, m) == \
-                _former_reduce_mod_cyclotomic(coeffs, m)
+            assert CycScalar(m, coeffs).coeffs == _former_reduce_mod_cyclotomic(coeffs, m)
 
 
 def test_golay_divisibility_matches_former_loop():
