@@ -21,8 +21,9 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from numbers import Number
 
-from .linalg import exact_int, exact_rational, solve_rational, transpose
+from .linalg import _power, exact_int, exact_rational, solve_rational, transpose
 
 
 # the library code touches about 60 conductors in a pass of the test suite and
@@ -192,18 +193,7 @@ class CycScalar:
         return CycScalar.from_rational(other) / self
 
     def __pow__(self, n):
-        n = exact_int(n)
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = CycScalar.from_rational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, CycScalar.from_rational(1))
 
     def conjugate(self):
         """Complex conjugation: zeta -> zeta^{-1}."""
@@ -222,10 +212,11 @@ class CycScalar:
         return None
 
     def __eq__(self, other):
+        """Equal values over the common conductor (README, Conventions)."""
+        if isinstance(other, (Number, str)):
+            return self.try_rational() == exact_rational(other)
         if not isinstance(other, CycScalar):
-            other = exact_rational(other)
-            r = self.try_rational()
-            return r is not None and r == other
+            return NotImplemented
         a, b = self._pair(other)
         return a.coeffs == b.coeffs
 

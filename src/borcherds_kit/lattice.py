@@ -6,7 +6,6 @@ Q(x) = x^T G x / 2 and the bilinear form [x, y] = x^T G y, so that
 """
 
 import itertools
-import warnings
 from collections import Counter, OrderedDict
 from fractions import Fraction
 from functools import cached_property
@@ -19,7 +18,6 @@ from .linalg import (
     exact_rational,
     hermite_normal_form,
     invert_rational,
-    kernel_basis,
     lll_reduce_gram,
     mat_mul,
     mat_vec,
@@ -857,13 +855,13 @@ def glue_lattice(blocks, generators, name=None):
 # ---------------------------------------------------------------------------
 
 def isotropic_line(lattice):
-    """A primitive isotropic vector, or None when none exists (or is found).
+    """A primitive isotropic vector; None when the lattice has none.
 
-    Definite lattices return None immediately.  Otherwise basis vectors with
-    zero norm are tried first, then shells of bounded coordinates.  Indefinite
-    lattices of rank >= 5 are isotropic (Meyer): a search there that ends
-    without a vector raises ValueError.  Below rank 5, a search whose budget
-    runs out before the shell bound is exhausted warns and returns None.
+    A definite lattice has none.  Otherwise a basis vector of norm 0 comes
+    first, and rank 2 is decided exactly.  From rank 3 on, shells of bounded
+    coordinates are searched; a search that ends without a vector raises
+    ValueError, since its coordinate bound proves nothing.  Indefinite
+    lattices of rank >= 5 are isotropic (Meyer); the error says so.
     """
     n = lattice.rank
     pos, neg = lattice.signature_pair
@@ -872,30 +870,34 @@ def isotropic_line(lattice):
     for i in range(n):
         if lattice.gram[i][i] == 0:
             return tuple(int(i == j) for j in range(n))
+    if n == 2:
+        # (a x^2 + 2b xy + c y^2) / 2 with a, c != 0 vanishes exactly on
+        # (-b +- s, a) for s^2 = b^2 - ac = -det, so -det must be a square;
+        # of the two roots, the one first in the shell order below
+        (a, b), _ = lattice.gram
+        s = isqrt(-lattice.det)
+        if s * s != -lattice.det:
+            return None
+        roots = []
+        for x in (-b + s, -b - s):  # both nonzero, as ac is
+            g = gcd(x, a) if x > 0 else -gcd(x, a)
+            roots.append((x // g, a // g))
+        return min(roots, key=lambda v: (max(map(abs, v)), v))
+    # shells of max |x_i| = 1, 2, ...; of x and -x only the one whose first
+    # nonzero coordinate is positive (x > 0 as a tuple)
     bound = 4 * max(abs(x) for row in lattice.gram for x in row) * n
-    shells = (x for shell in range(1, bound + 1) for x in _shell_vectors(n, shell))
+    zero = (0,) * n
+    shells = (x for shell in range(1, bound + 1)
+              for x in itertools.product(range(-shell, shell + 1), repeat=n)
+              if x > zero and max(map(abs, x)) == shell)
     for x in itertools.islice(shells, ISOTROPIC_SEARCH_BUDGET):
         if lattice.q(x) == 0:
             g = gcd(*(abs(c) for c in x))
             return tuple(c // g for c in x)
-    if n >= 5:
-        raise ValueError(f"isotropic search exhausted (budget {ISOTROPIC_SEARCH_BUDGET}, "
-                         f"coordinate bound {bound}) on an indefinite lattice of "
-                         f"rank {n}, which is isotropic (Meyer)")
-    if next(shells, None) is not None:
-        warnings.warn("isotropic search budget exhausted before the "
-                      "coordinate bound; returning None", RuntimeWarning)
-    return None
-
-
-def _shell_vectors(n, s):
-    """Vectors with max coordinate |.| = s, first nonzero coordinate positive."""
-    for x in itertools.product(range(-s, s + 1), repeat=n):
-        if max(abs(c) for c in x) != s:
-            continue
-        lead = next((c for c in x if c != 0), 0)
-        if lead > 0:
-            yield x
+    meyer = ", which is isotropic (Meyer)" if n >= 5 else ""
+    raise ValueError(f"isotropic search exhausted (budget {ISOTROPIC_SEARCH_BUDGET}, "
+                     f"coordinate bound {bound}) on an indefinite lattice of "
+                     f"rank {n}{meyer}")
 
 
 class CuspData:
@@ -952,12 +954,14 @@ class CuspData:
 def cusp_data(lattice, ell, k=None):
     """Cusp data for a primitive isotropic ell; optionally with an explicit k.
 
-    N is the positive generator of [L, ell].  By default k is chosen inside L
-    with [ell, k] = N (always possible); an explicit dual vector k with
-    [ell, k] = N may be supplied instead.  ell_* = k - (Q(k)/N) ell, which is
-    isotropic and pairs to N with ell.  ell must have integer entries and k
-    rational ones (an integral float is read as its int); anything else
-    raises ValueError.
+    N is the positive generator of [L, ell], read off the one Smith form
+    u (G ell) v = (N, 0, ..., 0) with u = (+-1): by default k is k0 = u_00
+    times column 0 of v, inside L with [ell, k0] = N, and the other columns
+    of v span ell-perp, where the lifts of V0 are chosen.  An explicit dual
+    vector k with [ell, k] = N may be supplied instead.  ell_* = k - (Q(k)/N)
+    ell, which is isotropic and pairs to N with ell.  ell must have integer
+    entries and k rational ones (an integral float is read as its int);
+    anything else raises ValueError.
     """
     ell = tuple(map(exact_int, ell))
     if lattice.q(ell) != 0:
@@ -966,14 +970,11 @@ def cusp_data(lattice, ell, k=None):
     if g != 1:
         raise ValueError("ell must be primitive")
     gl = list(lattice.image(ell))
-    n_value = gcd(*(abs(v) for v in gl))
+    d, u, v = smith_normal_form([gl])
+    n_value = d[0][0]
     if n_value == 0:
         raise ValueError("ell pairs to zero with the whole lattice")
-
-    k0 = solve_int([gl], [n_value])
-    if k0 is None:
-        raise AssertionError("no integral k with [ell, k] = N")
-    k0 = tuple(k0)
+    k0 = tuple(u[0][0] * row[0] for row in v)
     if k is None:
         k = k0
     else:
@@ -986,19 +987,17 @@ def cusp_data(lattice, ell, k=None):
     qk = lattice.q(k)
     ell_star = tuple(ki - Fraction(qk, n_value) * li for ki, li in zip(k, ell))
 
-    kernel = kernel_basis([gl])
-    coords = solve_int(transpose(kernel), list(ell))
+    coords = solve_int([row[1:] for row in v], list(ell))
     if coords is None:
         raise AssertionError("ell must lie in its own perp")
-    # complete the coordinate vector of ell to a unimodular matrix: take
-    # u with u * coords^T = e1, then rows of (u^T)^{-1} start with coords
+    # complete the primitive coordinate vector c of ell to a unimodular
+    # matrix: the Smith form of the column c^T is u c^T = e1 (d_00 = 1 > 0
+    # and its v is (1)), so the rows of (u^T)^{-1} start with c
     _, u, _ = smith_normal_form([[c] for c in coords])
     m = _int_matrix(invert_rational(transpose(u)))
-    if m[0] == [-c for c in coords]:
-        m[0] = [-x for x in m[0]]
     if m[0] != list(coords):
         raise AssertionError("failed to complete ell to a kernel basis")
-    new_basis = mat_mul(m, kernel)
+    new_basis = mat_mul(m, transpose(v)[1:])
     lift_rows = tuple(map(tuple, new_basis[1:]))
     gram0 = mat_mul(mat_mul(lift_rows, lattice.gram), transpose(lift_rows))
     v0 = GramLattice(gram0, name=(f"{lattice.name}/cusp" if lattice.name else None))

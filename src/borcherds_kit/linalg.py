@@ -30,6 +30,22 @@ def exact_rational(x):
     return Fraction(x if isinstance(x, int) else exact_int(x))
 
 
+def _power(x, n, one):
+    """x ** n by square-and-multiply: `one` for n = 0, x.inverse() ** -n for
+    n < 0; the first factor is taken as it is, so x ** 2 is one product x * x."""
+    n = exact_int(n)
+    if n < 0:
+        x, n = x.inverse(), -n
+    result = one
+    while n:
+        if n & 1:
+            result = x if result is one else result * x
+        n >>= 1
+        if n:
+            x = x * x
+    return result
+
+
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -16,10 +16,11 @@ consumers must check `.prec` rather than assume.
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, comb, floor, isqrt, lcm
+from numbers import Number
 from operator import add, itemgetter, mul
 
 from .cyclotomic import CycScalar
-from .linalg import exact_int, exact_rational
+from .linalg import _power, exact_int, exact_rational
 
 
 class FracQSeries:
@@ -65,14 +66,18 @@ class FracQSeries:
         return FracQSeries({e: c for e, c in self.coeffs.items() if e < prec}, prec)
 
     def __eq__(self, other):
-        """Two series are equal when their precisions and terms are.  A number
-        is read by `exact_rational` and equals a series whose one term is that
-        constant (no term, for 0); a number is exact, so no precision is
-        compared."""
+        """Two series are equal when their precisions and terms are; a number
+        equals a series whose one term is that constant (no term, for 0),
+        whatever its precision.  Other operands: README, Conventions."""
         if isinstance(other, FracQSeries):
             return self.prec == other.prec and self.coeffs == other.coeffs
-        c = exact_rational(other)
-        return self.coeffs == ({0: c} if c else {})
+        if isinstance(other, CycScalar):
+            c = other.try_rational()
+        elif isinstance(other, (Number, str)):
+            c = exact_rational(other)
+        else:
+            return NotImplemented
+        return c is not None and self.coeffs == ({0: c} if c else {})
 
     def __hash__(self):
         # a series equal to a number hashes as that number
@@ -118,21 +123,7 @@ class FracQSeries:
         return self.__mul__(other)
 
     def __pow__(self, n):
-        n = exact_int(n)
-        if n < 0:
-            return self.inverse() ** (-n)
-        if n == 0:
-            return FracQSeries.one(self.prec)
-        result = None
-        base = self
-        e = n
-        while e:
-            if e & 1:
-                result = base if result is None else result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return _power(self, n, FracQSeries.one(self.prec))
 
     def shift(self, e):
         """Multiply by q^e."""

@@ -1,8 +1,10 @@
 import copy
+import itertools
 import pickle
 import random
+import warnings
 from fractions import Fraction
-from math import floor, lcm
+from math import floor, gcd, lcm
 
 import pytest
 
@@ -28,7 +30,14 @@ from borcherds_kit.lattice import (
     theta_series,
     vectors_below,
 )
-from borcherds_kit.linalg import invert_rational, smith_normal_form
+from borcherds_kit.linalg import (
+    invert_rational,
+    kernel_basis,
+    mat_mul,
+    smith_normal_form,
+    solve_int,
+    transpose,
+)
 
 A1 = GramLattice([[2]], name="A1")
 A2 = GramLattice([[2, -1], [-1, 2]], name="A2")
@@ -602,11 +611,50 @@ def test_isotropic_line():
 
 def test_isotropic_search_budget_warning(monkeypatch):
     # x^2 + y^2 = 7 z^2 has no nonzero solution (mod 8 descent), so the
-    # shell search exhausts its budget and warns
+    # shell search exhausts its budget; its coordinate bound proves nothing
+    # at rank 3, so it raises instead of warning and returning None
     lat = GramLattice([[2, 0, 0], [0, 2, 0], [0, 0, -14]])
     monkeypatch.setattr(lattice_module, "ISOTROPIC_SEARCH_BUDGET", 5000)
-    with pytest.warns(RuntimeWarning):
-        assert isotropic_line(lat) is None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="isotropic search exhausted") as exc:
+            isotropic_line(lat)
+    assert "rank 3" in str(exc.value) and "Meyer" not in str(exc.value)
+
+
+@pytest.mark.parametrize("diagonal", [
+    (2, 2, -14),  # x^2 + y^2 = 7 z^2: anisotropic
+    (2, 2, 2, -14),  # x^2 + y^2 + z^2 = 7 w^2: anisotropic (mod 8)
+    (2, 2, 2, 2, -14),  # isotropic (Meyer), but not within 20 vectors
+], ids=["rank3", "rank4", "rank5"])
+def test_exhausted_isotropic_search_raises_at_every_rank(monkeypatch, diagonal):
+    n = len(diagonal)
+    lat = GramLattice([[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)])
+    monkeypatch.setattr(lattice_module, "ISOTROPIC_SEARCH_BUDGET", 20)
+    with pytest.raises(ValueError, match=f"isotropic search exhausted .* rank {n}") as exc:
+        isotropic_line(lat)
+    assert ("Meyer" in str(exc.value)) == (n >= 5)
+
+
+def test_binary_forms_are_decided_exactly(monkeypatch):
+    # indefinite and rank 2: isotropic exactly when -det is a square; no
+    # search runs, so even a budget of 0 answers
+    monkeypatch.setattr(lattice_module, "ISOTROPIC_SEARCH_BUDGET", 0)
+    lat = GramLattice([[2, 0], [0, -2]])
+    assert isotropic_line(lat) == (1, -1)  # the first root a shell search meets
+    for gram in ([[2, 0], [0, -6]], [[2, 1], [1, -2]]):  # -det = 12, 5
+        assert isotropic_line(GramLattice(gram)) is None
+    # every indefinite binary Gram with entries up to 6, against the former
+    # shell search: the roots have coordinates up to |b| + sqrt(b^2 - ac) <= 18,
+    # and the search met them by max |x_i|, then as tuples, first
+    # coordinate positive (x > (0, 0))
+    box = [x for x in itertools.product(range(-20, 21), repeat=2) if x > (0, 0)]
+    for a, b, c in itertools.product(range(-6, 7, 2), range(-6, 7), range(-6, 7, 2)):
+        if a == 0 or c == 0 or b * b - a * c <= 0:
+            continue
+        roots = (x for x in box if a * x[0] ** 2 + 2 * b * x[0] * x[1] + c * x[1] ** 2 == 0)
+        expected = min(roots, key=lambda x: (max(map(abs, x)), x), default=None)
+        assert isotropic_line(GramLattice([[a, b], [b, c]])) == expected, (a, b, c)
 
 
 def test_vectors_below_negative_bound():
@@ -636,6 +684,58 @@ def test_cusp_data_invariants_various():
         # lifts land in ell-perp
         for row in data.lift_rows:
             assert lat.bilinear(list(row), data.ell) == 0
+
+
+def _former_cusp_data(lattice, ell):
+    """The former `cusp_data` with its default k, as the reference: N as a
+    gcd, k0 from `solve_int` and the basis of ell-perp from `kernel_basis`,
+    each its own Smith form of the row G ell."""
+    ell = tuple(ell)
+    gl = list(lattice.image(ell))
+    n_value = gcd(*(abs(v) for v in gl))
+    k0 = solve_int([gl], [n_value])
+    if k0 is None:
+        raise AssertionError("no integral k with [ell, k] = N")
+    k = k0 = tuple(k0)
+    qk = lattice.q(k)
+    ell_star = tuple(ki - Fraction(qk, n_value) * li for ki, li in zip(k, ell))
+    kernel = kernel_basis([gl])
+    coords = solve_int(transpose(kernel), list(ell))
+    _, u, _ = smith_normal_form([[c] for c in coords])
+    m = [[int(x) for x in row] for row in invert_rational(transpose(u))]
+    if m[0] == [-c for c in coords]:
+        m[0] = [-x for x in m[0]]
+    if m[0] != list(coords):
+        raise AssertionError("failed to complete ell to a kernel basis")
+    lift_rows = tuple(map(tuple, mat_mul(m, kernel)[1:]))
+    v0 = GramLattice(mat_mul(mat_mul(lift_rows, lattice.gram), transpose(lift_rows)))
+    return lattice_module.CuspData(lattice, ell, n_value, k, k0, ell_star, v0, lift_rows)
+
+
+def _paramodular_cusps(t):
+    """U+U+<2t> with the cusps e1 and g + a e1 - (t/a) f1 for each a | t."""
+    lat = direct_sum([U, U, GramLattice([[2 * t]])])
+    return [(lat, (1, 0, 0, 0, 0))] + [(lat, (a, -t // a, 0, 0, 1))
+                                       for a in range(1, t + 1) if t % a == 0]
+
+
+def test_cusp_data_matches_former_two_solves():
+    e8uu = direct_sum([E8, U, U])
+    cases = [(UU, (1, 0, 0, 0)), (UU, (0, 0, 0, 1)), (UU, (1, -1, 1, 1)),
+             (e8uu, isotropic_line(e8uu)), (e8uu, (1, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0))]
+    for t in (1, 2, 3, 4, 9):
+        cases += _paramodular_cusps(t)
+    n_values = {}
+    for lat, ell in cases:
+        assert lat.q(ell) == 0
+        data, ref = cusp_data(lat, ell), _former_cusp_data(lat, ell)
+        n_values[lat.det, ell] = data.n_value
+        assert data.n_value == ref.n_value, ell
+        assert data.k0 == ref.k0 == data.k and data.ell_star == ref.ell_star, ell
+        assert data.lift_rows == ref.lift_rows and data.v0.gram == ref.v0.gram, ell
+        assert data.reduction == ref.reduction, ell
+    # the cusp g + 2 e1 - 2 f1 at t = 4 has N = 2, and g + 3 e1 - 3 f1 at t = 9 N = 3
+    assert n_values[8, (2, -2, 0, 0, 1)] == 2 and n_values[18, (3, -3, 0, 0, 1)] == 3
 
 
 def test_cusp_data_e8_u_quotient():

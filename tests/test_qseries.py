@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
 
-from borcherds_kit.cyclotomic import e
+from borcherds_kit.cyclotomic import CycScalar, e
 from borcherds_kit.lattice import GramLattice
 from borcherds_kit.qseries import (
     FracQSeries,
@@ -185,6 +187,47 @@ def test_series_equals_a_number_by_its_constant_term():
         for b in series:
             assert (a == b) == (a is b)
     assert len(set(series)) == len(series)  # one(5) and one(6) share a hash
+
+
+def test_equality_with_another_type_answers():
+    # == read every operand by exact_rational, so these raised ValueError
+    zeta = e(Fraction(1, 5))
+    assert (zeta == None) is False and zeta != None  # noqa: E711
+    assert zeta not in [None, [1], object()] and [None, zeta].index(zeta) == 1
+    assert (FracQSeries.one(3) == None) is False and FracQSeries.one(3) != object()  # noqa: E711
+    # a FracQSeries and a CycScalar compare by the CycScalar's rational value
+    one = CycScalar.from_rational(1)
+    assert FracQSeries.one(3) == one and one == FracQSeries.one(3)
+    assert FracQSeries({0: -1}, 2) == CycScalar(4, {2: 1})  # zeta_4^2 = -1
+    assert FracQSeries.zero(3) == CycScalar(5, {}) and FracQSeries.zero(3) != one
+    assert FracQSeries.one(3) != zeta and zeta != FracQSeries.one(3)
+    assert FracQSeries({0: 1, 1: 1}, 3) != one
+    # a number or a string is still read by the one rule
+    for x in (zeta, FracQSeries.one(3)):
+        for bad in (0.5, float("inf"), float("nan"), "1/2", 1j):
+            with pytest.raises(ValueError, match="expected an integer"):
+                x == bad
+
+
+def test_power_is_the_repeated_product():
+    # x ** n for n in -3..9 against n-fold products of x (or of its
+    # inverse), with the precision or conductor of the product; x ** 0 is one
+    series = [FracQSeries({0: 1, 1: -2, 3: Fraction(1, 2)}, 6),
+              FracQSeries({Fraction(1, 2): 2, 1: 1, Fraction(5, 2): -1}, 4),
+              FracQSeries({Fraction(-1, 3): 1, Fraction(2, 3): 3, 2: -1}, 3)]
+    scalars = [CycScalar.from_rational(Fraction(-3, 2)),
+               CycScalar(5, {1: 2, 3: Fraction(-1, 3)}),
+               CycScalar(12, {0: 1, 1: 1, 5: -2})]
+    for x in series + scalars:
+        one = FracQSeries.one(x.prec) if isinstance(x, FracQSeries) else CycScalar.from_rational(1)
+        for n in range(-3, 10):
+            expected = reduce(mul, [x if n > 0 else x.inverse()] * abs(n)) if n else one
+            power = x ** n
+            assert power == expected, (x, n)
+            if isinstance(x, FracQSeries):
+                assert power.prec == expected.prec and power.denominator == expected.denominator
+            else:
+                assert power.conductor == expected.conductor and power.coeffs == expected.coeffs
 
 
 def test_mul_basic():
