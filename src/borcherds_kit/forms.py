@@ -117,14 +117,13 @@ def divide_by_24delta(form):
     if b <= 1:
         raise ValueError(f"dividing by 24 Delta needs a form of precision > 1, "
                          f"got precision {b}")
-    delta = delta_series(math.ceil(b) + 2)
-    inv = delta.inverse() * Fraction(1, 24)
+    delta = delta_series(math.ceil(b) + 2) * 24
     out = {}
     for mu in form.disc.cosets():
         series = form.coset_series(mu)
         if not series.coeffs:
             continue
-        quot = series * inv
+        quot = series / delta
         for m, c in quot.coeffs.items():
             if m < b - 1:
                 out[(m, mu)] = c

@@ -130,33 +130,35 @@ class FracQSeries:
         e = exact_rational(e)
         return FracQSeries({k + e: c for k, c in self.coeffs.items()}, self.prec + e)
 
-    def inverse(self):
-        """Series b with self * b = 1 up to the sound precision.
-
-        Requires a nonzero leading coefficient.  The result has leading
-        exponent -m_min and precision prec - 2*m_min.  Writing self =
-        a0 q^m0 (1 + sum_k u_k q^(k/L)), the coefficients of 1/(1 + ...) on
-        the exponent grid (1/L)Z follow the reciprocal recurrence b_0 = 1,
-        b_t = -sum_{0<k<=t} u_k b_{t-k} (Knuth, TAOCP Vol. 2, 4.7).
-        """
-        if not self.coeffs:
-            raise ZeroDivisionError("cannot invert the zero series")
-        m0 = self.m_min
-        a0 = self.coeffs[m0]
-        grid = self.denominator
-        span = self.prec - m0  # the normalized tail is known below span
-        u = sorted((int((e - m0) * grid), c / a0)
-                   for e, c in self.coeffs.items() if e != m0)
-        b = [Fraction(1)]
-        for t in range(1, ceil(span * grid)):
-            acc = 0
+    def __truediv__(self, other):
+        """self / other, at the precision of self * other.inverse(): with
+        other = b0 q^mb (1 + sum u_k q^(k/L)) and self = q^ma sum a_t q^(t/L),
+        the quotient is q^(ma-mb)/b0 sum d_t q^(t/L) with d_t = a_t -
+        sum_{0<k<=t} u_k d_{t-k}, the reciprocal recurrence (TAOCP Vol. 2, 4.7)."""
+        if not isinstance(other, FracQSeries):
+            return NotImplemented
+        if not other.coeffs:
+            raise ZeroDivisionError("cannot divide by the zero series")
+        ma, (mb, b0) = self.m_min, min(other.coeffs.items())
+        prec = min(self.prec - mb, other.prec - 2 * mb + ma)
+        grid = lcm(self.denominator, other.denominator)
+        u = sorted((int((e - mb) * grid), c / b0)
+                   for e, c in other.coeffs.items() if e != mb)
+        a = {int((e - ma) * grid): c for e, c in self.coeffs.items()}
+        d = []
+        for t in range(ceil((prec + mb - ma) * grid)):
+            acc = a.get(t, 0)
             for k, uk in u:
                 if k > t:
                     break
-                acc -= uk * b[t - k]
-            b.append(acc)
-        out = {Fraction(t, grid) - m0: bt / a0 for t, bt in enumerate(b) if bt}
-        return FracQSeries(out, span - m0)
+                acc -= uk * d[t - k]
+            d.append(acc)
+        out = {Fraction(t, grid) + ma - mb: dt / b0 for t, dt in enumerate(d) if dt}
+        return FracQSeries(out, prec)
+
+    def inverse(self):
+        """1 / self: leading exponent -m_min, precision prec - 2*m_min."""
+        return FracQSeries.one(self.prec - self.m_min) / self
 
     def _coerce(self, other):
         """other as a series: a number is the constant series of its value."""
@@ -227,11 +229,11 @@ def delta_series(b):
 def j_series(b):
     """The modular j-function E4^3 / Delta with terms through q^b.
 
-    E4^3 - E6^2 = 1728 Delta, so j = E6^2 / Delta + 1728: two products.
+    E4^3 - E6^2 = 1728 Delta, so j = E6^2 / Delta + 1728: a product and a quotient.
     """
     b = exact_int(b)
     e6 = eisenstein(6, b + 2)
-    j = (e6 * e6) * delta_series(b + 3).inverse() + 1728
+    j = (e6 * e6) / delta_series(b + 3) + 1728
     return j.truncate(b + 1)
 
 

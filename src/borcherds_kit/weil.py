@@ -20,17 +20,17 @@ so no other N can be paired with them.  The exact cyclotomic matrices
 
 The convention is pinned by two self-verifying identities rather than by
 external reference: the Milgram sum sum_mu e(Q(mu)) = sqrt(|D|) e(sig8/8),
-checked at construction, and the braid relation (rho_S rho_T)^3 = rho_S^2.
-Because rho_S = c Z with c != 0, the braid relation holds exactly when
+checked at construction, and the braid relation S T S = T^-1 S T^-1, which
+gives (rho_S rho_T)^3 = rho_S^2 and, rho_S being invertible, follows from it.
+Because rho_S = c Z with c != 0, it holds exactly when
 
-    e(-sig8/8) (Z T)^3 = sqrt(|D|) Z^2
+    e(-sig8/8) (Z T Z)_mu_nu = sqrt(|D|) zeta_N^(z_mu_nu - t_mu - t_nu)
 
 entry by entry, where T = diag(zeta_N^t_mu).  `braid_holds` computes the
-entries of (Z T)^3 and Z^2 as integer counts over Z/N (T is diagonal, so a
-product step only adds exponents), one row of each at a time, reads each
-distinct count vector once as the CycScalar sum_r a_r zeta_N^r, and decides
-each distinct entry pair (x, y) as the CycScalar identity
-e(-sig8/8) x == sqrt(|D|) y, stopping at the first row that fails.  All
+entries of Z T Z as integer counts over Z/N (T is diagonal, so a product
+step only adds exponents), one row at a time, reads each distinct count
+vector once as the CycScalar sum_r a_r zeta_N^r, and decides each distinct
+(entry, exponent) pair once, stopping at the first row that fails.  All
 Q(zeta) arithmetic is CycScalar's.
 """
 
@@ -157,31 +157,28 @@ def _packed_z(rep):
 
 
 def braid_holds(rep):
-    """(rho_S rho_T)^3 == rho_S^2, exactly, over every entry.
+    """rho_S rho_T rho_S == rho_T^-1 rho_S rho_T^-1, exactly, over every entry.
 
-    Entries are compared as pairs (x, y) of a (Z T)^3 entry and a Z^2 entry;
-    each distinct pair is decided once, as e(-sig8/8) x == sqrt(|D|) y.  The
-    rows are built and compared one at a time, row i of (Z T)^3 as
-    ((e_i Z T) Z T) Z T and row i of Z^2 as (e_i Z) Z, so a wrong signature
-    or exponent stops at its first failing row.
+    Entry (i, j) is e(-sig8/8) (Z T Z)_ij == sqrt(|D|) zeta_N^(z_ij - t_i - t_j),
+    decided once per distinct (entry, exponent) pair.  Row i of Z T Z is one
+    packed row product (e_i Z T) Z, so a wrong signature or exponent stops at
+    its first failing row.
     """
     n = rep.level
-    zz, width = _packed_z(rep)
+    z, width = _packed_z(rep)
     zt = _pack_matrix([[(x + tj) % n for x, tj in zip(row, rep.t)] for row in rep.z],
                       width)
-    zz_cols, zt_cols = list(zip(*zz)), list(zip(*zt))
+    z_cols = list(zip(*z))
     value = _entry_reader(n, width)
     turn = e(Fraction(-rep.sig8, 8))
     sqrt_d = sqrt_positive_int(rep.disc.order)
     decided = {}
-    for row_zt, row_z in zip(zt, zz):
-        row3 = _packed_row_mul(_packed_row_mul(row_zt, zt_cols, n, width), zt_cols, n, width)
-        row2 = _packed_row_mul(row_z, zz_cols, n, width)
-        for x, y in zip(row3, row2):
-            agree = decided.get((x, y))
-            if agree is None:
-                agree = decided[x, y] = turn * value(x) == sqrt_d * value(y)
-            if not agree:
+    for row_zt, row_z, ti in zip(zt, rep.z, rep.t):
+        for x, zij, tj in zip(_packed_row_mul(row_zt, z_cols, n, width), row_z, rep.t):
+            pair = x, (zij - ti - tj) % n
+            if pair not in decided:
+                decided[pair] = turn * value(x) == sqrt_d * e(Fraction(pair[1], n))
+            if not decided[pair]:
                 return False
     return True
 

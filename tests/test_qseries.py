@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
 from functools import reduce
+from math import ceil
 from operator import mul
 
 import pytest
 
 from borcherds_kit.cyclotomic import CycScalar, e
-from borcherds_kit.lattice import GramLattice
+from borcherds_kit.forms import WHForm, divide_by_24delta
+from borcherds_kit.io import load_form
+from borcherds_kit.lattice import GramLattice, discriminant_form
+from borcherds_kit.linalg import _power
 from borcherds_kit.qseries import (
     FracQSeries,
     LatticeQSeries,
@@ -367,6 +371,135 @@ def test_inverse_matches_geometric_sum_reference():
         assert inv.denominator == expected.denominator
         seen.add((den > 1, lead != 1, (m_min > 0) - (m_min < 0)))
     assert {(True, True, -1), (True, True, 0), (True, True, 1)} <= seen
+
+
+def former_inverse(series):
+    """The former FracQSeries.inverse: the reciprocal recurrence seeded with
+    1, run on its own before any product."""
+    if not series.coeffs:
+        raise ZeroDivisionError("cannot invert the zero series")
+    m0 = series.m_min
+    a0 = series.coeffs[m0]
+    grid = series.denominator
+    span = series.prec - m0  # the normalized tail is known below span
+    u = sorted((int((e - m0) * grid), c / a0)
+               for e, c in series.coeffs.items() if e != m0)
+    b = [Fraction(1)]
+    for t in range(1, ceil(span * grid)):
+        acc = 0
+        for k, uk in u:
+            if k > t:
+                break
+            acc -= uk * b[t - k]
+        b.append(acc)
+    out = {Fraction(t, grid) - m0: bt / a0 for t, bt in enumerate(b) if bt}
+    return FracQSeries(out, span - m0)
+
+
+def former_divide_by_24delta(form):
+    """The former divide_by_24delta: each coset series times 1/(24 Delta)."""
+    b = form.prec
+    inv = former_inverse(delta_series(ceil(b) + 2)) * Fraction(1, 24)
+    out = {}
+    for mu in form.disc.cosets():
+        series = form.coset_series(mu)
+        if not series.coeffs:
+            continue
+        quot = series * inv
+        for m, c in quot.coeffs.items():
+            if m < b - 1:
+                out[(m, mu)] = c
+    return WHForm(form.disc, form.weight - 12, out, b - 1)
+
+
+def grid_series(rng, den, unit=False):
+    """A random series on the grid (1/den)Z, led by a nonzero term at a
+    random m_min in [-3, 3]; every fourth precision is off that grid."""
+    m_min = Fraction(rng.randint(-3, 3), den)
+    coeffs = {m_min: Fraction(rng.choice([1, -1, 2, -3, 5]), rng.choice([1, 1, 2, 7]))}
+    if unit:
+        coeffs[m_min] = Fraction(1)
+    for _ in range(rng.randint(0, 6)):
+        coeffs[m_min + Fraction(rng.randint(1, 3 * den), den)] = \
+            Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+    if rng.randrange(4) == 0:
+        return FracQSeries(coeffs, m_min + Fraction(rng.randint(1, 9), 5))
+    return FracQSeries(coeffs, m_min + Fraction(rng.randint(1, 4 * den), den))
+
+
+def test_division_matches_product_by_former_inverse():
+    # a / b against a * former_inverse(b), by repr: the same terms and the
+    # same precision, min(P_a - m_b, P_b - 2 m_b + m_a)
+    rng = random.Random(41)
+    grids = (1, 2, 3, 4, 6)
+    seen = set()
+    for trial in range(300):
+        b = grid_series(rng, rng.choice(grids))
+        a = grid_series(rng, rng.choice(grids))
+        if trial % 10 == 0:
+            a = FracQSeries.zero(a.prec)
+        quotient, expected = a / b, a * former_inverse(b)
+        assert repr(quotient) == repr(expected), (a, b)
+        assert quotient.prec == min(a.prec - b.m_min, b.prec - 2 * b.m_min + a.m_min)
+        seen.add((a.denominator, b.denominator))
+        seen.add(("laurent", a.m_min < 0, b.m_min < 0))
+        seen.add(("binding", a.prec - b.m_min < b.prec - 2 * b.m_min + a.m_min))
+        seen.add(("off grid", (a.prec * a.denominator).denominator > 1,
+                  (b.prec * b.denominator).denominator > 1))
+    assert {(x, y) for x in grids for y in grids} <= seen
+    assert {("laurent", x, y) for x in (True, False) for y in (True, False)} <= seen
+    assert {("binding", True), ("binding", False), ("off grid", True, True)} <= seen
+    # the quotients the kit forms: 1/Delta, E4^2/Delta and E6^2/Delta
+    delta = delta_series(13)
+    for a in (FracQSeries.one(12), eisenstein(4, 12) ** 2, eisenstein(6, 12) ** 2):
+        assert repr(a / delta) == repr(a * former_inverse(delta))
+
+
+def test_inverse_and_negative_powers_match_former_inverse():
+    rng = random.Random(42)
+    for _ in range(80):
+        b = grid_series(rng, rng.choice((1, 2, 3, 4, 6)))
+        former = former_inverse(b)
+        assert repr(b.inverse()) == repr(former)
+        for n in range(1, 4):
+            assert repr(b ** -n) == repr(_power(former, n, FracQSeries.one(b.prec)))
+    assert repr(delta_series(101).inverse()) == repr(former_inverse(delta_series(101)))
+
+
+def test_division_by_zero_and_by_a_number():
+    a = FracQSeries({-1: 1, 0: 2}, 4)
+    for zero in (FracQSeries.zero(3), FracQSeries.zero(-1)):
+        with pytest.raises(ZeroDivisionError, match="zero series"):
+            a / zero
+    for other in (2, Fraction(1, 2), 2.0):
+        with pytest.raises(TypeError):
+            a / other
+    with pytest.raises(TypeError):
+        2 / a
+    # as for zeta * series, CycScalar's reflected operation reads the series
+    # as a number
+    with pytest.raises(ValueError, match="expected an integer"):
+        a / CycScalar.from_rational(2)
+
+
+def test_divide_by_24delta_matches_former_body():
+    forms = [load_form(name)[0] for name in ("one-over-delta", "one-over-delta-x24",
+                                             "knz-input", "e4sq-over-delta",
+                                             "e4sq-over-delta-x24")]
+    # two cosets on the grid (1/4)Z: Q = 1/4 on the nonzero coset of A1
+    a1 = discriminant_form(GramLattice([[2]], name="A1"))
+    forms.append(WHForm(a1, Fraction(1, 2), {(Fraction(-3, 4), (1,)): 1, (-1, (0,)): 2,
+                                             (0, (0,)): 3, (Fraction(1, 4), (1,)): -5,
+                                             (Fraction(9, 4), (1,)): 7}, 11))
+    for form in forms:
+        for prec in (Fraction(3, 2), 2, 11, form.prec):
+            if prec > form.prec:
+                continue
+            f = WHForm(form.disc, form.weight, form.coefficients, prec)
+            new, old = divide_by_24delta(f), former_divide_by_24delta(f)
+            assert new == old and new.prec == prec - 1
+            assert repr(sorted(new.coefficients.items())) == \
+                repr(sorted(old.coefficients.items()))
 
 
 U_GRAM = GramLattice(((0, 1), (1, 0)), name="U")

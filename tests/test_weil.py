@@ -424,9 +424,8 @@ def test_braid_matches_former_integer_vector_check():
 
 
 def test_braid_compares_every_entry(monkeypatch):
-    # one more zeta^0 in the last entry of each packed row product of the
-    # last row (the last three of the three per row), so only the last row
-    # of (ZT)^3 and Z^2 changes
+    # one more zeta^0 in the last entry of the last packed row product (one
+    # per row), so only the last entry of Z T Z changes
     real = weil._packed_row_mul
     rep = build_weil_rep(discriminant_form(A1A2), 3)
     order = rep.disc.order
@@ -435,20 +434,20 @@ def test_braid_compares_every_entry(monkeypatch):
     def corrupt_last_row(row, cols, level, width):
         out = real(row, cols, level, width)
         calls.append(level)
-        if len(calls) > 3 * (order - 1):
+        if len(calls) == order:
             out[-1] += 1
         return out
 
     assert braid_holds(rep)
     monkeypatch.setattr(weil, "_packed_row_mul", corrupt_last_row)
     assert not braid_holds(rep)
-    assert len(calls) == 3 * order
+    assert len(calls) == order
 
 
 def test_braid_stops_at_the_first_failing_row(monkeypatch):
-    # a wrong signature on A2^4 (|D| = 81) is rejected before the products
-    # are complete: fewer packed row products than rows, where the full
-    # (ZT)^3 and Z^2 take 3 |D| of them
+    # a wrong signature on A2^4 (|D| = 81) is rejected before the product
+    # is complete: fewer packed row products than rows, where the full
+    # Z T Z takes |D| of them, one per row
     disc = discriminant_form(direct_sum([A2] * 4))
     rep = build_weil_rep(disc, disc.signature_mod8)
     real = weil._packed_row_mul
@@ -465,7 +464,7 @@ def test_braid_stops_at_the_first_failing_row(monkeypatch):
         assert 0 < len(calls) < disc.order, sig
     calls.clear()
     assert braid_holds(rep)
-    assert len(calls) == 3 * disc.order
+    assert len(calls) == disc.order
 
 
 def test_s_fourth_power_compares_every_entry(monkeypatch):

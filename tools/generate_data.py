@@ -85,7 +85,7 @@ def main(out=OUT):
     save_form(out / "knz-input.json", knz, "u-plus-u")
 
     e4sq = eisenstein(4, 12) ** 2
-    series = e4sq * delta_series(13).inverse()
+    series = e4sq / delta_series(13)
     f = WHForm.from_scalar_series(disc_e8uu, -4, series.truncate(11))
     save_form(out / "e4sq-over-delta.json", f, "e8-plus-2u")
     save_form(out / "e4sq-over-delta-x24.json", f.scale(24), "e8-plus-2u")
