@@ -24,7 +24,6 @@ from .lattice import (
     DiscriminantForm,
     GlueData,
     GramLattice,
-    coset_reduce,
     coset_theta,
     cusp_data,
     direct_sum,
@@ -48,7 +47,6 @@ from .product import (
     enumerate_walls,
     product_expand,
     reduce_f0,
-    zeta_mu,
 )
 from .qseries import (
     FracQSeries,
@@ -74,13 +72,12 @@ __all__ = [
     "LatticeQSeries", "PrecisionError", "ProductExpansion", "WHForm",
     "WeilRepData", "WeylChamber", "borcherds_relation", "braid_holds",
     "build_weil_rep", "chamber_of", "check_weyl_integrality", "conjugate_rep",
-    "constant_a", "coset_reduce",
-    "coset_theta", "cusp_data", "delta_series", "direct_sum",
+    "constant_a", "coset_theta", "cusp_data", "delta_series", "direct_sum",
     "discriminant_form", "divide_by_24delta", "e", "eisenstein",
     "embedding_trick", "enumerate_walls", "fourier_splitting_holds",
     "glue_lattice", "is_maximal", "isotropic_line", "j_series",
     "lattice_binomial", "milgram_sum", "modularity_pairing",
     "overlattice_witness", "product_expand", "pullback", "pullback_expr",
     "reduce_f0", "relation_ideal", "representation_count", "short_vectors",
-    "sqrt_positive_int", "theta_series", "vectors_below", "zeta_mu",
+    "sqrt_positive_int", "theta_series", "vectors_below",
 ]

@@ -75,8 +75,11 @@ class WHForm:
         return WHForm(self.disc, self.weight,
                       {k: v * factor for k, v in self.coefficients.items()}, self.prec)
 
+    def _same_group(self, other):
+        return self.disc is other.disc or self.disc.lattice == other.disc.lattice
+
     def __add__(self, other):
-        if self.disc is not other.disc and self.disc.lattice != other.disc.lattice:
+        if not self._same_group(other):
             raise ValueError("forms live on different discriminant groups")
         if self.weight != other.weight:
             raise ValueError(f"forms have different weights {self.weight} "
@@ -89,8 +92,8 @@ class WHForm:
     def __eq__(self, other):
         if not isinstance(other, WHForm):
             return NotImplemented
-        return (self.prec == other.prec and self.weight == other.weight
-                and self.coefficients == other.coefficients)
+        return (self._same_group(other) and self.prec == other.prec
+                and self.weight == other.weight and self.coefficients == other.coefficients)
 
     def is_integral(self):
         """True when every stored coefficient is an integer."""

@@ -9,11 +9,13 @@ import itertools
 from collections import Counter, OrderedDict
 from fractions import Fraction
 from functools import cached_property
-from math import floor, gcd, isqrt, lcm
+from math import floor, gcd, isqrt, lcm, prod
 from operator import getitem, mul
 
+from .cyclotomic import _factor
 from .linalg import (
     _det_and_signature,
+    _symmetric_bareiss,
     exact_int,
     exact_rational,
     hermite_normal_form,
@@ -854,14 +856,63 @@ def glue_lattice(blocks, generators, name=None):
 # isotropic lines and cusp data
 # ---------------------------------------------------------------------------
 
+def _split(a, p):
+    """(alpha, u) with a = p^alpha u and u prime to p, for a nonzero integer a."""
+    alpha = 0
+    while a % p == 0:
+        a //= p
+        alpha += 1
+    return alpha, a
+
+
+def _legendre(u, p):
+    return 1 if pow(u, (p - 1) // 2, p) == 1 else -1
+
+
+def _hilbert(a, b, p):
+    """The Hilbert symbol (a, b)_p of nonzero integers (Serre, A Course in
+    Arithmetic, III Thm 1)."""
+    (alpha, u), (beta, v) = _split(a, p), _split(b, p)
+    if p == 2:
+        t = (u - 1) // 2 * ((v - 1) // 2) + alpha * (v * v - 1) // 8 + beta * (u * u - 1) // 8
+        return -1 if t % 2 else 1
+    sign = -1 if alpha * beta * (p - 1) // 2 % 2 else 1
+    return sign * _legendre(u, p) ** beta * _legendre(v, p) ** alpha
+
+
+def _is_p_adic_square(a, p):
+    alpha, u = _split(a, p)
+    return alpha % 2 == 0 and (u % 8 == 1 if p == 2 else _legendre(u, p) == 1)
+
+
+def _anisotropic(gram):
+    """True when an indefinite nonsingular form of rank 3 or 4 has no rational
+    zero.  Over Q the form is diag(a_0, ..., a_{n-1}), a_k = p_k p_{k-1} up to
+    squares for the pivots p_k of `_symmetric_bareiss` (p_{-1} = 1).  It is
+    isotropic over R, and at every odd p prime to all a_k, so only the p
+    dividing 2 p_0 ... p_{n-1} are tested (Hasse-Minkowski; Serre, IV Thm 6):
+    rank 3 fails at p when (-a_0 a_2, -a_1 a_2)_p = -1, rank 4 when a_0 a_1
+    a_2 a_3 is a square in Q_p and prod_{i<j} (a_i, a_j)_p != (-1, -1)_p."""
+    pivots = [row[0] for row in _symmetric_bareiss(gram)[1]]
+    a = [x * y for x, y in zip(pivots, [1] + pivots)]
+    primes = {2}.union(*(_factor(abs(x)) for x in pivots))
+    if len(a) == 3:
+        return any(_hilbert(-a[0] * a[2], -a[1] * a[2], p) == -1 for p in primes)
+    return any(_is_p_adic_square(prod(a), p)
+               and prod(_hilbert(x, y, p) for x, y in itertools.combinations(a, 2))
+               != _hilbert(-1, -1, p) for p in primes)
+
+
 def isotropic_line(lattice):
     """A primitive isotropic vector; None when the lattice has none.
 
     A definite lattice has none.  Otherwise a basis vector of norm 0 comes
-    first, and rank 2 is decided exactly.  From rank 3 on, shells of bounded
-    coordinates are searched; a search that ends without a vector raises
-    ValueError, since its coordinate bound proves nothing.  Indefinite
-    lattices of rank >= 5 are isotropic (Meyer); the error says so.
+    first, and ranks 2, 3 and 4 are decided exactly: rank 2 by its roots,
+    ranks 3 and 4 by Hilbert symbols (`_anisotropic`).  An isotropic form of
+    rank >= 3 is then searched by shells of bounded coordinates; a search
+    that ends without a vector raises ValueError, since its coordinate bound
+    proves nothing.  Indefinite lattices of rank >= 5 are isotropic (Meyer);
+    the error says so.
     """
     n = lattice.rank
     pos, neg = lattice.signature_pair
@@ -883,6 +934,8 @@ def isotropic_line(lattice):
             g = gcd(x, a) if x > 0 else -gcd(x, a)
             roots.append((x // g, a // g))
         return min(roots, key=lambda v: (max(map(abs, v)), v))
+    if n <= 4 and _anisotropic(lattice.gram):
+        return None
     # shells of max |x_i| = 1, 2, ...; of x and -x only the one whose first
     # nonzero coordinate is positive (x > 0 as a tuple)
     bound = 4 * max(abs(x) for row in lattice.gram for x in row) * n
@@ -908,7 +961,9 @@ class CuspData:
     line, the quotient lattice V0 of (ell-perp in L) / Z*ell with its induced
     Gram matrix, and integer lifts of the V0 basis back into ell-perp.
     `reduction`, computed once, maps each coset mu of D(V) with a lift into
-    ell-perp to (lam, [lift, k] mod 1), lam the V0 coset of the lift.  The
+    ell-perp to (lam, [lift, k] mod 1), lam the V0 coset of the lift; the
+    root of unity of mu's product factors is e([lift, k]), 1 whenever k is
+    integral, and a coset with no lift has no entry.  The
     lift, lam and the root of unity are read off one integral inverse of the
     basis B = (k0, ell, lift rows) of L: a representative c B of mu pairs to
     N c_0 with ell, so it lifts exactly when c_0 is an integer, to
@@ -1002,12 +1057,3 @@ def cusp_data(lattice, ell, k=None):
     gram0 = mat_mul(mat_mul(lift_rows, lattice.gram), transpose(lift_rows))
     v0 = GramLattice(gram0, name=(f"{lattice.name}/cusp" if lattice.name else None))
     return CuspData(lattice, ell, n_value, k, k0, ell_star, v0, lift_rows)
-
-
-def coset_reduce(mu, data):
-    """The V0 coset of a lift of mu into ell-perp, or None when no lift exists.
-
-    Read from `data.reduction`.
-    """
-    entry = data.reduction.get(data.disc_v.normalize(mu))
-    return None if entry is None else entry[0]

@@ -63,30 +63,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
 
-def det_int(m):
-    """Determinant of a square integer matrix by fraction-free Bareiss elimination."""
-    n = len(m)
-    if n == 0:
-        return 1
-    a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def smith_normal_form(m):
     """Smith normal form of an integer matrix.
 
@@ -201,18 +177,6 @@ def hermite_normal_form(m):
         if r == rows:
             break
     return [row for row in a[:r] if any(row)]
-
-
-def kernel_basis(m):
-    """Basis of the integer kernel {x : m x = 0} of an integer matrix.
-
-    The returned rows span a saturated sublattice (quotient is torsion free).
-    """
-    d, _, v = smith_normal_form(m)
-    cols = len(m[0])
-    rank = sum(1 for i in range(min(len(m), cols)) if d[i][i] != 0)
-    vt = transpose(v)
-    return vt[rank:]
 
 
 def solve_int(m, b):
@@ -338,11 +302,6 @@ def _inertia(rows):
     return len(rows) - neg, neg
 
 
-def signature(gram):
-    """(positive, negative) inertia of a nonsingular rational symmetric matrix."""
-    return _inertia(_symmetric_bareiss(gram)[1])
-
-
 def _det_and_signature(gram):
     """(det, (positive, negative)) of a nonsingular integer symmetric matrix.
 
@@ -378,17 +337,6 @@ def _ldl_fractions(s, minors, lam):
     return d, l
 
 
-def ldl_decomposition(gram):
-    """LDL^T data of a positive-definite rational symmetric matrix.
-
-    Returns (d, l) with x^T gram x = sum_i d[i] * (x_i + sum_{j>i} l[i][j] x_j)^2,
-    read off the pivot rows of `_symmetric_bareiss`: d[k] = p_k / (s p_{k-1})
-    and l[k][j] = a[k][j] / p_k.
-    """
-    s, rows = _definite_pivot_rows(gram)
-    return _ldl_fractions(s, [1] + [row[0] for row in rows], [row[1:] for row in rows])
-
-
 # Lovasz's constant of `lll_reduce_gram`
 LLL_DELTA = Fraction(99, 100)
 
@@ -396,8 +344,9 @@ LLL_DELTA = Fraction(99, 100)
 def lll_reduce_gram(gram):
     """Exact LLL on a positive-definite Gram matrix, in integers.
 
-    Returns (t, d, l) with t unimodular and (d, l) the `ldl_decomposition`
-    of t * gram * t^T; preconditions short-vector enumeration.  This is
+    Returns (t, d, l) with t unimodular and (d, l) the LDL^T of the reduced
+    Gram t * gram * t^T: x^T (t gram t^T) x = sum_i d[i] * (x_i + sum_{j>i}
+    l[i][j] x_j)^2; preconditions short-vector enumeration.  This is
     Cohen's integral LLL (GTM 138, Alg. 2.6.7) on s * gram, s the common
     denominator, which has the same transform: the leading minors D_i of
     the current Gram and lambda[k][j] = D_{j+1} mu[k][j] are integers, read

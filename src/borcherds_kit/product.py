@@ -176,14 +176,6 @@ def constant_a(form, data):
     return result
 
 
-def zeta_mu(mu, data):
-    """The root of unity e([lift(mu), k]); 1 whenever k is integral."""
-    entry = data.reduction.get(data.disc_v.normalize(mu))
-    if entry is None:
-        raise ValueError("coset admits no lift into ell-perp")
-    return e(entry[1])
-
-
 def check_weyl_integrality(rho, data):
     """True when rho lies in the dual of the quotient lattice V0.
 

@@ -121,6 +121,19 @@ def test_form_sum_needs_equal_weights():
             a + b
 
 
+def test_form_equality_needs_the_same_group():
+    # equal coefficient data on U+U and on E8+U+U: the sum raises, so the
+    # two forms are not equal either; a second copy of U+U is the same group
+    series = delta_series(9).inverse()
+    f = scalar_form(UU, 0, series)
+    g = scalar_form(direct_sum([E8, U, U]), 0, series)
+    assert f.coefficients == g.coefficients
+    with pytest.raises(ValueError, match="different discriminant groups"):
+        f + g
+    assert f != g and g != f
+    assert f == scalar_form(direct_sum([U, U]), 0, series)
+
+
 def test_borcherds_relation_requires_integral():
     f = scalar_form(UU, 0, delta_series(9).inverse()).scale(Fraction(1, 5))
     with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ import itertools
 import pickle
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 from math import floor, gcd, lcm
 
@@ -16,7 +17,6 @@ from borcherds_kit.lattice import (
     _theta_by_glue,
     _qf_value_counts,
     _theta_prec,
-    coset_reduce,
     coset_theta,
     cusp_data,
     direct_sum,
@@ -32,7 +32,6 @@ from borcherds_kit.lattice import (
 )
 from borcherds_kit.linalg import (
     invert_rational,
-    kernel_basis,
     mat_mul,
     smith_normal_form,
     solve_int,
@@ -610,21 +609,51 @@ def test_isotropic_line():
 
 
 def test_isotropic_search_budget_warning(monkeypatch):
-    # x^2 + y^2 = 7 z^2 has no nonzero solution (mod 8 descent), so the
-    # shell search exhausts its budget; its coordinate bound proves nothing
-    # at rank 3, so it raises instead of warning and returning None
-    lat = GramLattice([[2, 0, 0], [0, 2, 0], [0, 0, -14]])
-    monkeypatch.setattr(lattice_module, "ISOTROPIC_SEARCH_BUDGET", 5000)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="isotropic search exhausted") as exc:
-            isotropic_line(lat)
-    assert "rank 3" in str(exc.value) and "Meyer" not in str(exc.value)
+    # x^2 + y^2 = 7 z^2 has no nonzero solution (mod 8 descent): the Hilbert
+    # symbols decide it before any search, so even a budget of 0 returns
+    # None, at once and without a warning; so does x^2 + y^2 + z^2 = 7 w^2
+    monkeypatch.setattr(lattice_module, "ISOTROPIC_SEARCH_BUDGET", 0)
+    for diagonal in ((2, 2, -14), (2, 2, 2, -14)):
+        n = len(diagonal)
+        lat = GramLattice([[diagonal[i] if i == j else 0 for j in range(n)]
+                           for i in range(n)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert isotropic_line(lat) is None
+
+
+def test_isotropy_decided_exactly_at_ranks_3_and_4():
+    # a form decided isotropic yields a vector of norm 0, and on a form
+    # decided anisotropic no vector with max |x_i| <= 2 has norm 0: every
+    # ternary Gram with diagonal in {+-2, +-4} and off-diagonal entries in
+    # [-1, 1], and every diagonal quaternary one with entries in
+    # {+-2, +-6, +-10, +-14}
+    grams = [[[d[0], o[0], o[1]], [o[0], d[1], o[2]], [o[1], o[2], d[2]]]
+             for d in itertools.product((2, -2, 4, -4), repeat=3)
+             for o in itertools.product((-1, 0, 1), repeat=3)]
+    grams += [[[d[i] if i == j else 0 for j in range(4)] for i in range(4)]
+              for d in itertools.combinations_with_replacement((2, -2, 6, -6, 10, -10, 14, -14), 4)]
+    decided = Counter()
+    for gram in grams:
+        try:
+            lat = GramLattice(gram)
+        except ValueError:  # singular
+            continue
+        if 0 in lat.signature_pair:
+            continue
+        ell = isotropic_line(lat)
+        decided[lat.rank, ell is not None] += 1
+        if ell is not None:
+            assert lat.q(ell) == 0 and any(ell), gram
+        else:
+            box = itertools.product(range(-2, 3), repeat=lat.rank)
+            assert all(lat.q(x) != 0 for x in box if any(x)), gram
+    assert min(decided.values()) >= 10, decided
 
 
 @pytest.mark.parametrize("diagonal", [
-    (2, 2, -14),  # x^2 + y^2 = 7 z^2: anisotropic
-    (2, 2, 2, -14),  # x^2 + y^2 + z^2 = 7 w^2: anisotropic (mod 8)
+    (2, 2, -26),  # x^2 + y^2 = 13 z^2 at (2, -3, -1), the 101st shell vector
+    (2, 2, 2, -18),  # x^2 + y^2 + z^2 = 9 w^2 at (1, -2, -2, -1), the 91st
     (2, 2, 2, 2, -14),  # isotropic (Meyer), but not within 20 vectors
 ], ids=["rank3", "rank4", "rank5"])
 def test_exhausted_isotropic_search_raises_at_every_rank(monkeypatch, diagonal):
@@ -688,8 +717,8 @@ def test_cusp_data_invariants_various():
 
 def _former_cusp_data(lattice, ell):
     """The former `cusp_data` with its default k, as the reference: N as a
-    gcd, k0 from `solve_int` and the basis of ell-perp from `kernel_basis`,
-    each its own Smith form of the row G ell."""
+    gcd, k0 from `solve_int` and the basis of ell-perp from the columns of v
+    past the rank, each its own Smith form of the row G ell."""
     ell = tuple(ell)
     gl = list(lattice.image(ell))
     n_value = gcd(*(abs(v) for v in gl))
@@ -699,7 +728,7 @@ def _former_cusp_data(lattice, ell):
     k = k0 = tuple(k0)
     qk = lattice.q(k)
     ell_star = tuple(ki - Fraction(qk, n_value) * li for ki, li in zip(k, ell))
-    kernel = kernel_basis([gl])
+    kernel = transpose(smith_normal_form([gl])[2])[1:]
     coords = solve_int(transpose(kernel), list(ell))
     _, u, _ = smith_normal_form([[c] for c in coords])
     m = [[int(x) for x in row] for row in invert_rational(transpose(u))]
@@ -783,7 +812,7 @@ def test_cusp_data_maximal_forces_n_one():
 
 def test_coset_reduce_trivial():
     data = cusp_data(UU, (1, 0, 0, 0))
-    assert coset_reduce((), data) == ()
+    assert data.reduction[()][0] == ()
 
 
 def test_coset_reduce_a1_coset():
@@ -793,7 +822,7 @@ def test_coset_reduce_a1_coset():
     d0 = discriminant_form(data.v0)
     assert d.invariant_factors == (2,)
     assert d0.invariant_factors == (2,)
-    lam = coset_reduce((1,), data)
+    lam = data.reduction[(1,)][0]
     assert lam == (1,)
     assert d0.q(lam) == d.q((1,))
     # k = k0 is integral, so both roots of unity are 1
@@ -802,16 +831,18 @@ def test_coset_reduce_a1_coset():
 
 def test_coset_reduce_lift_independent():
     # shifting a lift by any kernel vector of [., ell] lands in the same
-    # coset: write the moved lift as c ell + sum c_i lift_i and read off c_i
-    from borcherds_kit.linalg import kernel_basis, mat_vec, solve_rational, transpose
+    # coset: write the moved lift as c ell + sum c_i lift_i and read off c_i;
+    # the kernel is spanned by the columns of v past the rank 1 of the Smith
+    # form of the row G ell, as `cusp_data` reads it
+    from borcherds_kit.linalg import mat_vec, solve_rational
     lat = direct_sum([U, A1])
     data = cusp_data(lat, (1, 0, 0))
     lifted = discriminant_form(lat).rep((1,))
     assert lat.bilinear(lifted, data.ell) == 0
-    target = coset_reduce((1,), data)
+    target = data.reduction[(1,)][0]
     cols = transpose([data.ell, *data.lift_rows])
     gl = mat_vec([list(r) for r in lat.gram], list(data.ell))
-    for kv in kernel_basis([gl]):
+    for kv in transpose(smith_normal_form([gl])[2])[1:]:
         for scale in (-2, 1, 3):
             moved = [a + scale * b for a, b in zip(lifted, kv)]
             coords = solve_rational(cols, moved)
@@ -831,7 +862,7 @@ def test_coset_reduce_no_lift():
         rep = d.rep(c)
         r = lat.bilinear(rep, data.ell)
         if r % 2 != 0:
-            assert coset_reduce(c, data) is None
+            assert c not in data.reduction
             found_none = True
     assert found_none
 

@@ -1,25 +1,25 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from borcherds_kit.io import load_lattice
 from borcherds_kit.lattice import GramLattice, direct_sum
 from borcherds_kit.linalg import (
-    det_int,
+    _det_and_signature,
+    _inertia,
+    _symmetric_bareiss,
     exact_int,
     exact_rational,
     hermite_normal_form,
     identity,
     invert_rational,
-    kernel_basis,
-    ldl_decomposition,
     lll_reduce_gram,
     mat_mul,
     mat_vec,
     rational_gcd,
     row_reduce,
-    signature,
     smith_normal_form,
     solve_int,
     solve_rational,
@@ -31,22 +31,18 @@ def random_int_matrix(rng, rows, cols, bound=6):
     return [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
 
 
-def test_det_known():
-    assert det_int([]) == 1
-    assert det_int([[5]]) == 5
-    assert det_int([[2, -1], [-1, 2]]) == 3
-    assert det_int([[0, 1], [1, 0]]) == -1
+def is_unimodular(m):
+    """True when the inverse of the square integer matrix m is integral."""
+    return all(x.denominator == 1 for row in invert_rational(m) for x in row)
 
 
-def test_det_matches_expansion():
-    rng = random.Random(1)
-    for _ in range(30):
-        m = random_int_matrix(rng, 3, 3)
-        a, b, c = m[0]
-        d, e, f = m[1]
-        g, h, i = m[2]
-        expected = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        assert det_int(m) == expected
+def smith_diagonal(m):
+    d = smith_normal_form(m)[0]
+    return [d[i][i] for i in range(min(len(d), len(d[0])))]
+
+
+def is_singular(m):
+    return len(row_reduce(m, len(m))[1]) < len(m)
 
 
 def test_smith_normal_form_properties():
@@ -57,8 +53,7 @@ def test_smith_normal_form_properties():
         m = random_int_matrix(rng, rows, cols)
         d, u, v = smith_normal_form(m)
         assert mat_mul(mat_mul(u, m), v) == d
-        assert abs(det_int(u)) == 1
-        assert abs(det_int(v)) == 1
+        assert is_unimodular(u) and is_unimodular(v)
         diag = [d[i][i] for i in range(min(rows, cols))]
         for i in range(rows):
             for j in range(cols):
@@ -86,8 +81,7 @@ def test_smith_normal_form_stress():
         m = random_int_matrix(rng, n, n, bound=30)
         d, u, v = smith_normal_form(m)
         assert mat_mul(mat_mul(u, m), v) == d
-        assert abs(det_int(u)) == 1
-        assert abs(det_int(v)) == 1
+        assert is_unimodular(u) and is_unimodular(v)
         diag = [d[i][i] for i in range(n)]
         for x, y in zip(diag, diag[1:]):
             if x != 0:
@@ -99,24 +93,13 @@ def test_hermite_normal_form_span():
     rng = random.Random(3)
     for _ in range(20):
         m = random_int_matrix(rng, 3, 3)
-        if det_int(m) == 0:
+        if is_singular(m):
             continue
         h = hermite_normal_form(m)
-        assert abs(det_int(h)) == abs(det_int(m))
+        # |det| is the product of the Smith diagonal
+        assert prod(smith_diagonal(h)) == prod(smith_diagonal(m))
         for row in m:
             assert solve_int(transpose(h), row) is not None
-
-
-def test_kernel_basis():
-    k = kernel_basis([[1, 2, 3]])
-    assert len(k) == 2
-    for row in k:
-        assert row[0] + 2 * row[1] + 3 * row[2] == 0
-    rng = random.Random(4)
-    for _ in range(20):
-        m = random_int_matrix(rng, 2, 4)
-        for row in kernel_basis(m):
-            assert all(x == 0 for x in mat_vec(m, row))
 
 
 def test_solve_int():
@@ -220,38 +203,42 @@ def test_row_reduce_matches_reference_eliminations():
 
 
 def test_signature():
-    assert signature([[2]]) == (1, 0)
-    assert signature([[-2]]) == (0, 1)
-    assert signature([[0, 1], [1, 0]]) == (1, 1)
-    assert signature([[2, -1], [-1, 2]]) == (2, 0)
+    assert _det_and_signature([]) == (1, (0, 0))
+    assert _det_and_signature([[2]]) == (2, (1, 0))
+    assert _det_and_signature([[-2]]) == (-2, (0, 1))
+    assert _det_and_signature([[0, 1], [1, 0]]) == (-1, (1, 1))
+    assert _det_and_signature([[2, -1], [-1, 2]]) == (3, (2, 0))
     u_plus_u = [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]]
-    assert signature(u_plus_u) == (2, 2)
+    assert _det_and_signature(u_plus_u) == (1, (2, 2))
 
 
 def test_ldl_reconstructs_form():
+    # the (d, l) of `lll_reduce_gram` is the LDL^T of the reduced Gram
     rng = random.Random(5)
     for _ in range(20):
         b = random_int_matrix(rng, 3, 3, bound=3)
-        if det_int(b) == 0:
+        if is_singular(b):
             continue
         gram = mat_mul(b, transpose(b))
-        d, l = ldl_decomposition(gram)
+        t, d, l = lll_reduce_gram(gram)
+        reduced = mat_mul(mat_mul(t, gram), transpose(t))
         for _ in range(5):
             x = [rng.randint(-4, 4) for _ in range(3)]
-            direct = sum(x[i] * gram[i][j] * x[j] for i in range(3) for j in range(3))
+            direct = sum(x[i] * reduced[i][j] * x[j] for i in range(3) for j in range(3))
             via = sum(d[i] * (x[i] + sum(l[i][j] * x[j] for j in range(i + 1, 3))) ** 2
                       for i in range(3))
             assert via == direct
 
 
 def test_ldl_rejects_indefinite():
-    with pytest.raises(ValueError):
-        ldl_decomposition([[0, 1], [1, 0]])
+    with pytest.raises(ValueError, match="not positive definite"):
+        lll_reduce_gram([[0, 1], [1, 0]])
 
 
 # ---------------------------------------------------------------------------
 # differential check of the one fraction-free elimination against the two
-# Fraction eliminations it replaced and the Bareiss determinant
+# Fraction eliminations it replaced, and of the determinant against the
+# Smith diagonal
 # ---------------------------------------------------------------------------
 
 def former_signature(gram):
@@ -317,20 +304,31 @@ def _outcome(fn, m):
         return str(exc)
 
 
+def rational_signature(m):
+    return _inertia(_symmetric_bareiss(m)[1])
+
+
 def check_elimination_against_former(m):
-    """signature and ldl_decomposition agree with the former code, errors included."""
-    sig = _outcome(signature, m)
+    """The inertia and the LDL^T that `lll_reduce_gram` returns agree with
+    the former code, errors included; the determinant of an integer matrix
+    has the Smith diagonal's absolute value and the inertia's sign."""
+    sig = _outcome(rational_signature, m)
     assert sig == _outcome(former_signature, m), m
-    assert _outcome(ldl_decomposition, m) == _outcome(former_ldl_decomposition, m), m
+    lll = _outcome(lll_reduce_gram, m)
+    if isinstance(lll, str):
+        assert lll == _outcome(former_ldl_decomposition, m), m
+    else:
+        t, d, l = lll
+        assert (d, l) == former_ldl_decomposition(mat_mul(mat_mul(t, m), transpose(t))), m
     if all(type(x) is int for row in m for x in row):
         even = [[2 * x for x in row] for row in m]
-        det = det_int(even)
-        if det == 0:
+        if is_singular(even):
             with pytest.raises(ValueError, match="nonsingular"):
                 GramLattice(even)
         else:
             lat = GramLattice(even)
-            assert (lat.det, lat.signature_pair) == (det, sig)
+            assert lat.signature_pair == sig
+            assert lat.det == (-1) ** sig[1] * prod(smith_diagonal(even))
     return sig
 
 
@@ -375,7 +373,7 @@ def test_elimination_matches_former_on_bundled_lattices():
     for name in ("niemeier-a1", "niemeier-a2"):
         gram = load_lattice(name).gram
         assert check_elimination_against_former(gram) == (24, 0)
-        assert (load_lattice(name).det, signature(gram)) == (1, (24, 0))
+        assert _det_and_signature(gram) == (1, (24, 0))
 
 
 def test_elimination_matches_former_on_cone_majorants():
@@ -401,19 +399,19 @@ def test_elimination_rejects_singular_matrices():
               [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]]):
         assert check_elimination_against_former(m) == "singular gram matrix"
         with pytest.raises(ValueError, match="not positive definite"):
-            ldl_decomposition(m)
+            lll_reduce_gram(m)
 
 
 def test_lll_preserves_lattice():
     rng = random.Random(6)
     for _ in range(15):
         b = random_int_matrix(rng, 4, 4, bound=8)
-        if det_int(b) == 0:
+        if is_singular(b):
             continue
         gram = mat_mul(b, transpose(b))
         t, d, l = lll_reduce_gram(gram)
         g2 = ldl_product(d, l)
-        assert abs(det_int(t)) == 1
+        assert is_unimodular(t)
         assert mat_mul(mat_mul(t, gram), transpose(t)) == g2
         # reduced basis should not be longer than the original on average:
         # at least check the first vector shrank or stayed comparable
@@ -421,7 +419,7 @@ def test_lll_preserves_lattice():
 
 
 def ldl_product(d, l):
-    """The matrix l^T diag(d) l whose `ldl_decomposition` is (d, l)."""
+    """The matrix l^T diag(d) l whose LDL^T is (d, l)."""
     n = len(d)
     return [[sum(l[k][i] * d[k] * l[k][j] for k in range(n)) for j in range(n)]
             for i in range(n)]
@@ -504,8 +502,8 @@ def assert_lll_reduced(gram, t, d, l):
     """t is unimodular and (d, l) the LDL^T of t gram t^T, size-reduced
     (|mu| <= 1/2) and Lovasz-reduced at delta = 99/100."""
     n = len(gram)
-    assert abs(det_int(t)) == 1
-    assert (d, l) == ldl_decomposition(mat_mul(mat_mul(t, gram), transpose(t)))
+    assert is_unimodular(t)
+    assert (d, l) == former_ldl_decomposition(mat_mul(mat_mul(t, gram), transpose(t)))
     for i in range(n):
         assert all(abs(l[j][i]) <= Fraction(1, 2) for j in range(i))
     for k in range(1, n):

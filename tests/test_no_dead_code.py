@@ -1,9 +1,11 @@
 """The package holds no dead code: every name a module imports is used in
 it, every private module-level function or class is referenced from
-somewhere else in src/borcherds_kit, and `__all__` lists exactly the names
-the package's `__init__.py` imports, each of which resolves."""
+somewhere else in src/borcherds_kit, every public one is named in README
+or read by code outside tests/, and `__all__` lists exactly the names the
+package's `__init__.py` imports, each of which resolves."""
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -11,6 +13,9 @@ import borcherds_kit
 
 PACKAGE = Path(borcherds_kit.__file__).resolve().parent
 INIT = PACKAGE / "__init__.py"
+ROOT = PACKAGE.parents[1]
+# the code outside src/ and tests/ that may call the package
+SCRIPTS = ("demos", "tools", "perfbench")
 
 
 def imported_names(tree):
@@ -62,6 +67,42 @@ def unreferenced_private(sources):
                   if total[node.name] - references(node)[node.name] <= 0)
 
 
+def public_definitions(tree):
+    """The module-level functions and classes whose names do not start with _."""
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def readme_code_names(text):
+    """The identifiers inside README's inline code spans."""
+    return {name for span in re.findall(r"`([^`\n]+)`", text)
+            for name in re.findall(r"\w+", span)}
+
+
+def uncalled_public(sources, scripts, readme):
+    """(module, line, name) for each public module-level function or class
+    of {module: source} that README does not name in code and that nothing
+    outside tests/ reads: no other code of the package (the `__init__`
+    re-export aside) and none of the scripts, by a name, an attribute or,
+    in a script, a `from` import."""
+    trees = {name: ast.parse(source) for name, source in sources.items()
+             if name != "__init__.py"}
+    total = Counter()
+    for tree in trees.values():
+        total.update(references(tree))
+    for source in scripts:
+        tree = ast.parse(source)
+        total.update(references(tree))
+        total.update(alias.name for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom) for alias in node.names)
+    named = readme_code_names(readme)
+    return sorted((module, node.lineno, node.name)
+                  for module, tree in trees.items() for node in public_definitions(tree)
+                  if node.name not in named
+                  and total[node.name] - references(node)[node.name] <= 0)
+
+
 def init_imports_and_all(source):
     """(names the module imports by `from`, the literal value of __all__)."""
     tree = ast.parse(source)
@@ -94,6 +135,21 @@ def test_scans_find_dead_code_in_a_snippet():
     imported, listed = init_imports_and_all(
         "from .m import public, _hidden\n__all__ = ['public', 'gone']\n")
     assert imported == {"public", "_hidden"} and listed == ["public", "gone"]
+    # a public function read only by itself or re-exported is uncalled; one
+    # read by another module, imported by a script or named in README's
+    # code is not, and README prose does not count
+    sources = {
+        "__init__.py": "from .m import dead, in_readme, in_prose\n"
+                       "__all__ = ['dead', 'in_readme', 'in_prose']\n",
+        "m.py": "def dead(n):\n    return dead(n - 1)\n\n"
+                "def used():\n    pass\n\nclass Imported:\n    pass\n\n"
+                "def in_readme():\n    pass\n\ndef in_prose():\n    pass\n",
+        "n.py": "from . import m\n\nx = m.used\n",
+    }
+    scripts = ["from borcherds_kit.m import Imported\n"]
+    readme = "Call `m.in_readme(x)`; in_prose is named outside code.\n"
+    assert uncalled_public(sources, scripts, readme) == [
+        ("m.py", 1, "dead"), ("m.py", 13, "in_prose")]
 
 
 def test_every_import_is_used():
@@ -104,6 +160,14 @@ def test_every_import_is_used():
 
 def test_every_private_function_and_class_is_referenced():
     assert unreferenced_private(_modules()) == []
+
+
+def test_every_public_function_and_class_is_called_or_documented():
+    scripts = [path.read_text() for folder in SCRIPTS
+               for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(scripts) >= 10
+    readme = (ROOT / "README.md").read_text()
+    assert uncalled_public(_modules(), scripts, readme) == []
 
 
 def test_all_lists_exactly_the_names_init_imports():

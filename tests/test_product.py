@@ -8,7 +8,6 @@ from borcherds_kit.forms import WHForm, divide_by_24delta
 from borcherds_kit.lattice import (
     GramLattice,
     _qf_enumerate,
-    coset_reduce,
     cusp_data,
     direct_sum,
     discriminant_form,
@@ -22,9 +21,15 @@ from borcherds_kit.product import (
     enumerate_walls,
     product_expand,
     reduce_f0,
-    zeta_mu,
 )
-from borcherds_kit.linalg import det_int, rational_gcd, solve_int, solve_rational, transpose
+from borcherds_kit.linalg import (
+    invert_rational,
+    rational_gcd,
+    smith_normal_form,
+    solve_int,
+    solve_rational,
+    transpose,
+)
 from borcherds_kit.qseries import (
     FracQSeries,
     LatticeQSeries,
@@ -177,11 +182,12 @@ def test_constant_a_n2():
 
 
 def test_zeta_mu_trivial_and_k_integral():
-    assert zeta_mu((), CUSP_UU) == 1
+    # the root of unity of coset mu is e(data.reduction[mu][1])
+    assert e(CUSP_UU.reduction[()][1]) == 1
     lat = direct_sum([U, A1])
     data = cusp_data(lat, (1, 0, 0))
     for c in discriminant_form(lat).cosets():
-        assert zeta_mu(c, data) == 1  # k integral forces zeta = 1
+        assert e(data.reduction[c][1]) == 1  # k integral forces zeta = 1
 
 
 def test_zeta_mu_nontrivial():
@@ -191,7 +197,7 @@ def test_zeta_mu_nontrivial():
     data = cusp_data(lat, (1, 0, 0), k=(0, 1, Fraction(1, 2)))
     assert data.n_value == 2
     d = discriminant_form(lat)
-    values = {zeta_mu(c, data).try_rational() for c in d.cosets()
+    values = {e(data.reduction[c][1]).try_rational() for c in d.cosets()
               if lat.bilinear(d.rep(c), data.ell) % 2 == 0}
     assert values == {Fraction(1), Fraction(-1)}
 
@@ -201,10 +207,12 @@ def test_zeta_mu_lift_independence():
     data = cusp_data(lat, (1, 0, 0))
     d = discriminant_form(lat)
     lifted = former_lift_of_coset((1,), data)
-    # shifting the lift by kernel vectors must not change zeta
-    from borcherds_kit.linalg import kernel_basis, mat_vec
+    # shifting the lift by kernel vectors must not change zeta; the kernel is
+    # spanned by the columns of v past the rank 1 of the Smith form of the
+    # row G ell, as `cusp_data` reads it
+    from borcherds_kit.linalg import mat_vec
     gl = mat_vec([list(r) for r in lat.gram], list(data.ell))
-    for kv in kernel_basis([gl]):
+    for kv in transpose(smith_normal_form([gl])[2])[1:]:
         moved = tuple(a + b for a, b in zip(lifted, kv))
         val1 = sum(Fraction(a) * b for a, b in
                    zip(mat_vec([list(r) for r in lat.gram], list(lifted)), data.k))
@@ -383,7 +391,7 @@ def test_product_with_nontrivial_zeta():
     for kk, zeta_expected in ((None, 1), ((0, 1, 0, 0, Fraction(1, 4)), -1)):
         data = cusp_data(lat, (1, 0, 0, 0, 0), k=kk)
         assert data.n_value == 2
-        assert zeta_mu(target, data).try_rational() == zeta_expected
+        assert e(data.reduction[target][1]).try_rational() == zeta_expected
         f0 = reduce_f0(f, data)
         chamber = chamber_of(w, f0, data)
         pe = product_expand(f, data, chamber, (0, 0, 0), 4)
@@ -451,10 +459,7 @@ def former_coset_reduce(mu, data):
 
 
 def former_zeta_mu(mu, data):
-    lifted = former_lift_of_coset(mu, data)
-    if lifted is None:
-        raise ValueError("coset admits no lift into ell-perp")
-    return e(data.lattice.bilinear(lifted, data.k))
+    return e(data.lattice.bilinear(former_lift_of_coset(mu, data), data.k))
 
 
 N2_LATTICE = GramLattice([[0, 2, 0], [2, 0, 0], [0, 0, 2]])
@@ -477,18 +482,17 @@ def test_cusp_reduction_matches_per_coset_lifts(name):
     coeffs = {}
     # the reduction reads each coset off the inverse of (k0, ell, lift rows),
     # which must be a basis of L with [k0, ell] = N and the rest in ell-perp
-    assert abs(det_int((data.k0, data.ell) + data.lift_rows)) == 1
+    assert all(x.denominator == 1
+               for row in invert_rational((data.k0, data.ell) + data.lift_rows) for x in row)
     assert data.lattice.bilinear(data.k0, data.ell) == data.n_value
     assert all(data.lattice.bilinear(r, data.ell) == 0 for r in data.lift_rows)
     for i, mu in enumerate(disc.cosets()):
         lam = former_coset_reduce(mu, data)
-        assert coset_reduce(mu, data) == lam
         lifted = former_lift_of_coset(mu, data)
         if lam is None:
             assert mu not in data.reduction and lifted is None
-            with pytest.raises(ValueError, match="no lift"):
-                zeta_mu(mu, data)
         else:
+            assert data.reduction[mu][0] == lam
             assert data.lattice.bilinear(lifted, data.ell) == 0
             assert all(Fraction(a - b).denominator == 1
                        for a, b in zip(lifted, disc.rep(mu)))
@@ -496,7 +500,7 @@ def test_cusp_reduction_matches_per_coset_lifts(name):
             # the same V0 coset, of the same norm, and the same [lift, k] mod 1
             assert data.reduction[mu] == (lam, data.lattice.bilinear(lifted, data.k) % 1)
             assert data.disc_v0.q(lam) == disc.q(mu)
-            assert zeta_mu(mu, data) == former_zeta_mu(mu, data)
+            assert e(data.reduction[mu][1]) == former_zeta_mu(mu, data)
         coeffs[(disc.q(mu) - 1, mu)] = i + 1
     # reduce_f0 against the sum over the former reductions
     form = WHForm(disc, 0, coeffs, 1)
