@@ -103,13 +103,6 @@ class CycScalar:
     def from_rational(cls, value):
         return cls(1, {0: value})
 
-    @classmethod
-    def root_of_unity(cls, exponent):
-        """e(exponent) = exp(2 pi i exponent) for a rational exponent."""
-        exponent = exact_rational(exponent)
-        m = exponent.denominator
-        return cls(m, {exponent.numerator % m: Fraction(1)})
-
     def _pair(self, other):
         """self and other over the least common conductor."""
         if not isinstance(other, CycScalar):
@@ -195,14 +188,6 @@ class CycScalar:
     def __pow__(self, n):
         return _power(self, n, CycScalar.from_rational(1))
 
-    def conjugate(self):
-        """Complex conjugation: zeta -> zeta^{-1}."""
-        m = self.conductor
-        return CycScalar(m, {(-e) % m: c for e, c in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
     def try_rational(self):
         """The value as a Fraction when it is rational, else None."""
         if not self.coeffs:
@@ -236,8 +221,11 @@ class CycScalar:
 
 
 def e(exponent):
-    """Shorthand for the exact root of unity exp(2 pi i * exponent)."""
-    return CycScalar.root_of_unity(exponent)
+    """The exact root of unity e(exponent) = exp(2 pi i exponent), for a
+    rational exponent."""
+    exponent = exact_rational(exponent)
+    m = exponent.denominator
+    return CycScalar(m, {exponent.numerator % m: Fraction(1)})
 
 
 def sqrt_positive_int(n):

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from .forms import PrecisionError, divide_by_24delta
-from .lattice import coset_theta, theta_series
+from .lattice import coset_theta, discriminant_form, theta_series
 from .linalg import exact_int, exact_rational, row_reduce, solve_rational, transpose
 from .qseries import delta_series
 
@@ -101,9 +101,6 @@ class DivisorExpr:
             return NotImplemented
         return self.terms == other.terms
 
-    def is_zero(self):
-        return not self.terms
-
     def coefficient(self, key):
         return self.terms.get(_symbol(key), Fraction(0))
 
@@ -157,7 +154,7 @@ def pullback(m, mu, lam):
     if m < 0:
         return DivisorExpr()
     mu1, mu2 = mu
-    disc_l = lam.discriminant_form()
+    disc_l = discriminant_form(lam)
     mu2 = disc_l.normalize(mu2)
     if any(mu2):
         theta = coset_theta(lam, disc_l.rep(mu2), math.ceil(m))
@@ -175,7 +172,7 @@ def pullback_expr(expr, lam):
 
     Each coset mu of V in expr lifts to (mu, 0) with 0 the zero of D(Lambda).
     """
-    zero = lam.discriminant_form().zero
+    zero = discriminant_form(lam).zero
     out = DivisorExpr()
     for key, coeff in expr.terms.items():
         if key == OMEGA:

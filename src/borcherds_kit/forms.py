@@ -99,9 +99,6 @@ class WHForm:
         """True when every stored coefficient is an integer."""
         return all(c.denominator == 1 for c in self.coefficients.values())
 
-    def is_zero(self):
-        return not self.coefficients
-
     def __repr__(self):
         pp = sorted(self.principal_part())
         return (f"WHForm(weight={self.weight}, principal part at "

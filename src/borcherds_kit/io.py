@@ -30,7 +30,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .forms import WHForm
-from .lattice import GramLattice, discriminant_form, glue_lattice
+from .lattice import GramLattice, _BoundedCache, discriminant_form, glue_lattice
 from .qseries import FracQSeries
 
 HEADER = "borcherds-kit v1"
@@ -133,8 +133,9 @@ def resolve_data_path(ref, relative_to=None):
 
 
 # resolved path -> (st_mtime_ns, st_size, GramLattice); one entry per path,
-# replaced when the file changes
-_LATTICE_CACHE = {}
+# replaced when the file changes, and at most 32 paths (the bundled database
+# has 14 files), the first stored dropped first
+_LATTICE_CACHE = _BoundedCache(32)
 
 
 def load_lattice(ref, relative_to=None):
@@ -176,7 +177,7 @@ def _load_glued(path, body, gram):
     blocks = [load_lattice(name, relative_to=path.parent) for name in names]
     modulus = _int_field(spec, "modulus", path, 1)
     for name, block in zip(names, blocks):
-        if block.discriminant_form().invariant_factors != (modulus,):
+        if discriminant_form(block).invariant_factors != (modulus,):
             raise FileFormatError(f"{path}: glue block {name} does not have "
                                   f"discriminant group Z/{modulus}")
     generators = []

@@ -106,11 +106,6 @@ class GramLattice:
                         total += x[i] * g * y[j]
         return Fraction(total)
 
-    def discriminant_form(self):
-        if self._disc is None:
-            object.__setattr__(self, "_disc", DiscriminantForm(self))
-        return self._disc
-
 
 class DiscriminantForm:
     """The finite quadratic group L^dual / L with Q taking values in Q/Z.
@@ -245,8 +240,10 @@ def _int_matrix(m):
 
 
 def discriminant_form(lattice):
-    """The finite quadratic module L^dual / L."""
-    return lattice.discriminant_form()
+    """The finite quadratic module L^dual / L, built once per lattice."""
+    if lattice._disc is None:
+        object.__setattr__(lattice, "_disc", DiscriminantForm(lattice))
+    return lattice._disc
 
 
 def is_maximal(lattice):
@@ -259,7 +256,7 @@ def is_maximal(lattice):
 
 
 def _isotropic_coset(lattice):
-    d = lattice.discriminant_form()
+    d = discriminant_form(lattice)
     zero = d.zero
     for c in d.cosets():
         if c != zero and d.q(c) == 0:
@@ -277,7 +274,7 @@ def overlattice_witness(lattice):
     c = _isotropic_coset(lattice)
     if c is None:
         return None
-    rep = lattice.discriminant_form().rep(c)
+    rep = discriminant_form(lattice).rep(c)
     over = _overlattice(lattice, [rep])
     if abs(over.det) >= abs(lattice.det):
         raise AssertionError("witness did not enlarge the lattice")
@@ -718,7 +715,7 @@ def _glue_classes(glue, bound):
     ids = {}  # series -> id
 
     def id_table(block):
-        disc = block.discriminant_form()
+        disc = discriminant_form(block)
 
         def series_id(coset):
             sid = table.get(disc.neg(coset))
@@ -819,7 +816,7 @@ def glue_lattice(blocks, generators, name=None):
     |det| = prod |D_i| / |code|^2.
     """
     blocks = tuple(blocks)
-    discs = [b.discriminant_form() for b in blocks]
+    discs = [discriminant_form(b) for b in blocks]
 
     def normalize_word(word):
         if len(word) != len(blocks):
@@ -957,36 +954,36 @@ class CuspData:
     """Data attached to a primitive isotropic vector ell of an indefinite lattice.
 
     Carries N with N*Z = [L, ell], a vector k and an integral k0 with
-    [ell, k] = [ell, k0] = N, the isotropic ell_* spanning the complementary
-    line, the quotient lattice V0 of (ell-perp in L) / Z*ell with its induced
-    Gram matrix, and integer lifts of the V0 basis back into ell-perp.
-    `reduction`, computed once, maps each coset mu of D(V) with a lift into
-    ell-perp to (lam, [lift, k] mod 1), lam the V0 coset of the lift; the
-    root of unity of mu's product factors is e([lift, k]), 1 whenever k is
-    integral, and a coset with no lift has no entry.  The
+    [ell, k] = [ell, k0] = N, the quotient lattice V0 of (ell-perp in L) /
+    Z*ell with its induced Gram matrix, and integer lifts of the V0 basis
+    back into ell-perp.  `reduction`, computed once, maps each coset mu of
+    D(V) with a lift into ell-perp to (lam, [lift, k]/N mod 1), lam the V0
+    coset of the lift; the root of unity of mu's product factors is
+    Borcherds' e((delta, z')) = e([lift, k]/N) with z' = k/N in L', so
+    [ell, z'] = 1 (Invent. Math. 132 (1998), Thm 13.3), 1 whenever N = 1
+    and k is integral, and a coset with no lift has no entry.  The
     lift, lam and the root of unity are read off one integral inverse of the
     basis B = (k0, ell, lift rows) of L: a representative c B of mu pairs to
     N c_0 with ell, so it lifts exactly when c_0 is an integer, to
     c B - c_0 k0, whose V0 coordinates are c_2, c_3, ...
     """
 
-    def __init__(self, lattice, ell, n_value, k, k0, ell_star, v0, lift_rows):
+    def __init__(self, lattice, ell, n_value, k, k0, v0, lift_rows):
         self.lattice = lattice
         self.ell = ell
         self.n_value = n_value
         self.k = k
         self.k0 = k0
-        self.ell_star = ell_star
         self.v0 = v0
         self.lift_rows = lift_rows
 
     @property
     def disc_v(self):
-        return self.lattice.discriminant_form()
+        return discriminant_form(self.lattice)
 
     @property
     def disc_v0(self):
-        return self.v0.discriminant_form()
+        return discriminant_form(self.v0)
 
     @cached_property
     def reduction(self):
@@ -998,7 +995,7 @@ class CuspData:
             if c[0].denominator == 1:
                 lift = tuple(a - c[0] * b for a, b in zip(rep, self.k0))
                 out[mu] = (self.disc_v0.coset_of_dual(c[2:]),
-                           self.lattice.bilinear(lift, self.k) % 1)
+                           self.lattice.bilinear(lift, self.k) / self.n_value % 1)
         return out
 
     def __repr__(self):
@@ -1010,13 +1007,16 @@ def cusp_data(lattice, ell, k=None):
     """Cusp data for a primitive isotropic ell; optionally with an explicit k.
 
     N is the positive generator of [L, ell], read off the one Smith form
-    u (G ell) v = (N, 0, ..., 0) with u = (+-1): by default k is k0 = u_00
-    times column 0 of v, inside L with [ell, k0] = N, and the other columns
-    of v span ell-perp, where the lifts of V0 are chosen.  An explicit dual
-    vector k with [ell, k] = N may be supplied instead.  ell_* = k - (Q(k)/N)
-    ell, which is isotropic and pairs to N with ell.  ell must have integer
-    entries and k rational ones (an integral float is read as its int);
-    anything else raises ValueError.
+    u (G ell) v = (N, 0, ..., 0) with u = (+-1): k0 = u_00 times column 0
+    of v lies in L with [ell, k0] = N, and the other columns of v span
+    ell-perp, where the lifts of V0 are chosen.  The product's roots of
+    unity are e([lift, k]/N), Borcherds' e((delta, z')) with z' = k/N
+    (`CuspData`), and z' must lie in the dual lattice L' for them to depend
+    on the coset alone.  So k is k0 when k0/N lies in L' (always when
+    N = 1), and otherwise N G^-1 y for an integral y with ell . y = 1, read
+    off the Smith form of ell.  A k with [ell, k] = N and k/N in L' may be
+    supplied instead.  ell must have integer entries and k rational ones
+    (an integral float is read as its int); anything else raises ValueError.
     """
     ell = tuple(map(exact_int, ell))
     if lattice.q(ell) != 0:
@@ -1032,15 +1032,17 @@ def cusp_data(lattice, ell, k=None):
     k0 = tuple(u[0][0] * row[0] for row in v)
     if k is None:
         k = k0
+        if any(x % n_value for x in lattice.image(k0)):
+            _, uy, vy = smith_normal_form([list(ell)])
+            y = [uy[0][0] * row[0] for row in vy]
+            k = tuple(n_value * c for c in solve_rational(lattice.gram, y))
     else:
         k = _coordinates(k, lattice.rank)
         pair = sum(a * b for a, b in zip(gl, k))
         if pair != n_value:
             raise ValueError("supplied k must satisfy [ell, k] = N")
-        if any(x.denominator != 1 for x in lattice.image(k)):
-            raise ValueError("supplied k must lie in the dual lattice")
-    qk = lattice.q(k)
-    ell_star = tuple(ki - Fraction(qk, n_value) * li for ki, li in zip(k, ell))
+        if any(x % n_value for x in lattice.image(k)):
+            raise ValueError("supplied k/N must lie in the dual lattice")
 
     coords = solve_int([row[1:] for row in v], list(ell))
     if coords is None:
@@ -1056,4 +1058,4 @@ def cusp_data(lattice, ell, k=None):
     lift_rows = tuple(map(tuple, new_basis[1:]))
     gram0 = mat_mul(mat_mul(lift_rows, lattice.gram), transpose(lift_rows))
     v0 = GramLattice(gram0, name=(f"{lattice.name}/cusp" if lattice.name else None))
-    return CuspData(lattice, ell, n_value, k, k0, ell_star, v0, lift_rows)
+    return CuspData(lattice, ell, n_value, k, k0, v0, lift_rows)

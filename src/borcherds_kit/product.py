@@ -140,14 +140,15 @@ class WeylChamber:
         return f"WeylChamber(w={self.w}, {len(self.wall_signs)} walls)"
 
 
-def chamber_of(w, f0, data, radius=2):
-    """The chamber data of an interior point: the sign of [x, w] per wall.
+def chamber_of(w, f0, data):
+    """The chamber data of an interior point: the sign of [x, w] per wall,
+    over the walls `enumerate_walls(f0, data, w, 2)` finds.
 
     Raises when w lies on one of the enumerated walls; the caller must
     perturb and retry.
     """
     w = tuple(map(exact_rational, w))
-    walls = enumerate_walls(f0, data, w, radius)
+    walls = enumerate_walls(f0, data, w, 2)
     signs = {}
     for x, p in zip(walls, _pairings(walls, data.v0, w)):
         if p == 0:

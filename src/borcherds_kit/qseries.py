@@ -247,9 +247,10 @@ def _grading_scale(lattice, w):
     such d.  Then [alpha, w] = (a . gw) / unit with unit = s * d.  Raises when
     Q(w) >= 0.  Cached by value: the lattice compares by Gram matrix.
     """
+    from .lattice import discriminant_form  # lattice imports this module
     if lattice.q(w) >= 0:
         raise ValueError("grading point must lie in the light cone")
-    s = max(lattice.discriminant_form().invariant_factors, default=1)
+    s = max(discriminant_form(lattice).invariant_factors, default=1)
     image = lattice.image(w)
     d = lcm(*(c.denominator for c in image))
     return s, tuple(int(c * d) for c in image), s * d

@@ -144,6 +144,30 @@ def test_lattice_cache_sees_rewritten_file(tmp_path):
     assert _LATTICE_CACHE[str(path.resolve())][2].gram == ((2, 1), (1, 6))
 
 
+def test_lattice_cache_is_bounded_and_parses_an_evicted_path_again(tmp_path, monkeypatch):
+    from borcherds_kit import io
+    size = io._LATTICE_CACHE.size
+    assert size > len(list(data_directory().glob("*.json"))) == 14
+    # a fresh cache of the same bound, so the test evicts no other test's entry
+    monkeypatch.setattr(io, "_LATTICE_CACHE", type(io._LATTICE_CACHE)(size))
+    paths = [tmp_path / f"a{k}.json" for k in range(1, size + 2)]
+    for k, path in enumerate(paths, 1):
+        save_lattice(path, GramLattice([[2 * k]]))
+    first = load_lattice(paths[0])
+    for path in paths[1:-1]:
+        load_lattice(path)
+    assert len(io._LATTICE_CACHE) == size and load_lattice(paths[0]) is first
+    # one load past the bound drops the path stored first, and only it
+    load_lattice(paths[-1])
+    assert list(io._LATTICE_CACHE) == [str(p.resolve()) for p in paths[1:]]
+    parsed = []
+    read_body = io._read_body
+    monkeypatch.setattr(io, "_read_body", lambda path: parsed.append(path) or read_body(path))
+    again = load_lattice(paths[0])
+    assert parsed == [paths[0]] and again is not first and again == first
+    assert str(paths[1].resolve()) not in io._LATTICE_CACHE
+
+
 def _write_body(path, body):
     path.write_text("borcherds-kit v1\n" + json.dumps(body) + "\n", encoding="utf-8")
     return path

@@ -245,7 +245,7 @@ def test_glue_isotropy_matches_fraction_route():
     rng = random.Random(41)
     blocks = [A1, A2, A3, GramLattice([[4]]), A1]
     base = direct_sum(blocks)
-    discs = [b.discriminant_form() for b in blocks]
+    discs = [discriminant_form(b) for b in blocks]
     outcomes = set()
     for _ in range(150):
         gens = [tuple((rng.randrange(d.invariant_factors[0]),) for d in discs)
@@ -695,9 +695,8 @@ def test_cusp_data_u_plus_u():
     data = cusp_data(UU, (1, 0, 0, 0))
     assert data.n_value == 1
     assert UU.q(data.k) == 0
-    assert data.ell_star == (Fraction(0), Fraction(1), Fraction(0), Fraction(0))
-    assert UU.bilinear(data.ell, data.ell_star) == 1
-    assert UU.q(data.ell_star) == 0
+    assert data.k == (0, 1, 0, 0)
+    assert UU.bilinear(data.ell, data.k) == 1
     assert data.v0.gram == U.gram
 
 
@@ -708,15 +707,14 @@ def test_cusp_data_invariants_various():
         (direct_sum([U, A1]), (1, 0, 0)),
     ]:
         data = cusp_data(lat, ell)
-        assert lat.bilinear(data.ell, data.ell_star) == data.n_value
-        assert lat.q(data.ell_star) == 0
+        assert lat.bilinear(data.ell, data.k) == data.n_value
         # lifts land in ell-perp
         for row in data.lift_rows:
             assert lat.bilinear(list(row), data.ell) == 0
 
 
-def _former_cusp_data(lattice, ell):
-    """The former `cusp_data` with its default k, as the reference: N as a
+def _former_cusp_data(lattice, ell, k):
+    """The former `cusp_data` with the given k, as the reference: N as a
     gcd, k0 from `solve_int` and the basis of ell-perp from the columns of v
     past the rank, each its own Smith form of the row G ell."""
     ell = tuple(ell)
@@ -725,9 +723,7 @@ def _former_cusp_data(lattice, ell):
     k0 = solve_int([gl], [n_value])
     if k0 is None:
         raise AssertionError("no integral k with [ell, k] = N")
-    k = k0 = tuple(k0)
-    qk = lattice.q(k)
-    ell_star = tuple(ki - Fraction(qk, n_value) * li for ki, li in zip(k, ell))
+    k0 = tuple(k0)
     kernel = transpose(smith_normal_form([gl])[2])[1:]
     coords = solve_int(transpose(kernel), list(ell))
     _, u, _ = smith_normal_form([[c] for c in coords])
@@ -738,7 +734,7 @@ def _former_cusp_data(lattice, ell):
         raise AssertionError("failed to complete ell to a kernel basis")
     lift_rows = tuple(map(tuple, mat_mul(m, kernel)[1:]))
     v0 = GramLattice(mat_mul(mat_mul(lift_rows, lattice.gram), transpose(lift_rows)))
-    return lattice_module.CuspData(lattice, ell, n_value, k, k0, ell_star, v0, lift_rows)
+    return lattice_module.CuspData(lattice, ell, n_value, k, k0, v0, lift_rows)
 
 
 def _paramodular_cusps(t):
@@ -754,17 +750,27 @@ def test_cusp_data_matches_former_two_solves():
              (e8uu, isotropic_line(e8uu)), (e8uu, (1, 0, 0, 0, 0, 0, 0, 0, -1, 1, 0, 0))]
     for t in (1, 2, 3, 4, 9):
         cases += _paramodular_cusps(t)
-    n_values = {}
+    n_values, moved = {}, set()
     for lat, ell in cases:
         assert lat.q(ell) == 0
-        data, ref = cusp_data(lat, ell), _former_cusp_data(lat, ell)
+        data = cusp_data(lat, ell)
+        ref = _former_cusp_data(lat, ell, data.k)
         n_values[lat.det, ell] = data.n_value
         assert data.n_value == ref.n_value, ell
-        assert data.k0 == ref.k0 == data.k and data.ell_star == ref.ell_star, ell
+        assert data.k0 == ref.k0, ell
+        # k is k0 unless k0/N is off L' (at the N = 2 and N = 3 cusps below);
+        # either way z' = k/N lies in L' and pairs to 1 with ell
+        k0_off = any(x % data.n_value for x in lat.image(data.k0))
+        assert (data.k == data.k0) is not k0_off, ell
+        assert lat.bilinear(ell, data.k) == data.n_value, ell
+        assert not any(x % data.n_value for x in lat.image(data.k)), ell
+        if k0_off:
+            moved.add((lat.det, ell))
         assert data.lift_rows == ref.lift_rows and data.v0.gram == ref.v0.gram, ell
         assert data.reduction == ref.reduction, ell
     # the cusp g + 2 e1 - 2 f1 at t = 4 has N = 2, and g + 3 e1 - 3 f1 at t = 9 N = 3
     assert n_values[8, (2, -2, 0, 0, 1)] == 2 and n_values[18, (3, -3, 0, 0, 1)] == 3
+    assert moved == {(8, (2, -2, 0, 0, 1)), (18, (3, -3, 0, 0, 1))}
 
 
 def test_cusp_data_e8_u_quotient():
@@ -795,12 +801,18 @@ def test_cusp_data_reads_ell_and_k_exactly():
     assert data.v0.gram == ref.v0.gram
     # a dual k with a half-integral entry, given as a Fraction; as a float
     # it raises like every other inexact coordinate
-    n2 = GramLattice([[0, 2, 0], [2, 0, 0], [0, 0, 2]])
+    n2 = GramLattice([[0, 2, 0], [2, 0, 0], [0, 0, 4]])
     dual_k = cusp_data(n2, (1, 0, 0), k=(0, 1, Fraction(1, 2)))
     assert dual_k.k == (0, 1, Fraction(1, 2))
     assert dual_k.n_value == 2
     with pytest.raises(ValueError):
         cusp_data(n2, (1, 0, 0), k=(0, 1, 0.5))
+    # k/N must lie in L', or e([lift, k]/N) would depend on the lift: on
+    # U(2)+A1, k = (0, 1, 1/2) pairs the lifts a/2 and -a/2 of one coset
+    # to 1/2 and -1/2, whose roots e(1/4) and e(-1/4) differ
+    with pytest.raises(ValueError, match="k/N must lie in the dual lattice"):
+        cusp_data(GramLattice([[0, 2, 0], [2, 0, 0], [0, 0, 2]]), (1, 0, 0),
+                  k=(0, 1, Fraction(1, 2)))
 
 
 def test_cusp_data_maximal_forces_n_one():
@@ -931,7 +943,7 @@ def _former_theta_by_glue(glue, bound, prec):
     def block_theta(bi, coset):
         key = (blocks[bi].gram, coset)
         if key not in theta_cache:
-            rep = blocks[bi].discriminant_form().rep(coset)
+            rep = discriminant_form(blocks[bi]).rep(coset)
             theta_cache[key] = coset_theta(blocks[bi], rep, bound)
         return theta_cache[key]
 
@@ -1028,7 +1040,7 @@ def test_glue_classes_walk_one_of_mu_and_minus_mu(monkeypatch, name, walks):
     real = lattice_module.coset_theta
 
     def counted(block, rep, bound):
-        walked.append((block.gram, block.discriminant_form().coset_of_dual(rep)))
+        walked.append((block.gram, discriminant_form(block).coset_of_dual(rep)))
         return real(block, rep, bound)
 
     monkeypatch.setattr(lattice_module, "coset_theta", counted)
@@ -1042,7 +1054,7 @@ def test_glue_classes_walk_one_of_mu_and_minus_mu(monkeypatch, name, walks):
 def _former_span_nested(blocks, generators):
     """The code span as built before words stayed nested: flat words added
     entry by entry mod the flat factors, then cut into blocks."""
-    discs = [b.discriminant_form() for b in blocks]
+    discs = [discriminant_form(b) for b in blocks]
     factors = [f for d in discs for f in d.invariant_factors]
     zero = (0,) * len(factors)
     words, members, basis = [zero], {zero}, []
@@ -1077,7 +1089,7 @@ def _former_glue_classes(glue, bound):
     def series_id(block, coset):
         key = (block.gram, coset)
         if key not in by_coset:
-            disc = block.discriminant_form()
+            disc = discriminant_form(block)
             sid = by_coset.get((block.gram, disc.neg(coset)))
             if sid is None:
                 sid = ids.setdefault(coset_theta(block, disc.rep(coset), bound), len(ids))
@@ -1092,7 +1104,7 @@ def _former_glue_classes(glue, bound):
 def test_glue_span_and_classes_match_former_flat_code(name):
     lat = _glue_case(name)
     glue = lat.glue
-    factors = [b.discriminant_form().invariant_factors for b in glue.blocks]
+    factors = [discriminant_form(b).invariant_factors for b in glue.blocks]
     words, basis = _span(glue.generators, factors)
     former_words, former_basis = _former_span_nested(glue.blocks, glue.generators)
     assert words == former_words and basis == former_basis
@@ -1108,7 +1120,7 @@ def test_glue_span_and_classes_match_former_flat_code(name):
 ], ids=["pickle", "copy", "deepcopy"])
 def test_lattices_pickle_and_copy(copier):
     for lat in (A2, _glue_case("a3-a1"), _niemeier("a1")):
-        disc = lat.discriminant_form()
+        disc = discriminant_form(lat)
         twin = copier(lat)
         assert twin == lat and hash(twin) == hash(lat)
         assert (twin.name, twin.det, twin.signature_pair) == (
@@ -1121,7 +1133,7 @@ def test_lattices_pickle_and_copy(copier):
             assert twin.glue.blocks == lat.glue.blocks
         # the copy builds its own discriminant form, equal to the original's
         assert twin._disc is None
-        twin_disc = twin.discriminant_form()
+        twin_disc = discriminant_form(twin)
         assert twin_disc is not disc
         assert twin_disc.invariant_factors == disc.invariant_factors
         assert [twin_disc.q(c) for c in twin_disc.cosets()] == [disc.q(c) for c in disc.cosets()]

@@ -1,8 +1,9 @@
 """The package holds no dead code: every name a module imports is used in
 it, every private module-level function or class is referenced from
-somewhere else in src/borcherds_kit, every public one is named in README
-or read by code outside tests/, and `__all__` lists exactly the names the
-package's `__init__.py` imports, each of which resolves."""
+somewhere else in src/borcherds_kit, every public one, and every public
+method, property and `__init__` attribute of a public class, is named in
+README or read by code outside tests/, and `__all__` lists exactly the
+names the package's `__init__.py` imports, each of which resolves."""
 
 import ast
 import re
@@ -74,6 +75,39 @@ def public_definitions(tree):
             and not node.name.startswith("_")]
 
 
+def attribute_reads(node):
+    """Counter of the attributes a tree reads (`x.name` not assigned to)."""
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and not isinstance(sub.ctx, ast.Store))
+
+
+def _init_attributes(init):
+    """(node, name) for each attribute `__init__` sets on self, by
+    `self.name = ...` or `object.__setattr__(self, "name", ...)`."""
+    out = []
+    for sub in ast.walk(init):
+        if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                and getattr(sub.value, "id", None) == "self"):
+            out.append((sub, sub.attr))
+        elif (isinstance(sub, ast.Call) and getattr(sub.func, "attr", None) == "__setattr__"
+              and len(sub.args) == 3 and isinstance(sub.args[1], ast.Constant)):
+            out.append((sub, sub.args[1].value))
+    return out
+
+
+def public_members(cls):
+    """(node, name) for each public method and property of a class and each
+    public attribute its `__init__` sets."""
+    out = []
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name == "__init__":
+                out += _init_attributes(node)
+            else:
+                out.append((node, node.name))
+    return [(node, name) for node, name in out if not name.startswith("_")]
+
+
 def readme_code_names(text):
     """The identifiers inside README's inline code spans."""
     return {name for span in re.findall(r"`([^`\n]+)`", text)
@@ -82,25 +116,34 @@ def readme_code_names(text):
 
 def uncalled_public(sources, scripts, readme):
     """(module, line, name) for each public module-level function or class
-    of {module: source} that README does not name in code and that nothing
-    outside tests/ reads: no other code of the package (the `__init__`
-    re-export aside) and none of the scripts, by a name, an attribute or,
-    in a script, a `from` import."""
+    of {module: source}, and each public member (Class.name) of a public
+    class, that README does not name in code and that nothing outside tests/
+    reads: no other code of the package (the `__init__` re-export aside) and
+    none of the scripts, by a name, an attribute or, in a script, a `from`
+    import; a member is read only as an attribute."""
     trees = {name: ast.parse(source) for name, source in sources.items()
              if name != "__init__.py"}
-    total = Counter()
+    total, attributes = Counter(), Counter()
     for tree in trees.values():
         total.update(references(tree))
+        attributes.update(attribute_reads(tree))
     for source in scripts:
         tree = ast.parse(source)
         total.update(references(tree))
+        attributes.update(attribute_reads(tree))
         total.update(alias.name for node in ast.walk(tree)
                      if isinstance(node, ast.ImportFrom) for alias in node.names)
     named = readme_code_names(readme)
-    return sorted((module, node.lineno, node.name)
-                  for module, tree in trees.items() for node in public_definitions(tree)
-                  if node.name not in named
-                  and total[node.name] - references(node)[node.name] <= 0)
+    found = []
+    for module, tree in trees.items():
+        for node in public_definitions(tree):
+            if node.name not in named and total[node.name] - references(node)[node.name] <= 0:
+                found.append((module, node.lineno, node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [(module, member.lineno, f"{node.name}.{name}")
+                          for member, name in public_members(node) if name not in named
+                          and attributes[name] - attribute_reads(member)[name] <= 0]
+    return sorted(found)
 
 
 def init_imports_and_all(source):
@@ -145,10 +188,29 @@ def test_scans_find_dead_code_in_a_snippet():
                 "def used():\n    pass\n\nclass Imported:\n    pass\n\n"
                 "def in_readme():\n    pass\n\ndef in_prose():\n    pass\n",
         "n.py": "from . import m\n\nx = m.used\n",
+        # of a public class's members, those only tests read are uncalled:
+        # an attribute __init__ sets (its own store is no read) and a method
+        # read only by itself; a method a script reads or one README names in
+        # code is not, and private members are not checked
+        "c.py": "class Box:\n"
+                "    def __init__(self, n):\n"
+                "        self.unread = n\n"
+                "        object.__setattr__(self, 'frozen', n)\n"
+                "        self._private = n\n"
+                "    def grow(self):\n"
+                "        return self.grow()\n"
+                "    def shown(self):\n"
+                "        pass\n"
+                "    @property\n"
+                "    def documented(self):\n"
+                "        return 1\n",
     }
-    scripts = ["from borcherds_kit.m import Imported\n"]
-    readme = "Call `m.in_readme(x)`; in_prose is named outside code.\n"
+    scripts = ["from borcherds_kit.m import Imported\n",
+               "from borcherds_kit.c import Box\n\nBox(1).shown()\n"]
+    readme = ("Call `m.in_readme(x)`; in_prose is named outside code. "
+              "Read `Box(n).documented`.\n")
     assert uncalled_public(sources, scripts, readme) == [
+        ("c.py", 3, "Box.unread"), ("c.py", 4, "Box.frozen"), ("c.py", 6, "Box.grow"),
         ("m.py", 1, "dead"), ("m.py", 13, "in_prose")]
 
 

@@ -36,6 +36,12 @@ U = GramLattice([[0, 1], [1, 0]], name="U")
 A1A2 = direct_sum([A1, A2], name="A1+A2")
 
 
+def conjugate(x):
+    """Complex conjugation of a CycScalar, zeta -> zeta^-1, as a reference."""
+    m = x.conductor
+    return CycScalar(m, {(-k) % m: c for k, c in x.coeffs.items()})
+
+
 def test_cyc_scalar_basics():
     i = e(Fraction(1, 4))
     assert i * i == -1
@@ -44,7 +50,7 @@ def test_cyc_scalar_basics():
     assert e(Fraction(1, 3)) + e(Fraction(2, 3)) == -1
     z = e(Fraction(1, 5))
     assert z.inverse() * z == 1
-    assert (z + 2).conjugate().conjugate() == z + 2
+    assert conjugate(conjugate(z + 2)) == z + 2
 
 
 def test_cyc_scalar_equality_across_conductors():
@@ -63,7 +69,7 @@ def test_cyc_scalar_random_field_axioms():
         a, b, c = rand_scalar(), rand_scalar(), rand_scalar()
         assert (a + b) * c == a * c + b * c
         assert a * b == b * a
-        if not a.is_zero():
+        if a != 0:
             assert a * a.inverse() == 1
 
 
@@ -109,7 +115,7 @@ def test_integer_mul_matches_former_fraction_loop():
                 new, old = a * b, _former_mul(a, b)
                 assert (new.conductor, list(new.coeffs.items())) == \
                     (old.conductor, list(old.coeffs.items())), (a, b)
-                products += not new.is_zero()
+                products += new != 0
     assert products > 600  # not vacuous
 
 
@@ -133,7 +139,7 @@ def test_every_arithmetic_result_is_reduced():
 
     def rand_divisor(m):
         x = rand_scalar(m, 3)
-        return x if not x.is_zero() else rand_divisor(m)
+        return x if x != 0 else rand_divisor(m)
 
     results = 0
     for m in range(1, 61):
@@ -142,7 +148,7 @@ def test_every_arithmetic_result_is_reduced():
         for b in (rand_scalar(m, m), rand_scalar(other, other), -a,
                   Fraction(rng.randint(-5, 5), rng.randint(1, 5)), rng.randint(-3, 3)):
             outs = [a + b, b + a, a - b, b - a, a * b, b * a, a ** 2, a ** 0]
-            outs += [x.conjugate() for x in outs] + [-x for x in outs]
+            outs += [conjugate(x) for x in outs] + [-x for x in outs]
             for r in outs:
                 _assert_canonical(r)
             results += len(outs)
@@ -151,7 +157,7 @@ def test_every_arithmetic_result_is_reduced():
         # in turn
         x = rand_divisor(m)
         inv = x ** -1 if m % 3 == 0 else 3 / x if m % 3 == 1 else rand_divisor(other) / x
-        outs = [a / 3, inv, inv.conjugate(), inv * inv, -inv]
+        outs = [a / 3, inv, conjugate(inv), inv * inv, -inv]
         for r in outs:
             _assert_canonical(r)
         results += len(outs)
@@ -291,7 +297,7 @@ def test_exponent_rep_matches_cyc_scalar_reference(name):
         [[repr(x) for x in row] for row in rho_s]
     conj = conjugate_rep(rep)
     assert [[repr(x) for x in row] for row in conj.rho_s] == \
-        [[repr(x.conjugate()) for x in row] for row in rho_s]
+        [[repr(conjugate(x)) for x in row] for row in rho_s]
     assert braid_holds(rep) is _reference_braid_holds(rho_t, rho_s) is True
     assert repr(s_fourth_power_scalar(rep)) == \
         repr(_reference_s_fourth_power_scalar(rho_s))
@@ -383,7 +389,7 @@ def _former_braid_holds(rep):
                 for y, s in sqrt_terms:
                     x = (r * step + y) % m
                     diff[x] = diff.get(x, 0) - b * s
-        return CycScalar(m, diff).is_zero()
+        return CycScalar(m, diff) == 0
 
     for row3, row2 in zip(zt3, z2):
         for pair in zip(row3, row2):
@@ -581,7 +587,7 @@ def test_weil_rep_unitary_like():
     # rho_S * conj(rho_S)^T = identity (S-matrix is unitary with exact entries)
     for lat, sig in (SIG8["A1"], SIG8["A2"]):
         rep = build_weil_rep(discriminant_form(lat), sig)
-        conj_t = [[rep.rho_s[j][i].conjugate() for j in range(len(rep.rho_s))]
+        conj_t = [[conjugate(rep.rho_s[j][i]) for j in range(len(rep.rho_s))]
                   for i in range(len(rep.rho_s))]
         prod = mat_mul(rep.rho_s, conj_t)
         for i in range(len(prod)):
@@ -842,7 +848,7 @@ def test_inverse_matches_former_euclid():
         for _ in range(3 if m <= 24 else 2):
             x = CycScalar(m, {rng.randrange(m): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                               for _ in range(rng.randint(1, 6))})
-            if x.is_zero():
+            if x == 0:
                 continue
             inv = x.inverse()
             assert inv.coeffs == _former_inverse(x)
