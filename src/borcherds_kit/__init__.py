@@ -42,7 +42,6 @@ from .product import (
     ProductExpansion,
     WeylChamber,
     chamber_of,
-    check_weyl_integrality,
     constant_a,
     enumerate_walls,
     product_expand,
@@ -71,8 +70,8 @@ __all__ = [
     "DivisorExpr", "EmbeddingData", "FracQSeries", "GlueData", "GramLattice",
     "LatticeQSeries", "PrecisionError", "ProductExpansion", "WHForm",
     "WeilRepData", "WeylChamber", "borcherds_relation", "braid_holds",
-    "build_weil_rep", "chamber_of", "check_weyl_integrality", "conjugate_rep",
-    "constant_a", "coset_theta", "cusp_data", "delta_series", "direct_sum",
+    "build_weil_rep", "chamber_of", "conjugate_rep", "constant_a",
+    "coset_theta", "cusp_data", "delta_series", "direct_sum",
     "discriminant_form", "divide_by_24delta", "e", "eisenstein",
     "embedding_trick", "enumerate_walls", "fourier_splitting_holds",
     "glue_lattice", "is_maximal", "isotropic_line", "j_series",

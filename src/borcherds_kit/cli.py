@@ -11,7 +11,7 @@ handler, which takes the parsed namespace, with `set_defaults`.
 
 Exit status: 0 success; 1 domain error (a ValueError, KeyError or
 ZeroDivisionError raised by a handler, such as a form that is not integral
-or a nonpositive cutoff); 2 a bad argument (argparse's usage error), a
+or a cutoff below 1); 2 a bad argument (argparse's usage error), a
 missing file, or a FileFormatError from `io`.
 """
 

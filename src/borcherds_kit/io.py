@@ -128,7 +128,7 @@ def resolve_data_path(ref, relative_to=None):
     candidate = data_directory() / f"{ref}.json"
     if candidate.is_file():
         return candidate
-    raise FileNotFoundError(f"no lattice or form named {ref!r} in "
+    raise FileNotFoundError(f"no lattice, form or series named {ref!r} in "
                             f"{data_directory()}")
 
 
@@ -208,6 +208,7 @@ def save_lattice(path, lattice, glue_spec=None):
 
 
 def load_series(path):
+    path = resolve_data_path(path)
     body = _read_body(path)
     if _field(body, "kind", path) != "series":
         raise FileFormatError(f"{path}: not a series file")

@@ -172,10 +172,6 @@ class DiscriminantForm:
             raise ValueError("coset tuple has wrong length")
         return tuple(exact_int(a) % f for a, f in zip(coset, self.invariant_factors))
 
-    def add(self, c1, c2):
-        return tuple((a + b) % f for a, b, f in
-                     zip(self.normalize(c1), self.normalize(c2), self.invariant_factors))
-
     def neg(self, coset):
         return tuple((-a) % f for a, f in
                      zip(self.normalize(coset), self.invariant_factors))
@@ -587,23 +583,6 @@ class _BoundedCache(OrderedDict):
             self.popitem(last=False)
 
 
-class _Memo(dict):
-    """A dict that stores fn(key) for a missing key on its first lookup.
-
-    Hits, also through `dict.__getitem__` in `map`, never call Python code.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 # matrix -> (T^T, d, l) of `_qf_reduce`; the test suite walks about 430
 # distinct matrices, most of them once, a benchmark pass at most 4
 _QF_REDUCE_CACHE = _BoundedCache(128)
@@ -701,35 +680,30 @@ def theta_series(lattice, bound):
 def _glue_classes(glue, bound):
     """The glue code's words tallied by composition over distinct coset series.
 
-    Each distinct coset theta series gets an int id in order of first
-    appearance, word by word; equal series share one, also across block
-    Grams (so the cosets 1 and 2 of A2 share one).  Returns (series,
-    classes): series[i] has id i, and classes maps a composition
-    (n_0, ..., n_{k-1}), n_i the number of blocks of a word whose coset
-    series has id i, to the number of code words with it.  Each block Gram
-    has one coset -> id table, filled on first lookup, so a word maps to its
-    ids with one C-level lookup per block and is tallied with `list.count`.
-    v -> -v maps L + mu onto L - mu, so the coset -mu takes the id of mu
-    without a walk of its own.
+    Each distinct coset theta series gets an int id in the order of the
+    block Grams (first block first) and, within one, of `disc.cosets()`;
+    equal series share one, also across block Grams (so the cosets 1 and 2
+    of A2 share one), and a coset that no word uses still gets one, counted
+    0 in every class.  Returns (series, classes): series[i] has id i, and
+    classes maps a composition (n_0, ..., n_{k-1}), n_i the number of blocks
+    of a word whose coset series has id i, to the number of code words with
+    it.  Each block Gram has one coset -> id table over all its cosets, so a
+    word maps to its ids with one C-level lookup per block and is tallied
+    with `list.count`.  v -> -v maps L + mu onto L - mu, so the coset -mu
+    takes the id of mu without a walk of its own.
     """
     ids = {}  # series -> id
-
-    def id_table(block):
-        disc = discriminant_form(block)
-
-        def series_id(coset):
+    by_gram = {}  # block Gram -> {coset: id}
+    for b in glue.blocks:
+        if b.gram in by_gram:
+            continue
+        disc = discriminant_form(b)
+        table = by_gram[b.gram] = {}
+        for coset in disc.cosets():
             sid = table.get(disc.neg(coset))
             if sid is None:
-                sid = ids.setdefault(coset_theta(block, disc.rep(coset), bound), len(ids))
-            return sid
-
-        table = _Memo(series_id)
-        return table
-
-    by_gram = {}
-    for b in glue.blocks:
-        if b.gram not in by_gram:
-            by_gram[b.gram] = id_table(b)
+                sid = ids.setdefault(coset_theta(b, disc.rep(coset), bound), len(ids))
+            table[coset] = sid
     tables = [by_gram[b.gram] for b in glue.blocks]
     words = [list(map(getitem, tables, w)) for w in glue.words]
     return list(ids), Counter(tuple(map(w.count, range(len(ids)))) for w in words)
@@ -768,8 +742,10 @@ class GlueData:
 
 
 def _coset_sums(factors):
-    """(c1, c2) -> c1 + c2 in Z/f_1 x ... x Z/f_k, filled on first lookup."""
-    return _Memo(lambda key: tuple((a + b) % f for a, b, f in zip(*key, factors)))
+    """(c1, c2) -> c1 + c2 in Z/f_1 x ... x Z/f_k, for every pair of cosets."""
+    cosets = list(itertools.product(*map(range, factors)))
+    return {(a, b): tuple((x + y) % f for x, y, f in zip(a, b, factors))
+            for a in cosets for b in cosets}
 
 
 def _span(generators, factors):
@@ -777,11 +753,11 @@ def _span(generators, factors):
 
     A word holds one coset tuple per block; `factors[i]` are the invariant
     factors of D_i.  Blocks with the same factors share one `_coset_sums`
-    table, and two words add with one C-level lookup per block.  Incremental
-    closure: for each generator g not yet in H, H grows by the cosets
-    H + k*g for k = 1, 2, ... while k*g is not in H (tested before the coset
-    is built).  Returns (the words of H, the generators that enlarged H);
-    the latter generate H.
+    table, built for every pair of cosets, and two words add with one
+    C-level lookup per block.  Incremental closure: for each generator g
+    not yet in H, H grows by the cosets H + k*g for k = 1, 2, ... while k*g
+    is not in H (tested before the coset is built).  Returns (the words of
+    H, the generators that enlarged H); the latter generate H.
     """
     tables = {f: _coset_sums(f) for f in factors}
     sums = [tables[f] for f in factors]

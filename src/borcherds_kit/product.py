@@ -177,14 +177,6 @@ def constant_a(form, data):
     return result
 
 
-def check_weyl_integrality(rho, data):
-    """True when rho lies in the dual of the quotient lattice V0.
-
-    Raises ValueError when rho does not have rank V0 coordinates.
-    """
-    return all(g.denominator == 1 for g in data.v0.image(rho))
-
-
 class ProductExpansion:
     """A truncated Borcherds product: series body, Weyl exponent, constants.
 
@@ -228,15 +220,20 @@ def product_expand(form, data, chamber, weyl_vector, cutoff):
 
     `cutoff` is measured in units of the smallest positive grading value of
     the exponent lattice: terms with [alpha, w] <= cutoff * g_min are kept.
+    Over V0' the gradings [G^-1 y, w] = y . w are exactly the multiples of
+    g_min = rational_gcd(w), so a cutoff below 1 keeps no factor and raises
+    ValueError, as a nonpositive one does.  The Weyl vector must have rank V0
+    coordinates and lie in V0' (its image G rho is integral), or ValueError.
     """
     if not form.is_integral():
         raise ValueError("product expansion requires an integral form")
     cutoff = exact_rational(cutoff)
-    if cutoff <= 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
+    if cutoff < 1:
+        raise ValueError(f"cutoff must be positive and at least one grading unit, "
+                         f"got {cutoff}")
     v0 = data.v0
     weyl_vector = tuple(map(exact_rational, weyl_vector))
-    if not check_weyl_integrality(weyl_vector, data):
+    if any(g.denominator != 1 for g in v0.image(weyl_vector)):
         raise ValueError("Weyl vector must lie in the dual exponent lattice")
     w = chamber.w
     qw = v0.q(w)

@@ -24,7 +24,6 @@ from borcherds_kit.product import (
     ProductExpansion,
     WeylChamber,
     chamber_of,
-    check_weyl_integrality,
     enumerate_walls,
     product_expand,
     reduce_f0,
@@ -92,7 +91,6 @@ ENTRY_POINTS = [
     ("enumerate_walls-radius", lambda x: enumerate_walls(KNZ0, CUSP_UU, (2, -1), x), 2),
     ("chamber_of-w", lambda x: chamber_of((x, -1), KNZ0, CUSP_UU).wall_signs, 2),
     ("WeylChamber-w", lambda x: WeylChamber((x, -1), {}).w, 2),
-    ("check_weyl_integrality-rho", lambda x: check_weyl_integrality((0, x), CUSP_UU), -1),
     ("product_expand-weyl",
      lambda x: product_expand(KNZ, CUSP_UU, CHAMBER, (0, x), 3).shifted_coefficients(), -1),
     ("product_expand-cutoff",

@@ -489,6 +489,15 @@ def test_cli_pair(capsys):
     assert "pairing: 0" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("series", ["e6", "src/borcherds_kit/data/e6.json"])
+def test_cli_pair_reads_a_bundled_series_name(tmp_path, monkeypatch, capsys, series):
+    # --series resolves as --form and --lattice do, also outside the
+    # repository root: a database name, or a missing path by its file name
+    monkeypatch.chdir(tmp_path)
+    assert main(["pair", "--form", "e4sq-over-delta", "--series", series]) == 0
+    assert capsys.readouterr().out == "pairing: 0\n"
+
+
 def test_cli_expand_deterministic(tmp_path):
     args = ["expand", "--lattice", "u-plus-u", "--form", "knz-input",
             "--chamber-point", "2,-1", "--weyl", "0,-1", "--cutoff", "3"]
@@ -569,7 +578,7 @@ def test_cli_bad_argument_value_exits_2_in_a_process():
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
-@pytest.mark.parametrize("cutoff", ["0", "-1"])
+@pytest.mark.parametrize("cutoff", ["0", "-1", "1/1000"])
 def test_cli_nonpositive_cutoff_exits_1(capsys, cutoff):
     assert main(EXPAND_KNZ + ["--cutoff", cutoff]) == 1
     captured = capsys.readouterr()

@@ -8,6 +8,7 @@ names the package's `__init__.py` imports, each of which resolves."""
 import ast
 import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import borcherds_kit
@@ -17,6 +18,11 @@ INIT = PACKAGE / "__init__.py"
 ROOT = PACKAGE.parents[1]
 # the code outside src/ and tests/ that may call the package
 SCRIPTS = ("demos", "tools", "perfbench")
+# the attributes of builtin types: a read such as `members.add` on a set is
+# no evidence that a class member of that name is called
+BUILTIN_ATTRIBUTES = frozenset(name for t in (set, frozenset, dict, list, tuple, str,
+                                              bytes, int, float, Fraction)
+                               for name in dir(t))
 
 
 def imported_names(tree):
@@ -120,7 +126,8 @@ def uncalled_public(sources, scripts, readme):
     class, that README does not name in code and that nothing outside tests/
     reads: no other code of the package (the `__init__` re-export aside) and
     none of the scripts, by a name, an attribute or, in a script, a `from`
-    import; a member is read only as an attribute."""
+    import; a member is read only as an attribute, and one whose name is an
+    attribute of a builtin type (`BUILTIN_ATTRIBUTES`) only by README."""
     trees = {name: ast.parse(source) for name, source in sources.items()
              if name != "__init__.py"}
     total, attributes = Counter(), Counter()
@@ -142,7 +149,8 @@ def uncalled_public(sources, scripts, readme):
             if isinstance(node, ast.ClassDef):
                 found += [(module, member.lineno, f"{node.name}.{name}")
                           for member, name in public_members(node) if name not in named
-                          and attributes[name] - attribute_reads(member)[name] <= 0]
+                          and (name in BUILTIN_ATTRIBUTES
+                               or attributes[name] - attribute_reads(member)[name] <= 0)]
     return sorted(found)
 
 
@@ -191,7 +199,9 @@ def test_scans_find_dead_code_in_a_snippet():
         # of a public class's members, those only tests read are uncalled:
         # an attribute __init__ sets (its own store is no read) and a method
         # read only by itself; a method a script reads or one README names in
-        # code is not, and private members are not checked
+        # code is not, and private members are not checked.  A member named
+        # like a builtin type's attribute is uncalled unless README names it:
+        # `add` is read only as a set's `.add`, `copy` is named in README
         "c.py": "class Box:\n"
                 "    def __init__(self, n):\n"
                 "        self.unread = n\n"
@@ -203,15 +213,22 @@ def test_scans_find_dead_code_in_a_snippet():
                 "        pass\n"
                 "    @property\n"
                 "    def documented(self):\n"
-                "        return 1\n",
+                "        return 1\n"
+                "    def add(self, x):\n"
+                "        pass\n"
+                "    def copy(self):\n"
+                "        pass\n"
+                "\n"
+                "seen = set()\n"
+                "seen.add(1)\n",
     }
     scripts = ["from borcherds_kit.m import Imported\n",
                "from borcherds_kit.c import Box\n\nBox(1).shown()\n"]
     readme = ("Call `m.in_readme(x)`; in_prose is named outside code. "
-              "Read `Box(n).documented`.\n")
+              "Read `Box(n).documented` and `Box(n).copy()`.\n")
     assert uncalled_public(sources, scripts, readme) == [
         ("c.py", 3, "Box.unread"), ("c.py", 4, "Box.frozen"), ("c.py", 6, "Box.grow"),
-        ("m.py", 1, "dead"), ("m.py", 13, "in_prose")]
+        ("c.py", 13, "Box.add"), ("m.py", 1, "dead"), ("m.py", 13, "in_prose")]
 
 
 def test_every_import_is_used():

@@ -16,7 +16,6 @@ from borcherds_kit.product import (
     PrecisionError,
     WeylChamber,
     chamber_of,
-    check_weyl_integrality,
     constant_a,
     enumerate_walls,
     product_expand,
@@ -293,10 +292,54 @@ def test_arrow_body_at_cusp_with_n_three():
     assert pe_l.constant == 3 ** 504
 
 
-def test_check_weyl_integrality():
-    assert check_weyl_integrality((0, 0), CUSP_UU)
-    assert check_weyl_integrality((0, -1), CUSP_UU)
-    assert not check_weyl_integrality((Fraction(1, 2), 0), CUSP_UU)
+def v0_map(data_m, data_l, basis):
+    """x -> x T^-1, from M's V0 coordinates to L's at one isotropic ell of L
+    in M, `basis` listing L's basis in M's coordinates: row i of T holds M's
+    V0 coordinates of L's V0 basis vector i, whose lift row, moved into M,
+    is solved against M's lift rows and ell."""
+    columns = transpose(list(data_m.lift_rows) + [list(data_m.ell)])
+    t = [solve_rational(columns, mat_mul([list(row)], basis)[0])[:-1]
+         for row in data_l.lift_rows]
+    t_inv = invert_rational(t)
+    return lambda x: tuple(mat_mul([list(x)], t_inv)[0])
+
+
+@pytest.mark.parametrize("m_name, form_name, ell, scaled, factor, w, rho, cutoff, terms", [
+    # U+U(2) in U+U at ell = e1, KNZ's input, where M's (a, b) is L's (a, b/2)
+    ("u-plus-u", "knz-input", (1, 0, 0, 0), 3, 2, (2, -1), (0, -1), 8, 11),
+    # E8+U+U(3) in E8+U+U at ell = e1, E4^2/Delta at the cusp-expand point
+    # w* (the 95-term golden/body-w-star-8.txt), where M's (..., b) is L's
+    # (..., b/3)
+    ("e8-plus-2u", "e4sq-over-delta", (0,) * 8 + (1, 0, 0, 0), 11, 3,
+     (840, 1100, 1350, 910, 460, 680, 570, 290, 74, -1055), (0,) * 10, 8, 95),
+], ids=["u-plus-u2", "e8-plus-u-plus-u3"])
+def test_arrow_body_at_cusp_with_n_one(m_name, form_name, ell, scaled, factor, w, rho,
+                                       cutoff, terms):
+    # L has the basis of M with one U vector scaled by `factor`, and N = 1 at
+    # ell on both.  g on M lifted to L by the arrow gives M's body, read in
+    # L's V0 coordinates, at the same absolute grading bound: L's gradings
+    # are finer, so its cutoff is counted in units of rational_gcd(w_L).
+    # In the integral dual coordinates G x the map is (..., b) -> (..., factor b).
+    from borcherds_kit.io import load_form, load_lattice
+    m_lat = load_lattice(m_name)
+    g, _ = load_form(form_name)
+    n = m_lat.rank
+    basis = [[(factor if i == scaled else 1) * (i == j) for j in range(n)] for i in range(n)]
+    l_lat = GramLattice(mat_mul(mat_mul(basis, m_lat.gram), transpose(basis)))
+    assert discriminant_form(l_lat).invariant_factors == (factor, factor)
+    lifted = arrow_up(g, l_lat, basis)
+    data_m, data_l = cusp_data(m_lat, ell), cusp_data(l_lat, ell)
+    assert (data_m.n_value, data_l.n_value) == (1, 1)
+    to_l = v0_map(data_m, data_l, basis)
+    w_l = to_l(w)
+    assert w_l == w[:-1] + (Fraction(w[-1], factor),)
+    pe_m = product_expand(g, data_m, chamber_of(w, reduce_f0(g, data_m), data_m), rho, cutoff)
+    chamber_l = chamber_of(w_l, reduce_f0(lifted, data_l), data_l)
+    pe_l = product_expand(lifted, data_l, chamber_l, to_l(rho),
+                          cutoff * rational_gcd(w) / rational_gcd(w_l))
+    assert len(pe_m.body.coeffs) == terms
+    assert pe_l.body.coeffs == {to_l(alpha): c for alpha, c in pe_m.body.coeffs.items()}
+    assert (pe_l.constant, pe_l.weight_out) == (pe_m.constant, pe_m.weight_out)
 
 
 def knz_expansion(cutoff=5, prec=11):
@@ -410,9 +453,11 @@ def test_product_requires_integral_form():
         product_expand(f, CUSP_UU, ch, (0, -1), 3)
 
 
-@pytest.mark.parametrize("cutoff", [0, -1, Fraction(-1, 2)])
+@pytest.mark.parametrize("cutoff", [0, -1, Fraction(-1, 2), Fraction(1, 2), Fraction(1, 1000)])
 def test_product_rejects_nonpositive_cutoff(cutoff):
-    # an empty grading range would leave only the Weyl prefactor
+    # an empty grading range would leave only the Weyl prefactor; over V0'
+    # the gradings are the multiples of rational_gcd(w), so a cutoff below 1
+    # keeps no factor either
     f = knz_form()
     ch = chamber_of((2, -1), reduce_f0(f, CUSP_UU), CUSP_UU)
     with pytest.raises(ValueError, match="cutoff must be positive"):
@@ -422,7 +467,7 @@ def test_product_rejects_nonpositive_cutoff(cutoff):
 def test_product_rejects_nonintegral_weyl():
     f = knz_form()
     ch = WeylChamber((2, -1), {})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="Weyl vector must lie in the dual"):
         product_expand(f, CUSP_UU, ch, (Fraction(1, 2), 0), 3)
 
 
@@ -432,8 +477,6 @@ def test_weyl_vector_of_wrong_length():
     f = knz_form()
     chamber = chamber_of((2, -1), reduce_f0(f, CUSP_UU), CUSP_UU)
     for rho, n in (((0, -1, 0), 3), ((0,), 1), ((), 0)):
-        with pytest.raises(ValueError, match=f"expected 2 coordinates, got {n}"):
-            check_weyl_integrality(rho, CUSP_UU)
         with pytest.raises(ValueError, match=f"expected 2 coordinates, got {n}"):
             product_expand(f, CUSP_UU, chamber, rho, 3)
 
