@@ -11,19 +11,19 @@ odd prime p the sum sum_a zeta_p^(a^2) is one CycScalar built from the count
 of each a^2 mod p, reduced once, as `weil.milgram_sum` builds its sum.  One long
 division by a monic polynomial (`_monic_divmod`) builds the cyclotomic
 polynomials, at most 128 of them cached, and reduces modulo them, on the
-integers over the common denominator of the coefficients; the inverse
-solves x y = 1 with `linalg.solve_rational` on the matrix of
-multiplication by x, whose columns that division reduces.  Numbers are
-read by `linalg.exact_int` and `exact_rational` (README, Conventions).
+integers over the common denominator of the coefficients.  The inverse is
+the product of the other Galois conjugates of x over its norm, a rational,
+so it takes only products.  Numbers are read by `linalg.exact_int` and
+`exact_rational` (README, Conventions).
 """
 
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 from numbers import Number
 
-from .linalg import _power, exact_int, exact_rational, solve_rational, transpose
+from .linalg import _power, exact_int, exact_rational
 
 
 # the library code touches about 60 conductors in a pass of the test suite and
@@ -136,9 +136,8 @@ class CycScalar:
 
     def __mul__(self, other):
         if not isinstance(other, CycScalar):
-            from .qseries import LatticeQSeries  # qseries imports this module
-            if isinstance(other, LatticeQSeries):
-                return NotImplemented  # its __rmul__ scales every coefficient
+            if not isinstance(other, (Number, str)):
+                return NotImplemented  # a LatticeQSeries' __rmul__ scales its coefficients
             other = exact_rational(other)
             return CycScalar._reduced(self.conductor,
                                       {e: c * other for e, c in self.coeffs.items()})
@@ -159,22 +158,17 @@ class CycScalar:
         return self.__mul__(other)
 
     def inverse(self):
-        """Inverse in Q(zeta_M): the y with x y = 1, solved on the matrix of x.
-
-        Column j of the multiplication-by-x matrix is x zeta^j reduced modulo
-        the cyclotomic polynomial; a nonzero x makes it invertible.
-        """
+        """Inverse in Q(zeta_M): the product y of the other Galois conjugates
+        sigma_a(x) (zeta -> zeta^a, a != 1 a unit mod M) over the norm x y,
+        a nonzero rational for a nonzero x."""
         if not self.coeffs:
             raise ZeroDivisionError("zero has no inverse")
         m = self.conductor
-        phi = cyclotomic_polynomial(m)
-        deg = len(phi) - 1
-        x = [Fraction(0)] * deg
-        for e, c in self.coeffs.items():
-            x[e] = c
-        cols = [_monic_divmod([0] * j + x, phi)[1] for j in range(deg)]
-        y = solve_rational(transpose(cols), [1] + [0] * (deg - 1))
-        return CycScalar._reduced(m, dict(enumerate(y)))
+        others = CycScalar(m, {0: 1})
+        for a in range(2, m):
+            if gcd(a, m) == 1:
+                others = others * CycScalar(m, {e * a: c for e, c in self.coeffs.items()})
+        return others * (1 / (self * others).try_rational())
 
     def __truediv__(self, other):
         if not isinstance(other, CycScalar):

@@ -114,20 +114,19 @@ def _write_body(path, body):
 
 
 def resolve_data_path(ref, relative_to=None):
-    """A file path for `ref`: an existing path as-is, else a database name."""
+    """A file path for `ref`: an existing `.json` path as it is or relative to
+    `relative_to`, else the database file of a bare name, `e6` or `e6.json`."""
     p = Path(ref)
     if p.suffix == ".json":
         if p.is_file():
             return p
         if relative_to is not None and (Path(relative_to) / p).is_file():
             return Path(relative_to) / p
-        candidate = data_directory() / p.name
-        if candidate.is_file():
-            return candidate
-        raise FileNotFoundError(f"no such file: {ref}")
-    candidate = data_directory() / f"{ref}.json"
-    if candidate.is_file():
+    candidate = data_directory() / (p.name if p.suffix == ".json" else f"{ref}.json")
+    if p.name == str(ref) and candidate.is_file():
         return candidate
+    if p.suffix == ".json" or p.name != str(ref):
+        raise FileNotFoundError(f"no such file: {ref}")
     raise FileNotFoundError(f"no lattice, form or series named {ref!r} in "
                             f"{data_directory()}")
 

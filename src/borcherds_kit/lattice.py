@@ -22,9 +22,7 @@ from .linalg import (
     invert_rational,
     lll_reduce_gram,
     mat_mul,
-    mat_vec,
     smith_normal_form,
-    solve_int,
     solve_rational,
     transpose,
 )
@@ -96,15 +94,8 @@ class GramLattice:
         return tuple(int(v) if v.denominator == 1 else v for v in out)
 
     def bilinear(self, x, y):
-        """[x, y] = x^T G y = Q(x+y) - Q(x) - Q(y)."""
-        x, y = _coordinates(x, self.rank), _coordinates(y, self.rank)
-        total = 0
-        for i, row in enumerate(self.gram):
-            if x[i]:
-                for j, g in enumerate(row):
-                    if g:
-                        total += x[i] * g * y[j]
-        return Fraction(total)
+        """[x, y] = x . (G y) = Q(x+y) - Q(x) - Q(y)."""
+        return Fraction(sum(map(mul, _coordinates(x, self.rank), self.image(y))))
 
 
 class DiscriminantForm:
@@ -114,7 +105,9 @@ class DiscriminantForm:
     orders given by the invariant factors (each > 1).  The form is stored once,
     in integers, as N Q(g_i) and N [g_i, g_j] mod N, N = `level` the least
     common denominator of these values; by bilinearity they give N Q(mu) and
-    N [mu, nu] mod N (`q_exponent`, `pairing_row`) for every coset.
+    N [mu, nu] mod N (`q_exponent`, `pairing_row`) for every coset.  g_i is
+    column i of V over d_i, U G V = D the Smith form; of V^-1 only the rows
+    that `coset_of_dual` reads are kept, in the order of `invariant_factors`.
     """
 
     def __init__(self, lattice):
@@ -122,14 +115,14 @@ class DiscriminantForm:
         n = lattice.rank
         d, _, v = smith_normal_form(lattice.gram)
         diag = [d[i][i] for i in range(n)]
-        self._vinv = tuple(map(tuple, _int_matrix(invert_rational(v))))
-        self._indices = tuple(i for i in range(n) if diag[i] > 1)
-        self._full_diag = tuple(diag)
-        self.invariant_factors = tuple(diag[i] for i in self._indices)
+        indices = [i for i in range(n) if diag[i] > 1]
+        vinv = invert_rational(v)
+        self._vinv = tuple(tuple(map(exact_int, vinv[i])) for i in indices)
+        self.invariant_factors = tuple(diag[i] for i in indices)
         vt = transpose(v)
         self.generators = tuple(
             tuple(Fraction(vt[i][j], diag[i]) for j in range(n))
-            for i in self._indices)
+            for i in indices)
         self.order = 1
         for f in diag:
             self.order *= f
@@ -138,7 +131,7 @@ class DiscriminantForm:
         self.signature_mod8 = (lattice.signature_pair[0] - lattice.signature_pair[1]) % 8
 
         # g_i = v_i / f_i for the column v_i of V: [g_i, g_j] = v_i G v_j / (f_i f_j)
-        cols = [vt[i] for i in self._indices]
+        cols = [vt[i] for i in indices]
         vgv = mat_mul(mat_mul(cols, lattice.gram), transpose(cols))
         facs = self.invariant_factors
         gram = [[Fraction(x, fi * fj) for x, fj in zip(row, facs)] for row, fi in zip(vgv, facs)]
@@ -201,19 +194,13 @@ class DiscriminantForm:
 
     def coset_of_dual(self, y):
         """The coset of a dual vector y (raises when y is not in the dual lattice)."""
-        n = self.lattice.rank
-        y = _coordinates(y, n)
+        y = _coordinates(y, self.lattice.rank)
         if any(v.denominator != 1 for v in self.lattice.image(y)):
             raise ValueError("vector is not in the dual lattice")
-        # y = sum_i m_i * (column i of V) / d_i  with  m = D V^{-1} y
-        vy = mat_vec([list(r) for r in self._vinv], list(y))
-        coords = []
-        for i in self._indices:
-            mi = Fraction(vy[i]) * self._full_diag[i]
-            if mi.denominator != 1:
-                raise ValueError("vector is not in the dual lattice")
-            coords.append(int(mi) % self._full_diag[i])
-        return tuple(coords)
+        # y = sum_i m_i * (column i of V) / d_i with m = D V^{-1} y, integral
+        # for a dual y; the rows of V^{-1} with d_i = 1 add nothing mod d_i
+        return tuple(int(sum(map(mul, row, y)) * f) % f
+                     for row, f in zip(self._vinv, self.invariant_factors))
 
     def __repr__(self):
         if not self.invariant_factors:
@@ -677,33 +664,38 @@ def theta_series(lattice, bound):
     return theta.truncate(prec)
 
 
+class _CosetIds(dict):
+    """coset -> series id of one block Gram, filled on first use: mu takes
+    the id of -mu (v -> -v maps L + mu onto L - mu) or walks its series."""
+
+    def __init__(self, block, ids, bound):
+        super().__init__()
+        self.block, self.disc, self.ids, self.bound = block, discriminant_form(block), ids, bound
+
+    def __missing__(self, coset):
+        sid = self.get(self.disc.neg(coset))
+        if sid is None:
+            series = coset_theta(self.block, self.disc.rep(coset), self.bound)
+            sid = self.ids.setdefault(series, len(self.ids))
+        self[coset] = sid
+        return sid
+
+
 def _glue_classes(glue, bound):
     """The glue code's words tallied by composition over distinct coset series.
 
-    Each distinct coset theta series gets an int id in the order of the
-    block Grams (first block first) and, within one, of `disc.cosets()`;
-    equal series share one, also across block Grams (so the cosets 1 and 2
-    of A2 share one), and a coset that no word uses still gets one, counted
-    0 in every class.  Returns (series, classes): series[i] has id i, and
-    classes maps a composition (n_0, ..., n_{k-1}), n_i the number of blocks
-    of a word whose coset series has id i, to the number of code words with
-    it.  Each block Gram has one coset -> id table over all its cosets, so a
-    word maps to its ids with one C-level lookup per block and is tallied
-    with `list.count`.  v -> -v maps L + mu onto L - mu, so the coset -mu
-    takes the id of mu without a walk of its own.
+    Each distinct coset theta series gets an int id in the order the words
+    meet it; equal series share one, also across block Grams (so the cosets
+    1 and 2 of A2 share one), and a coset that no word uses is not walked.
+    Returns (series, classes): series[i] has id i, and classes maps a
+    composition (n_0, ..., n_{k-1}), n_i the number of blocks of a word
+    whose coset series has id i, to the number of code words with it.  Each
+    block Gram has one `_CosetIds` table, so a word maps to its ids with one
+    C-level lookup per block and is tallied with `list.count`.
     """
     ids = {}  # series -> id
-    by_gram = {}  # block Gram -> {coset: id}
-    for b in glue.blocks:
-        if b.gram in by_gram:
-            continue
-        disc = discriminant_form(b)
-        table = by_gram[b.gram] = {}
-        for coset in disc.cosets():
-            sid = table.get(disc.neg(coset))
-            if sid is None:
-                sid = ids.setdefault(coset_theta(b, disc.rep(coset), bound), len(ids))
-            table[coset] = sid
+    blocks = {b.gram: b for b in glue.blocks}
+    by_gram = {gram: _CosetIds(b, ids, bound) for gram, b in blocks.items()}
     tables = [by_gram[b.gram] for b in glue.blocks]
     words = [list(map(getitem, tables, w)) for w in glue.words]
     return list(ids), Counter(tuple(map(w.count, range(len(ids)))) for w in words)
@@ -1020,9 +1012,9 @@ def cusp_data(lattice, ell, k=None):
         if any(x % n_value for x in lattice.image(k)):
             raise ValueError("supplied k/N must lie in the dual lattice")
 
-    coords = solve_int([row[1:] for row in v], list(ell))
-    if coords is None:
-        raise AssertionError("ell must lie in its own perp")
+    # ell's coordinates in the columns of v past the first, which span
+    # ell-perp: unique, and integral as v is unimodular
+    coords = list(map(exact_int, solve_rational([row[1:] for row in v], ell)))
     # complete the primitive coordinate vector c of ell to a unimodular
     # matrix: the Smith form of the column c^T is u c^T = e1 (d_00 = 1 > 0
     # and its v is (1)), so the rows of (u^T)^{-1} start with c

@@ -55,10 +55,6 @@ def mat_mul(a, b):
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
-def mat_vec(a, v):
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
 def transpose(a):
     return [list(col) for col in zip(*a)] if a else []
 
@@ -177,24 +173,6 @@ def hermite_normal_form(m):
         if r == rows:
             break
     return [row for row in a[:r] if any(row)]
-
-
-def solve_int(m, b):
-    """One integer solution x of m x = b, or None when unsolvable."""
-    d, u, v = smith_normal_form(m)
-    ub = mat_vec(u, b)
-    cols = len(m[0])
-    y = [0] * cols
-    for i in range(len(m)):
-        di = d[i][i] if i < cols else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    return mat_vec(v, y)
 
 
 def row_reduce(rows, ncols):

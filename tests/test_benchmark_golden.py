@@ -2,7 +2,9 @@
 byte for byte: the stdout of each cli-cold job run through `cli.main`, and
 the body of each chamber-point expansion at both of its cutoffs and of the
 KNZ expansion, in the format of `workloads.body_text`.  The benchmark
-compares them too, but only inside its timed runs."""
+compares them too, but only inside its timed runs.  The CLI jobs run from
+the repository root, as the benchmark runs them: `pair-e6` reads its series
+by a path relative to it."""
 
 import sys
 from pathlib import Path
@@ -14,7 +16,8 @@ from borcherds_kit.io import load_form, load_lattice
 from borcherds_kit.lattice import cusp_data, isotropic_line
 from borcherds_kit.product import chamber_of, product_expand, reduce_f0
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import fixtures  # noqa: E402
 import workloads  # noqa: E402
@@ -22,7 +25,8 @@ import workloads  # noqa: E402
 
 @pytest.mark.parametrize("job_id, argv", workloads.CLI_JOBS,
                          ids=[job_id for job_id, _ in workloads.CLI_JOBS])
-def test_cli_job_prints_its_golden(capsys, job_id, argv):
+def test_cli_job_prints_its_golden(capsys, monkeypatch, job_id, argv):
+    monkeypatch.chdir(ROOT)
     assert main(list(argv)) == 0
     assert capsys.readouterr().out == workloads.golden(f"cli-{job_id}.txt")
 

@@ -489,13 +489,31 @@ def test_cli_pair(capsys):
     assert "pairing: 0" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("series", ["e6", "src/borcherds_kit/data/e6.json"])
-def test_cli_pair_reads_a_bundled_series_name(tmp_path, monkeypatch, capsys, series):
+@pytest.mark.parametrize("series, status, out", [
+    ("e6", 0, "pairing: 0\n"), ("src/borcherds_kit/data/e6.json", 2, ""),
+], ids=["e6", "src/borcherds_kit/data/e6.json"])
+def test_cli_pair_reads_a_bundled_series_name(tmp_path, monkeypatch, capsys, series,
+                                              status, out):
     # --series resolves as --form and --lattice do, also outside the
-    # repository root: a database name, or a missing path by its file name
+    # repository root: a bare name from the database, and a path with a
+    # directory part only where it is, so from here it is missing
     monkeypatch.chdir(tmp_path)
-    assert main(["pair", "--form", "e4sq-over-delta", "--series", series]) == 0
-    assert capsys.readouterr().out == "pairing: 0\n"
+    assert main(["pair", "--form", "e4sq-over-delta", "--series", series]) == status
+    assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["expand", "--lattice", "no/such/dir/u-plus-u.json", "--form", "knz-input",
+     "--chamber-point", "2,-1", "--weyl", "0,-1"],
+    ["relation", "--form", "no/such/dir/one-over-delta.json"],
+    ["pair", "--form", "e4sq-over-delta", "--series", "no/such/dir/e6.json"],
+], ids=["--lattice", "--form", "--series"])
+def test_cli_missing_path_is_not_read_from_the_database(capsys, argv):
+    # a path with a directory part is read only where it is: the bundled
+    # file of its name is not a fallback for a mistyped directory
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no such file: no/such/dir/" in captured.err
 
 
 def test_cli_expand_deterministic(tmp_path):

@@ -34,7 +34,6 @@ from borcherds_kit.linalg import (
     invert_rational,
     mat_mul,
     smith_normal_form,
-    solve_int,
     transpose,
 )
 
@@ -714,19 +713,38 @@ def test_cusp_data_invariants_various():
             assert lat.bilinear(list(row), data.ell) == 0
 
 
+def _former_solve_int(m, b):
+    """One integer solution x of m x = b, or None when unsolvable: the former
+    `linalg.solve_int`, by a Smith normal form, kept as part of the reference."""
+    d, u, v = smith_normal_form(m)
+    ub = [sum(a * c for a, c in zip(row, b)) for row in u]
+    cols = len(m[0])
+    y = [0] * cols
+    for i in range(len(m)):
+        di = d[i][i] if i < cols else 0
+        if di == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % di != 0:
+                return None
+            y[i] = ub[i] // di
+    return [sum(a * c for a, c in zip(row, y)) for row in v]
+
+
 def _former_cusp_data(lattice, ell, k):
     """The former `cusp_data` with the given k, as the reference: N as a
-    gcd, k0 from `solve_int` and the basis of ell-perp from the columns of v
+    gcd, k0 from `_former_solve_int` and the basis of ell-perp from the columns of v
     past the rank, each its own Smith form of the row G ell."""
     ell = tuple(ell)
     gl = list(lattice.image(ell))
     n_value = gcd(*(abs(v) for v in gl))
-    k0 = solve_int([gl], [n_value])
+    k0 = _former_solve_int([gl], [n_value])
     if k0 is None:
         raise AssertionError("no integral k with [ell, k] = N")
     k0 = tuple(k0)
     kernel = transpose(smith_normal_form([gl])[2])[1:]
-    coords = solve_int(transpose(kernel), list(ell))
+    coords = _former_solve_int(transpose(kernel), list(ell))
     _, u, _ = smith_normal_form([[c] for c in coords])
     m = [[int(x) for x in row] for row in invert_rational(transpose(u))]
     if m[0] == [-c for c in coords]:
@@ -847,14 +865,14 @@ def test_coset_reduce_lift_independent():
     # coset: write the moved lift as c ell + sum c_i lift_i and read off c_i;
     # the kernel is spanned by the columns of v past the rank 1 of the Smith
     # form of the row G ell, as `cusp_data` reads it
-    from borcherds_kit.linalg import mat_vec, solve_rational
+    from borcherds_kit.linalg import solve_rational
     lat = direct_sum([U, A1])
     data = cusp_data(lat, (1, 0, 0))
     lifted = discriminant_form(lat).rep((1,))
     assert lat.bilinear(lifted, data.ell) == 0
     target = data.reduction[(1,)][0]
     cols = transpose([data.ell, *data.lift_rows])
-    gl = mat_vec([list(r) for r in lat.gram], list(data.ell))
+    gl = list(lat.image(data.ell))
     for kv in transpose(smith_normal_form([gl])[2])[1:]:
         for scale in (-2, 1, 3):
             moved = [a + scale * b for a, b in zip(lifted, kv)]
@@ -1021,6 +1039,14 @@ def test_glue_classes_are_the_golay_weight_enumerators():
     disc = discriminant_form(A2)
     assert coset_theta(A2, disc.rep((1,)), 2) == series[1]
     assert coset_theta(A2, disc.rep((2,)), 2) == series[1]
+
+
+def test_glue_classes_walk_only_the_cosets_words_use():
+    # the two words of the a3-a1 code use the cosets 0 and 2 of A3 and 0 and
+    # 1 of A1: the series of A3's cosets 1 and 3 is not walked
+    series, classes = _glue_classes(_glue_case("a3-a1").glue, 2)
+    assert len(series) == 4
+    assert sum(classes.values()) == 4
 
 
 def test_glue_classes_share_series_across_grams():

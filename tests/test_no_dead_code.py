@@ -3,7 +3,10 @@ it, every private module-level function or class is referenced from
 somewhere else in src/borcherds_kit, every public one, and every public
 method, property and `__init__` attribute of a public class, is named in
 README or read by code outside tests/, and `__all__` lists exactly the
-names the package's `__init__.py` imports, each of which resolves."""
+names the package's `__init__.py` imports, each of which resolves.  No
+function imports a module of the package, bar the one cycle listed in
+`FUNCTION_IMPORTS`: an import inside a function hides a cycle between
+modules."""
 
 import ast
 import re
@@ -23,6 +26,12 @@ SCRIPTS = ("demos", "tools", "perfbench")
 BUILTIN_ATTRIBUTES = frozenset(name for t in (set, frozenset, dict, list, tuple, str,
                                               bytes, int, float, Fraction)
                                for name in dir(t))
+# (module, function, imported module) -> why the import cannot move to the
+# top of its module
+FUNCTION_IMPORTS = {
+    ("qseries.py", "_grading_scale", ".lattice"):
+        "lattice imports qseries at module level, for the theta series",
+}
 
 
 def imported_names(tree):
@@ -52,6 +61,25 @@ def unused_imports(source):
     read = references(tree)
     return sorted((line, name) for name, line in imported_names(tree).items()
                   if not read[name])
+
+
+def function_imports(source):
+    """{(function, module)} for each import of a package module (relative, or
+    of borcherds_kit) inside a function, at any depth of nesting."""
+    out = set()
+    for function in ast.walk(ast.parse(source)):
+        if not isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for node in ast.walk(function):
+            if isinstance(node, ast.ImportFrom):
+                modules = ["." * node.level + (node.module or "")]
+            elif isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            else:
+                continue
+            out.update((function.name, m) for m in modules
+                       if m.startswith(".") or m.split(".")[0] == "borcherds_kit")
+    return out
 
 
 def private_definitions(tree):
@@ -229,6 +257,21 @@ def test_scans_find_dead_code_in_a_snippet():
     assert uncalled_public(sources, scripts, readme) == [
         ("c.py", 3, "Box.unread"), ("c.py", 4, "Box.frozen"), ("c.py", 6, "Box.grow"),
         ("c.py", 13, "Box.add"), ("m.py", 1, "dead"), ("m.py", 13, "in_prose")]
+
+
+def test_scans_find_function_level_imports_in_a_snippet():
+    source = ("from . import top\nimport json\n\n"
+              "def f():\n    from .lattice import x\n    import json\n"
+              "    def g():\n        import borcherds_kit.weil\n    return x\n\n"
+              "def h():\n    from collections import Counter\n    from .. import up\n")
+    assert function_imports(source) == {("f", ".lattice"), ("f", "borcherds_kit.weil"),
+                                        ("g", "borcherds_kit.weil"), ("h", "..")}
+
+
+def test_no_function_imports_a_package_module():
+    found = {(name, function, module) for name, source in _modules().items()
+             for function, module in function_imports(source)}
+    assert found == set(FUNCTION_IMPORTS)
 
 
 def test_every_import_is_used():

@@ -26,7 +26,6 @@ from borcherds_kit.linalg import (
     mat_mul,
     rational_gcd,
     smith_normal_form,
-    solve_int,
     solve_rational,
     transpose,
 )
@@ -210,14 +209,13 @@ def test_zeta_mu_lift_independence():
     # shifting the lift by kernel vectors must not change zeta; the kernel is
     # spanned by the columns of v past the rank 1 of the Smith form of the
     # row G ell, as `cusp_data` reads it
-    from borcherds_kit.linalg import mat_vec
-    gl = mat_vec([list(r) for r in lat.gram], list(data.ell))
+    gl = list(lat.image(data.ell))
     for kv in transpose(smith_normal_form([gl])[2])[1:]:
         moved = tuple(a + b for a, b in zip(lifted, kv))
         val1 = sum(Fraction(a) * b for a, b in
-                   zip(mat_vec([list(r) for r in lat.gram], list(lifted)), data.k))
+                   zip(lat.image(lifted), data.k))
         val2 = sum(Fraction(a) * b for a, b in
-                   zip(mat_vec([list(r) for r in lat.gram], list(moved)), data.k))
+                   zip(lat.image(moved), data.k))
         assert e(val1) == e(val2)
 
 
@@ -551,9 +549,28 @@ def test_divide_by_24delta():
 # ---------------------------------------------------------------------------
 # differential check of the cusp reduction, computed once per CuspData,
 # against the per-coset code it replaced: every call lifted its coset into
-# ell-perp by a Smith normal form (solve_int), then projected the lift to V0
-# or paired it with k
+# ell-perp by a Smith normal form (`_former_solve_int`), then projected the
+# lift to V0 or paired it with k
 # ---------------------------------------------------------------------------
+
+def _former_solve_int(m, b):
+    """One integer solution x of m x = b, or None when unsolvable: the former
+    `linalg.solve_int`, by a Smith normal form, kept as part of the reference."""
+    d, u, v = smith_normal_form(m)
+    ub = [sum(a * c for a, c in zip(row, b)) for row in u]
+    cols = len(m[0])
+    y = [0] * cols
+    for i in range(len(m)):
+        di = d[i][i] if i < cols else 0
+        if di == 0:
+            if ub[i] != 0:
+                return None
+        else:
+            if ub[i] % di != 0:
+                return None
+            y[i] = ub[i] // di
+    return [sum(a * c for a, c in zip(row, y)) for row in v]
+
 
 def former_lift_of_coset(mu, data):
     rep = data.disc_v.rep(mu)
@@ -561,7 +578,7 @@ def former_lift_of_coset(mu, data):
     r = int(sum(a * b for a, b in zip(rep, gl)))
     if r % data.n_value != 0:
         return None
-    v = solve_int([gl], [-r])
+    v = _former_solve_int([gl], [-r])
     return tuple(a + b for a, b in zip(rep, v))
 
 

@@ -571,6 +571,12 @@ def test_lattice_series_times_a_cyclotomic_scalar():
     # FracQSeries coefficients are rational, so a CycScalar does not scale one
     with pytest.raises(ValueError, match="expected an integer"):
         zeta * FracQSeries.one(3)
+    # an operand that is neither a number nor a string nor a series is no
+    # value of the kit: TypeError on either side (it was read as a number)
+    with pytest.raises(TypeError):
+        zeta * None
+    with pytest.raises(TypeError):
+        None * zeta
 
 
 def test_grading_mismatch_rejected():

@@ -152,9 +152,9 @@ def test_every_arithmetic_result_is_reduced():
             for r in outs:
                 _assert_canonical(r)
             results += len(outs)
-        # the inverse solves a linear system of size phi(M): one division
-        # per conductor, by ** -1, a rational over x and x over another field
-        # in turn
+        # the inverse multiplies phi(M) - 1 conjugates: one division per
+        # conductor, by ** -1, a rational over x and x over another field in
+        # turn
         x = rand_divisor(m)
         inv = x ** -1 if m % 3 == 0 else 3 / x if m % 3 == 1 else rand_divisor(other) / x
         outs = [a / 3, inv, conjugate(inv), inv * inv, -inv]
@@ -788,8 +788,8 @@ def test_golay_divisibility_matches_former_loop():
 
 
 # ---------------------------------------------------------------------------
-# differential check of the inverse solved on the multiplication matrix
-# against the extended-Euclid inverse it replaced
+# differential check of the inverse, the product of the other conjugates
+# over the norm, against the extended-Euclid inverse of an earlier version
 # ---------------------------------------------------------------------------
 
 def _former_poly_degree(p):
