@@ -945,24 +945,17 @@ class CuspData:
         self.v0 = v0
         self.lift_rows = lift_rows
 
-    @property
-    def disc_v(self):
-        return discriminant_form(self.lattice)
-
-    @property
-    def disc_v0(self):
-        return discriminant_form(self.v0)
-
     @cached_property
     def reduction(self):
         cols = list(zip(*_int_matrix(invert_rational((self.k0, self.ell) + self.lift_rows))))
+        disc, disc0 = discriminant_form(self.lattice), discriminant_form(self.v0)
         out = {}
-        for mu in self.disc_v.cosets():
-            rep = self.disc_v.rep(mu)
+        for mu in disc.cosets():
+            rep = disc.rep(mu)
             c = [sum(map(mul, rep, col)) for col in cols]
             if c[0].denominator == 1:
                 lift = tuple(a - c[0] * b for a, b in zip(rep, self.k0))
-                out[mu] = (self.disc_v0.coset_of_dual(c[2:]),
+                out[mu] = (disc0.coset_of_dual(c[2:]),
                            self.lattice.bilinear(lift, self.k) / self.n_value % 1)
         return out
 

@@ -30,7 +30,7 @@ from operator import mul
 
 from .cyclotomic import CycScalar, e
 from .forms import PrecisionError, WHForm
-from .lattice import _coordinates, _qf_leaves, _qf_point
+from .lattice import _coordinates, _qf_leaves, _qf_point, discriminant_form
 from .linalg import exact_rational, rational_gcd
 from .qseries import LatticeQSeries, _grading_scale, _on_grid, lattice_binomial
 
@@ -44,7 +44,7 @@ def reduce_f0(form, data):
             continue
         key = (m, reduction[mu][0])
         out[key] = out.get(key, Fraction(0)) + c
-    return WHForm(data.disc_v0, form.weight, out, form.prec)
+    return WHForm(discriminant_form(data.v0), form.weight, out, form.prec)
 
 
 def _cone_points(data, w, bounds, qs=None, top=None):
@@ -62,6 +62,7 @@ def _cone_points(data, w, bounds, qs=None, top=None):
     the points kept.
     """
     v0 = data.v0
+    disc0 = discriminant_form(v0)
     s, gwi, unit = _grading_scale(v0, w)
     nqw = -v0.q(w)
     gw = v0.image(w)
@@ -69,7 +70,7 @@ def _cone_points(data, w, bounds, qs=None, top=None):
     a = [[v0.gram[i][j] + gw[i] * gw[j] / nqw for j in range(n)] for i in range(n)]
     pair_den = unit * unit * nqw.numerator
     for lam in sorted(bounds):
-        rep = data.disc_v0.rep(lam)
+        rep = disc0.rep(lam)
         walked = _qf_leaves(a, rep, bounds[lam])
         if walked is None:
             continue
@@ -161,15 +162,14 @@ def constant_a(form, data):
     """The cusp constant prod over nonzero x mod N of (1 - e(x/N))^c(0, x ell/N).
 
     Equals 1 whenever N = 1 (the empty product), in particular for maximal
-    lattices.
+    lattices.  The coset of x ell/N is x times that of ell/N, read once.
     """
     n_val = data.n_value
-    disc = data.disc_v
     result = CycScalar.from_rational(1)
+    step = discriminant_form(data.lattice).coset_of_dual(
+        tuple(Fraction(li, n_val) for li in data.ell))
     for x in range(1, n_val):
-        vec = tuple(Fraction(x * li, n_val) for li in data.ell)
-        coset = disc.coset_of_dual(vec)
-        expo = form.coefficient(0, coset)
+        expo = form.coefficient(0, tuple(x * a for a in step))
         if expo.denominator != 1:
             raise ValueError("constant-A exponents must be integers")
         base = CycScalar.from_rational(1) - e(Fraction(x, n_val))
@@ -194,10 +194,6 @@ class ProductExpansion:
         self.weight_out = weight_out
         self.skipped = skipped
 
-    @property
-    def cutoff(self):
-        return self.body.cutoff
-
     def shifted_coefficients(self):
         """Map (rho + alpha) -> coefficient, the expansion of q_rho * BP."""
         out = {}
@@ -212,7 +208,7 @@ class ProductExpansion:
 
     def __repr__(self):
         return (f"ProductExpansion({len(self.body.coeffs)} terms, "
-                f"cutoff={self.cutoff}, weight={self.weight_out})")
+                f"cutoff={self.body.cutoff}, weight={self.weight_out})")
 
 
 def product_expand(form, data, chamber, weyl_vector, cutoff):

@@ -14,9 +14,10 @@ level of D:
 with the one scalar c = e(-sig8/8)/sqrt(|D|).  N and the exponents come from
 the discriminant form's integer generator Gram (`DiscriminantForm.level`,
 `q_exponent`, `pairing_row`); no rational lift is evaluated here.
-`WeilRepData(disc, sig8, t, z)` holds the exponents and reads N off `disc`,
-so no other N can be paired with them.  The exact cyclotomic matrices
-`rho_t` and `rho_s` are derived from the exponents on first access.
+`WeilRepData(disc, sig8, t, z)` holds the exponents and no N of its own;
+every reader takes N from `disc.level`, so no other N can be paired with
+them.  The exact cyclotomic matrices `rho_t` and `rho_s` are derived from
+the exponents on first access.
 
 The convention is pinned by two self-verifying identities rather than by
 external reference: the Milgram sum sum_mu e(Q(mu)) = sqrt(|D|) e(sig8/8),
@@ -46,14 +47,13 @@ from .linalg import exact_int
 class WeilRepData:
     """The Weil representation attached to (D, sig8), as exponents of zeta_N.
 
-    `level` is N = `disc.level`, `t` the tuple of t_mu and `z` the matrix of
-    z_mu_nu, both indexed by `disc.cosets()` order.
+    N is `disc.level`, stored nowhere else; `t` is the tuple of t_mu and `z`
+    the matrix of z_mu_nu, both indexed by `disc.cosets()` order.
     """
 
     def __init__(self, disc, sig8, t, z):
         self.disc = disc
         self.sig8 = sig8 % 8
-        self.level = disc.level
         self.t = tuple(t)
         self.z = tuple(tuple(row) for row in z)
 
@@ -62,7 +62,7 @@ class WeilRepData:
         n = len(self.t)
         rho = [[CycScalar.from_rational(0)] * n for _ in range(n)]
         for i, ti in enumerate(self.t):
-            rho[i][i] = e(Fraction(ti, self.level))
+            rho[i][i] = e(Fraction(ti, self.disc.level))
         return rho
 
     @cached_property
@@ -70,7 +70,7 @@ class WeilRepData:
         # 1 / sqrt|D| = sqrt|D| / |D|, which needs no inverse in Q(zeta)
         n = self.disc.order
         front = e(Fraction(-self.sig8, 8)) * sqrt_positive_int(n) * Fraction(1, n)
-        return [[front * e(Fraction(x, self.level)) for x in row] for row in self.z]
+        return [[front * e(Fraction(x, self.disc.level)) for x in row] for row in self.z]
 
     def __repr__(self):
         return f"WeilRepData(|D|={self.disc.order}, sig8={self.sig8})"
@@ -103,7 +103,7 @@ def build_weil_rep(disc, sig8):
 
 def conjugate_rep(rep):
     """Complex conjugation (zeta -> zeta^{-1}): negate the exponents and sig8."""
-    n = rep.level
+    n = rep.disc.level
     return WeilRepData(rep.disc, -rep.sig8, [(-x) % n for x in rep.t],
                        [[(-x) % n for x in row] for row in rep.z])
 
@@ -164,7 +164,7 @@ def braid_holds(rep):
     packed row product (e_i Z T) Z, so a wrong signature or exponent stops at
     its first failing row.
     """
-    n = rep.level
+    n = rep.disc.level
     z, width = _packed_z(rep)
     zt = _pack_matrix([[(x + tj) % n for x, tj in zip(row, rep.t)] for row in rep.z],
                       width)
@@ -188,7 +188,7 @@ def s_fourth_power_scalar(rep):
 
     rho_S^4 = c^4 Z^4 with c^4 = e(-sig8/2)/|D|^2.
     """
-    n = rep.level
+    n = rep.disc.level
     z, width = _packed_z(rep)
     z2 = _packed_mat_mul(z, z, n, width)
     z4 = _packed_mat_mul(z2, z2, n, width)

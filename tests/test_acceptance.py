@@ -249,7 +249,7 @@ def test_criterion_9_property_suites():
         hi = rng.randint(2, 7)
         lo = rng.randint(1, hi)
         big, small = expansion(hi), expansion(lo)
-        if big.truncate(small.cutoff).body.coeffs != small.body.coeffs:
+        if big.truncate(small.body.cutoff).body.coeffs != small.body.coeffs:
             ok_prefix = False
 
     from borcherds_kit.product import enumerate_walls

@@ -77,7 +77,7 @@ def _thetas(data):
 
 
 def _weil(rep):
-    return rep.sig8, rep.level, rep.t, rep.z
+    return rep.sig8, rep.disc.level, rep.t, rep.z
 
 
 def _cyc(c):

@@ -877,7 +877,7 @@ def test_coset_reduce_lift_independent():
         for scale in (-2, 1, 3):
             moved = [a + scale * b for a, b in zip(lifted, kv)]
             coords = solve_rational(cols, moved)
-            assert data.disc_v0.coset_of_dual(coords[1:]) == target
+            assert discriminant_form(data.v0).coset_of_dual(coords[1:]) == target
 
 
 def test_coset_reduce_no_lift():

@@ -62,7 +62,7 @@ def test_reduce_f0_trivial_disc():
     f = one_over_delta_form()
     f0 = reduce_f0(f, CUSP_UU)
     assert f0.coefficients == f.coefficients
-    assert f0.disc is CUSP_UU.disc_v0
+    assert f0.disc is discriminant_form(CUSP_UU.v0)
 
 
 def test_reduce_f0_a1_coset():
@@ -426,7 +426,7 @@ def test_product_support_positive_grading():
 def test_prefix_stability():
     big = knz_expansion(cutoff=5)
     small = knz_expansion(cutoff=3)
-    assert big.truncate(small.cutoff).body.coeffs == small.body.coeffs
+    assert big.truncate(small.body.cutoff).body.coeffs == small.body.coeffs
 
 
 def test_prefix_stability_random():
@@ -439,7 +439,7 @@ def test_prefix_stability_random():
             cached[hi] = knz_expansion(cutoff=hi)
         if lo not in cached:
             cached[lo] = knz_expansion(cutoff=lo)
-        assert cached[hi].truncate(cached[lo].cutoff).body.coeffs == \
+        assert cached[hi].truncate(cached[lo].body.cutoff).body.coeffs == \
             cached[lo].body.coeffs
 
 
@@ -573,7 +573,7 @@ def _former_solve_int(m, b):
 
 
 def former_lift_of_coset(mu, data):
-    rep = data.disc_v.rep(mu)
+    rep = discriminant_form(data.lattice).rep(mu)
     gl = list(data.lattice.image(data.ell))
     r = int(sum(a * b for a, b in zip(rep, gl)))
     if r % data.n_value != 0:
@@ -588,7 +588,7 @@ def former_coset_reduce(mu, data):
         return None
     cols = [list(data.ell)] + [list(r) for r in data.lift_rows]
     sol = solve_rational(transpose(cols), list(lifted))
-    return data.disc_v0.coset_of_dual(tuple(sol[1:]))
+    return discriminant_form(data.v0).coset_of_dual(tuple(sol[1:]))
 
 
 def former_zeta_mu(mu, data):
@@ -612,7 +612,7 @@ REDUCTION_CASES = {
 @pytest.mark.parametrize("name", sorted(REDUCTION_CASES))
 def test_cusp_reduction_matches_per_coset_lifts(name):
     data = REDUCTION_CASES[name]()
-    disc = data.disc_v
+    disc = discriminant_form(data.lattice)
     coeffs = {}
     # the reduction reads each coset off the inverse of (k0, ell, lift rows),
     # which must be a basis of L with [k0, ell] = N and the rest in ell-perp
@@ -635,7 +635,7 @@ def test_cusp_reduction_matches_per_coset_lifts(name):
             # same [lift, k]/N mod 1
             assert data.reduction[mu] == (
                 lam, data.lattice.bilinear(lifted, data.k) / data.n_value % 1)
-            assert data.disc_v0.q(lam) == disc.q(mu)
+            assert discriminant_form(data.v0).q(lam) == disc.q(mu)
             assert e(data.reduction[mu][1]) == former_zeta_mu(mu, data)
         coeffs[(disc.q(mu) - 1, mu)] = i + 1
     # reduce_f0 against the sum over the former reductions
@@ -651,14 +651,14 @@ def test_cusp_reduction_matches_per_coset_lifts(name):
 def test_cusp_reduction_lifts_each_coset_once(monkeypatch):
     # each coset's representative is read once per cusp, by the reduction
     form, data, w, cutoff = _nontrivial_zeta_case()
-    disc = data.disc_v
+    disc = discriminant_form(data.lattice)
     calls = []
     real = disc.rep
     monkeypatch.setattr(disc, "rep", lambda mu: calls.append(mu) or real(mu))
     f0 = reduce_f0(form, data)
     chamber = chamber_of(w, f0, data)
     product_expand(form, data, chamber, (0,) * data.v0.rank, cutoff)
-    assert sorted(calls) == sorted(data.disc_v.cosets())
+    assert sorted(calls) == sorted(disc.cosets())
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +686,7 @@ def _reference_walls(f0, data, w, radius):
         if c != 0:
             by_coset.setdefault(lam, []).append(-m)
     for lam, ms in sorted(by_coset.items()):
-        rep = data.disc_v0.rep(lam)
+        rep = discriminant_form(data.v0).rep(lam)
         bound = (2 + radius * radius) * max(ms)
         for x, _ in _qf_enumerate(a, rep, bound):
             x = tuple(Fraction(c) for c in x)
@@ -707,7 +707,7 @@ def _reference_expansion(form, data, chamber, cutoff):
     qw = v0.q(w)
     cutoff_abs = Fraction(cutoff) * rational_gcd(w)
     by_lam = {}
-    for mu in data.disc_v.cosets():
+    for mu in discriminant_form(data.lattice).cosets():
         lam = former_coset_reduce(mu, data)
         if lam is not None:
             z = former_zeta_mu(mu, data)
@@ -718,7 +718,7 @@ def _reference_expansion(form, data, chamber, cutoff):
     factors = []
     skipped = 0
     for lam in sorted(by_lam):
-        for x, _ in _qf_enumerate(a, data.disc_v0.rep(lam), bound):
+        for x, _ in _qf_enumerate(a, discriminant_form(data.v0).rep(lam), bound):
             x = tuple(Fraction(c) for c in x)
             g = v0.bilinear(x, w)
             if g <= 0 or g > cutoff_abs:
@@ -896,7 +896,7 @@ def _former_cone_points(data, w, bounds):
     gw = v0.image(w)
     a = _reference_majorant(v0, w)
     for lam in sorted(bounds):
-        for x, val in _qf_enumerate(a, data.disc_v0.rep(lam), bounds[lam]):
+        for x, val in _qf_enumerate(a, discriminant_form(data.v0).rep(lam), bounds[lam]):
             pair = sum(c * g for c, g in zip(x, gw))
             yield lam, x, (val - pair * pair / nqw) / 2, pair
 
@@ -933,7 +933,7 @@ def former_body(form, data, chamber, cutoff):
     qw = v0.q(w)
     cutoff_abs = Fraction(cutoff) * rational_gcd(w)
     by_lam = {}
-    for mu in data.disc_v.cosets():
+    for mu in discriminant_form(data.lattice).cosets():
         lam = former_coset_reduce(mu, data)
         if lam is not None:
             z = former_zeta_mu(mu, data)

@@ -9,20 +9,28 @@ case, never re-seeded away.  Checked on each lattice L:
   for a random lam in L, and raises on a vector off the dual lattice;
 - Milgram's sum sqrt|D| e(sig/8) and the braid relation at
   `disc.signature_mod8`;
-- the N = 1 cusp at ell = e1 - Q(x) f1 + x, x random in U+K: |det V0| =
-  |det L|, Q0(lam) = Q(mu) on every `reduction` entry, and a second random
-  lift of mu into ell-perp gives the same V0 coset and root of unity;
+- the N = 1 cusp at ell = e1 - Q(x) f1 + x, x random in U+K, and, for each
+  isotropic coset delta of D(K) of order N > 1 (up to +-), the cusp at
+  ell = N (e1 - Q(kappa) f1 + kappa) for a random lift kappa in K' of
+  delta, which is primitive with [ell, L] = NZ: |det V0| N^2 = |det L|,
+  |D(L)|/N cosets lift into ell-perp, Q0(lam) = Q(mu) on every `reduction`
+  entry, and a second random lift of mu into ell-perp gives the same V0
+  coset and root of unity, and at N > 1 the constant A of a form equals
+  the product over x of (1 - e(x/N))^c(0, x ell/N), each coset read afresh;
 - x x^-1 = 1 on random CycScalars of each Weil level met.
 """
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
 from borcherds_kit.cyclotomic import CycScalar, e, sqrt_positive_int
+from borcherds_kit.forms import WHForm
 from borcherds_kit.lattice import GramLattice, cusp_data, direct_sum, discriminant_form
 from borcherds_kit.linalg import solve_rational, transpose
+from borcherds_kit.product import constant_a
 from borcherds_kit.weil import braid_holds, build_weil_rep, milgram_sum
 
 U = GramLattice([[0, 1], [1, 0]])
@@ -84,7 +92,7 @@ def test_weil_representation_and_its_field(seed):
         assert milgram_sum(disc) == sqrt_positive_int(disc.order) * e(Fraction(sig8, 8))
         rep = build_weil_rep(disc, sig8)
         assert braid_holds(rep)
-        levels.add(rep.level)
+        levels.add(disc.level)
     for m in sorted(levels):
         for _ in range(2):
             x = CycScalar(m, {rng.randrange(m): Fraction(rng.randint(-5, 5), rng.randint(1, 4))
@@ -93,23 +101,60 @@ def test_weil_representation_and_its_field(seed):
                 assert x * x.inverse() == 1
 
 
+def check_cusp(rng, lat, ell, n):
+    data = cusp_data(lat, ell)
+    assert data.n_value == n
+    assert abs(data.v0.det) * n * n == abs(lat.det)
+    disc, disc0 = discriminant_form(lat), discriminant_form(data.v0)
+    assert len(data.reduction) == disc.order // n
+    basis = transpose([data.ell, *data.lift_rows])
+    for mu, (lam, root) in data.reduction.items():
+        assert disc0.q(lam) == disc.q(mu)
+        # a second lift: another representative, moved into ell-perp
+        y = [a + b for a, b in zip(disc.rep(mu), random_vector(rng, lat.rank))]
+        c = lat.bilinear(y, ell) / n
+        lift = [a - c * b for a, b in zip(y, data.k0)]
+        assert lat.bilinear(lift, ell) == 0
+        assert disc0.coset_of_dual(solve_rational(basis, lift)[1:]) == lam
+        assert lat.bilinear(lift, data.k) / n % 1 == root
+    return data
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_cusp_with_n_one(seed):
     rng, lattices = random_lattices(seed)
     for lat in lattices:
         x = (0, 0) + random_vector(rng, lat.rank - 2)
         ell = tuple(a + b for a, b in zip((1, -lat.q(x)) + (0,) * (lat.rank - 2), x))
-        data = cusp_data(lat, ell)
-        assert data.n_value == 1
-        assert abs(data.v0.det) == abs(lat.det)
-        assert len(data.reduction) == data.disc_v.order
-        basis = transpose([data.ell, *data.lift_rows])
-        for mu, (lam, root) in data.reduction.items():
-            assert data.disc_v0.q(lam) == data.disc_v.q(mu)
-            # a second lift: another representative, moved into ell-perp
-            y = [a + b for a, b in zip(data.disc_v.rep(mu), random_vector(rng, lat.rank))]
-            c = lat.bilinear(y, ell) / data.n_value
-            lift = [a - c * b for a, b in zip(y, data.k0)]
-            assert lat.bilinear(lift, ell) == 0
-            assert data.disc_v0.coset_of_dual(solve_rational(basis, lift)[1:]) == lam
-            assert lat.bilinear(lift, data.k) / data.n_value % 1 == root
+        check_cusp(rng, lat, ell, 1)
+
+
+def order(disc, delta):
+    return lcm(*(f // gcd(a, f) for a, f in zip(delta, disc.invariant_factors)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cusp_with_n_above_one(seed):
+    rng, lattices = random_lattices(seed)
+    cusps = 0
+    for lat in lattices:
+        k = GramLattice([row[4:] for row in lat.gram[4:]])
+        disc_k = discriminant_form(k)
+        for delta in disc_k.cosets():
+            n = order(disc_k, delta)
+            if n == 1 or disc_k.q(delta) != 0 or disc_k.neg(delta) < delta:
+                continue
+            kappa = [a + b for a, b in zip(disc_k.rep(delta), random_vector(rng, k.rank))]
+            ell = (n, int(-n * k.q(kappa)), 0, 0, *(int(n * a) for a in kappa))
+            data = check_cusp(rng, lat, ell, n)
+            cusps += 1
+            # constant A against the coset of x ell/N read afresh for each x
+            disc = discriminant_form(lat)
+            form = WHForm(disc, 0, {(0, mu): i for i, mu in enumerate(disc.cosets())
+                                    if disc.q(mu) == 0}, 1)
+            expected = CycScalar.from_rational(1)
+            for x in range(1, n):
+                mu = disc.coset_of_dual([Fraction(x * a, n) for a in ell])
+                expected *= (1 - e(Fraction(x, n))) ** int(form.coefficient(0, mu))
+            assert constant_a(form, data) == expected
+    assert cusps

@@ -285,9 +285,9 @@ def test_exponent_rep_matches_cyc_scalar_reference(name):
     rep = build_weil_rep(disc, sig)
     cosets = list(disc.cosets())
     for i, mu in enumerate(cosets):
-        assert Fraction(rep.t[i], rep.level) == _fraction_q(disc, mu)
+        assert Fraction(rep.t[i], rep.disc.level) == _fraction_q(disc, mu)
         for j, nu in enumerate(cosets):
-            assert Fraction(rep.z[i][j], rep.level) == (-_fraction_pairing(disc, mu, nu)) % 1
+            assert Fraction(rep.z[i][j], rep.disc.level) == (-_fraction_pairing(disc, mu, nu)) % 1
     assert repr(milgram_sum(disc)) == repr(_reference_milgram_sum(disc))
     rho_t, rho_s = _reference_matrices(disc, sig)
     # same conductors and coefficients, so the printed entries are identical
@@ -316,7 +316,7 @@ def _z_perturbations(rep):
     for i, row in enumerate(rep.z):
         for j in range(len(row)):
             z = [list(r) for r in rep.z]
-            z[i][j] = (z[i][j] + 1) % rep.level
+            z[i][j] = (z[i][j] + 1) % rep.disc.level
             yield WeilRepData(rep.disc, rep.sig8, rep.t, z)
 
 
@@ -324,7 +324,7 @@ def _t_perturbations(rep):
     """`rep` with one exponent t_i moved to t_i + 1, for every i."""
     for i in range(len(rep.t)):
         t = list(rep.t)
-        t[i] = (t[i] + 1) % rep.level
+        t[i] = (t[i] + 1) % rep.disc.level
         yield WeilRepData(rep.disc, rep.sig8, t, rep.z)
 
 
@@ -361,7 +361,7 @@ def _former_braid_holds(rep):
     Entries are compared as pairs ((Z T)^3 entry, Z^2 entry); each distinct
     pair is decided once.
     """
-    n = rep.level
+    n = rep.disc.level
     width = (rep.disc.order ** 3).bit_length()
     z = _pack_matrix(rep.z, width)
     z2 = _packed_mat_mul(z, z, n, width)
@@ -577,10 +577,10 @@ def test_conjugate_rep_twice_is_identity_on_exponents():
         rep = build_weil_rep(discriminant_form(lat), sig)
         conj = conjugate_rep(rep)
         assert conj.sig8 == (-sig) % 8
-        assert conj.t == tuple((-x) % rep.level for x in rep.t)
+        assert conj.t == tuple((-x) % rep.disc.level for x in rep.t)
         double = conjugate_rep(conj)
-        assert (double.level, double.sig8, double.t, double.z) == \
-            (rep.level, rep.sig8, rep.t, rep.z)
+        assert (double.disc, double.sig8, double.t, double.z) == \
+            (rep.disc, rep.sig8, rep.t, rep.z)
 
 
 def test_weil_rep_unitary_like():
