@@ -18,7 +18,7 @@ from .divisors import (
     pullback_expr,
     relation_ideal,
 )
-from .forms import WHForm, divide_by_24delta
+from .forms import PrecisionError, WHForm, divide_by_24delta
 from .lattice import (
     CuspData,
     DiscriminantForm,
@@ -38,7 +38,6 @@ from .lattice import (
     vectors_below,
 )
 from .product import (
-    PrecisionError,
     ProductExpansion,
     WeylChamber,
     chamber_of,

@@ -130,7 +130,7 @@ def _run_embed_trick(args):
     form, _ = load_form(args.form)
     n1 = load_lattice("niemeier-a1")
     n2 = load_lattice("niemeier-a2")
-    embedding = EmbeddingData(n1, n2, precision=args.prec)
+    embedding = EmbeddingData(n1, n2)
     result = embedding_trick(form, embedding)
     expected = borcherds_relation(form)
     lines = result.lines()
@@ -182,7 +182,6 @@ def build_parser():
 
     p = sub.add_parser("embed-trick", help="derive the relation via the rank-24 pair")
     p.add_argument("--form", required=True)
-    p.add_argument("--prec", type=_precision, default=8)
     p.set_defaults(handler=_run_embed_trick)
 
     p = sub.add_parser("pair", help="modularity-criterion pairing against a series")

@@ -79,6 +79,8 @@ class WHForm:
         return self.disc is other.disc or self.disc.lattice == other.disc.lattice
 
     def __add__(self, other):
+        if not isinstance(other, WHForm):
+            return NotImplemented
         if not self._same_group(other):
             raise ValueError("forms live on different discriminant groups")
         if self.weight != other.weight:

@@ -236,8 +236,8 @@ def save_series(path, series):
     _write_body(path, body)
 
 
-def load_form(path, relative_to=None):
-    path = resolve_data_path(path, relative_to)
+def load_form(path):
+    path = resolve_data_path(path)
     body = _read_body(path)
     if _field(body, "kind", path) != "form":
         raise FileFormatError(f"{path}: not a form file")

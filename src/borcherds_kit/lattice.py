@@ -32,11 +32,15 @@ ISOTROPIC_SEARCH_BUDGET = 2_000_000
 
 
 class GramLattice:
-    """An integral lattice with even Gram matrix, as an immutable value."""
+    """An integral lattice with even Gram matrix, as an immutable value.
+
+    `glue` is None except on the lattices `glue_lattice` builds, which it
+    gives their `GlueData`; no other route pairs a Gram with glue.
+    """
 
     __slots__ = ("rank", "gram", "name", "glue", "det", "signature_pair", "_disc")
 
-    def __init__(self, gram, name=None, glue=None):
+    def __init__(self, gram, name=None):
         gram = tuple(tuple(map(exact_int, row)) for row in gram)
         rank = len(gram)
         for i, row in enumerate(gram):
@@ -54,7 +58,7 @@ class GramLattice:
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "glue", glue)
+        object.__setattr__(self, "glue", None)
         object.__setattr__(self, "det", det)
         object.__setattr__(self, "signature_pair", signature_pair)
         object.__setattr__(self, "_disc", None)
@@ -63,9 +67,12 @@ class GramLattice:
         raise AttributeError("GramLattice is immutable")
 
     def __reduce__(self):
-        # pickle and copy rebuild through __init__: restoring the slots
-        # would go through the __setattr__ above
-        return GramLattice, (self.gram, self.name, self.glue)
+        # pickle and copy rebuild through the constructor, as restoring the
+        # slots would go through the __setattr__ above; a glued lattice
+        # through `glue_lattice`, the one route that attaches glue
+        if self.glue is None:
+            return GramLattice, (self.gram, self.name)
+        return glue_lattice, (self.glue.blocks, self.glue.generators, self.name)
 
     def __eq__(self, other):
         if not isinstance(other, GramLattice):
@@ -264,7 +271,7 @@ def overlattice_witness(lattice):
     return c, over
 
 
-def _overlattice(lattice, glue_vectors, name=None, glue=None):
+def _overlattice(lattice, glue_vectors, name=None):
     """The lattice generated by L and the given rational glue vectors."""
     n = lattice.rank
     rows = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -279,7 +286,7 @@ def _overlattice(lattice, glue_vectors, name=None, glue=None):
     if any(x % den2 for row in scaled for x in row):
         raise ValueError("glue vectors do not give an integral lattice")
     gram = [[x // den2 for x in row] for row in scaled]
-    return GramLattice(gram, name=name, glue=glue)
+    return GramLattice(gram, name=name)
 
 
 def direct_sum(lattices, name=None):
@@ -356,11 +363,7 @@ def _qf_value_counts(a, shift, bound):
     range of p0.
 
     On the basis of `lll_reduce_gram` (delta = 99/100) the states merge on
-    every level, also at rank 24.  Measured on a 2-CPU VM with Python 3.11,
-    against the former count, which walked node by node above level 5 on a
-    basis reduced at delta = 3/4: niemeier-a1 to 2Q <= 2 0.03 -> 0.015 s,
-    to 2Q <= 4 2.3 -> 0.055 s, to 2Q <= 6 58 -> 0.17 s; E8+E8 to 2Q <= 8
-    0.010 -> 0.003 s.
+    every level, also at rank 24.
 
     When 2 shift is integral, v -> -v maps the coset to itself and negates
     every level's p = s x + sk.  The walk then takes only p >= 0 at a level
@@ -437,12 +440,8 @@ def _qf_leaves(a, shift, bound):
     The walk runs in one frame on an explicit stack of its levels and hands
     each leaf on before it takes the next, so its memory is O(depth + what
     the caller keeps), however many leaves it walks: `chamber_of` at the
-    E8+U cusp keeps 2812 walls of 20931 leaves, and the list of every leaf
-    had taken 5.5 MB.  A chain of one `yield from` generator per level
-    yields the same leaves but resumes a frame per level for each one: it
-    took 1.22 times as long on those 20931 leaves (rank 10) and 1.31 times
-    on the 195657 vectors of N(A1^24) + A1 + A1 with 2Q <= 4 (rank 26),
-    medians of alternating runs on a 2-CPU VM with Python 3.11.
+    E8+U cusp keeps 2812 walls of 20931 leaves.  One frame resumes once per
+    leaf, where a generator per level would resume a frame per level.
     """
     n = len(a)
     bound = Fraction(bound)
@@ -810,10 +809,10 @@ def glue_lattice(blocks, generators, name=None):
         order *= d.order
     code_size = len(words)
     words.sort()
-    glue = GlueData(blocks, words, gens)
-    lat = _overlattice(direct_sum(blocks), lifts, name=name, glue=glue)
+    lat = _overlattice(direct_sum(blocks), lifts, name=name)
     if abs(lat.det) * code_size * code_size != order:
         raise AssertionError("glue determinant bookkeeping failed")
+    object.__setattr__(lat, "glue", GlueData(blocks, words, gens))
     return lat
 
 
@@ -908,8 +907,10 @@ def isotropic_line(lattice):
     shells = (x for shell in range(1, bound + 1)
               for x in itertools.product(range(-shell, shell + 1), repeat=n)
               if x > zero and max(map(abs, x)) == shell)
+    gram = lattice.gram
     for x in itertools.islice(shells, ISOTROPIC_SEARCH_BUDGET):
-        if lattice.q(x) == 0:
+        # x^T G x on the int tuple, which is 0 exactly when Q(x) is
+        if sum(xi * sum(map(mul, row, x)) for xi, row in zip(x, gram) if xi) == 0:
             g = gcd(*(abs(c) for c in x))
             return tuple(c // g for c in x)
     meyer = ", which is isotropic (Meyer)" if n >= 5 else ""
@@ -964,8 +965,8 @@ class CuspData:
                 f"V0=rank {self.v0.rank})")
 
 
-def cusp_data(lattice, ell, k=None):
-    """Cusp data for a primitive isotropic ell; optionally with an explicit k.
+def cusp_data(lattice, ell):
+    """Cusp data for a primitive isotropic ell.
 
     N is the positive generator of [L, ell], read off the one Smith form
     u (G ell) v = (N, 0, ..., 0) with u = (+-1): k0 = u_00 times column 0
@@ -975,9 +976,8 @@ def cusp_data(lattice, ell, k=None):
     (`CuspData`), and z' must lie in the dual lattice L' for them to depend
     on the coset alone.  So k is k0 when k0/N lies in L' (always when
     N = 1), and otherwise N G^-1 y for an integral y with ell . y = 1, read
-    off the Smith form of ell.  A k with [ell, k] = N and k/N in L' may be
-    supplied instead.  ell must have integer entries and k rational ones
-    (an integral float is read as its int); anything else raises ValueError.
+    off the Smith form of ell.  ell must have integer entries (an integral
+    float is read as its int); anything else raises ValueError.
     """
     ell = tuple(map(exact_int, ell))
     if lattice.q(ell) != 0:
@@ -990,20 +990,11 @@ def cusp_data(lattice, ell, k=None):
     n_value = d[0][0]
     if n_value == 0:
         raise ValueError("ell pairs to zero with the whole lattice")
-    k0 = tuple(u[0][0] * row[0] for row in v)
-    if k is None:
-        k = k0
-        if any(x % n_value for x in lattice.image(k0)):
-            _, uy, vy = smith_normal_form([list(ell)])
-            y = [uy[0][0] * row[0] for row in vy]
-            k = tuple(n_value * c for c in solve_rational(lattice.gram, y))
-    else:
-        k = _coordinates(k, lattice.rank)
-        pair = sum(a * b for a, b in zip(gl, k))
-        if pair != n_value:
-            raise ValueError("supplied k must satisfy [ell, k] = N")
-        if any(x % n_value for x in lattice.image(k)):
-            raise ValueError("supplied k/N must lie in the dual lattice")
+    k = k0 = tuple(u[0][0] * row[0] for row in v)
+    if any(x % n_value for x in lattice.image(k0)):
+        _, uy, vy = smith_normal_form([list(ell)])
+        y = [uy[0][0] * row[0] for row in vy]
+        k = tuple(n_value * c for c in solve_rational(lattice.gram, y))
 
     # ell's coordinates in the columns of v past the first, which span
     # ell-perp: unique, and integral as v is unimodular

@@ -336,8 +336,7 @@ def lll_reduce_gram(gram):
     The Lovasz test B_k >= (delta - mu[k][k-1]^2) B_{k-1} takes delta =
     `LLL_DELTA` = 99/100, not 3/4: the better-reduced basis gives smaller
     Fincke-Pohst scales, and on it the states of `_qf_value_counts` merge on
-    every level.  On niemeier-a1 this LLL takes 4 ms, the former one in
-    Fractions at delta = 3/4 11 ms (2-CPU VM, Python 3.11).
+    every level.
     """
     s, rows = _definite_pivot_rows(gram)
     n = len(rows)

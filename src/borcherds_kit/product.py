@@ -105,10 +105,13 @@ def enumerate_walls(f0, data, w, radius):
     [x, w]^2 <= radius^2 * m * |Q(w)|, sorted lexicographically.  On that
     set the majorant 2Q(x) + [x, w]^2 / |Q(w)| is at most (2 + radius^2) m,
     so one walk of each coset under it finds every wall, with Q(x) taken
-    from the walk's exact value.
+    from the walk's exact value.  A negative radius raises ValueError.
     """
     w = tuple(map(exact_rational, w))
-    r2 = exact_rational(radius) ** 2
+    radius = exact_rational(radius)
+    if radius < 0:
+        raise ValueError(f"wall radius must be >= 0, got {radius}")
+    r2 = radius ** 2
     by_coset = {}
     for (m, lam), c in f0.principal_part().items():
         if c != 0:

@@ -121,6 +121,16 @@ def test_form_sum_needs_equal_weights():
             a + b
 
 
+def test_form_plus_a_number_raises_type_error():
+    # 1 is no form: `+` answers NotImplemented and Python raises TypeError
+    f = scalar_form(UU, 0, delta_series(9).inverse())
+    for other in (1, Fraction(1, 2), None):
+        with pytest.raises(TypeError):
+            f + other
+        with pytest.raises(TypeError):
+            other + f
+
+
 def test_form_equality_needs_the_same_group():
     # equal coefficient data on U+U and on E8+U+U: the sum raises, so the
     # two forms are not equal either; a second copy of U+U is the same group

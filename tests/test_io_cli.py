@@ -337,6 +337,22 @@ def test_series_file_on_a_multiple_denominator_loads_equal(tmp_path):
     assert series.coeffs == theta_series(load_lattice("niemeier-a1"), 3).coeffs
 
 
+def test_load_form_takes_no_relative_to():
+    # a form file's lattice is read relative to the form file; the form path
+    # itself is a path or a database name
+    with pytest.raises(TypeError):
+        load_form("one-over-delta.json", relative_to=data_directory())
+
+
+def test_cli_embed_trick_takes_no_prec(capsys):
+    # the pair is compared at the one precision `EmbeddingData` defaults to
+    with pytest.raises(SystemExit) as exc:
+        main(["embed-trick", "--form", "one-over-delta-x24", "--prec", "8"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --prec 8" in err and "Traceback" not in err
+
+
 def test_cli_embed_trick_precision_one_exits_1(tmp_path, capsys):
     f, _ = load_form("one-over-delta-x24")
     path = tmp_path / "f.json"
@@ -574,7 +590,6 @@ EXPAND_KNZ = ["expand", "--lattice", "u-plus-u", "--form", "knz-input",
     (EXPAND_KNZ + ["--chamber-point", ""], "--chamber-point"),
     (EXPAND_KNZ + ["--weyl", "1/0"], "--weyl"),
     (["theta", "e8", "--prec", "0"], "--prec"),
-    (["embed-trick", "--form", "one-over-delta-x24", "--prec", "-3"], "--prec"),
 ])
 def test_cli_bad_argument_value_exits_2(capsys, argv, option):
     with pytest.raises(SystemExit) as exc:

@@ -816,22 +816,15 @@ def test_cusp_data_reads_ell_and_k_exactly():
     data, ref = cusp_data(UU, (1.0, 0, 0, 0)), cusp_data(UU, (1, 0, 0, 0))
     assert data.ell == ref.ell and all(type(x) is int for x in data.ell)
     assert data.k0 == ref.k0
+    assert data.k == ref.k and all(type(x) is int for x in data.k)
     assert data.lift_rows == ref.lift_rows
     assert data.v0.gram == ref.v0.gram
-    # a dual k with a half-integral entry, given as a Fraction; as a float
-    # it raises like every other inexact coordinate
-    n2 = GramLattice([[0, 2, 0], [2, 0, 0], [0, 0, 4]])
-    dual_k = cusp_data(n2, (1, 0, 0), k=(0, 1, Fraction(1, 2)))
-    assert dual_k.k == (0, 1, Fraction(1, 2))
-    assert dual_k.n_value == 2
-    with pytest.raises(ValueError):
-        cusp_data(n2, (1, 0, 0), k=(0, 1, 0.5))
-    # k/N must lie in L', or e([lift, k]/N) would depend on the lift: on
-    # U(2)+A1, k = (0, 1, 1/2) pairs the lifts a/2 and -a/2 of one coset
-    # to 1/2 and -1/2, whose roots e(1/4) and e(-1/4) differ
-    with pytest.raises(ValueError, match="k/N must lie in the dual lattice"):
-        cusp_data(GramLattice([[0, 2, 0], [2, 0, 0], [0, 0, 2]]), (1, 0, 0),
-                  k=(0, 1, Fraction(1, 2)))
+
+
+def test_cusp_data_takes_no_k():
+    # k comes from the rule of `cusp_data` alone
+    with pytest.raises(TypeError):
+        cusp_data(UU, (1, 0, 0, 0), k=(0, 1, 0, 0))
 
 
 def test_cusp_data_maximal_forces_n_one():
@@ -1160,9 +1153,12 @@ def test_lattices_pickle_and_copy(copier):
         assert twin == lat and hash(twin) == hash(lat)
         assert (twin.name, twin.det, twin.signature_pair) == (
             lat.name, lat.det, lat.signature_pair)
+        assert twin.gram == lat.gram
         if lat.glue is None:
             assert twin.glue is None
         else:
+            # rebuilt by `glue_lattice`, not handed the original's glue
+            assert twin.glue is not lat.glue
             assert twin.glue.words == lat.glue.words
             assert twin.glue.generators == lat.glue.generators
             assert twin.glue.blocks == lat.glue.blocks
@@ -1174,6 +1170,19 @@ def test_lattices_pickle_and_copy(copier):
         assert [twin_disc.q(c) for c in twin_disc.cosets()] == [disc.q(c) for c in disc.cosets()]
     with pytest.raises(AttributeError, match="immutable"):
         copy.copy(A2).name = "B2"
+
+
+def test_glue_comes_only_from_glue_lattice():
+    # a Gram paired with another lattice's glue would reach `_THETA_CACHE`
+    # under that Gram, so the constructor takes no glue
+    n1, n2 = _niemeier("a1"), _niemeier("a2")
+    with pytest.raises(TypeError):
+        GramLattice(n2.gram, glue=n1.glue)
+    with pytest.raises(AttributeError, match="immutable"):
+        n2.glue = n1.glue
+    assert GramLattice(n2.gram).glue is None
+    assert theta_series(n2, 2).coefficient(1) == 72
+    assert theta_series(n1, 2).coefficient(1) == 48
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import pytest
 from borcherds_kit.cyclotomic import e
 from borcherds_kit.forms import WHForm, divide_by_24delta
 from borcherds_kit.lattice import (
+    CuspData,
     GramLattice,
     _qf_enumerate,
     cusp_data,
@@ -42,6 +43,17 @@ A1 = GramLattice([[2]], name="A1")
 UU = direct_sum([U, U], name="U+U")
 CUSP_UU = cusp_data(UU, (1, 0, 0, 0))
 DISC_UU = discriminant_form(UU)
+
+
+def _with_k(data, k):
+    """The cusp `data` with another k, which `cusp_data` never picks: k must
+    pair to N with ell and k/N lie in L', or e([lift, k]/N) would depend on
+    the lift and not on the coset alone."""
+    lat = data.lattice
+    assert lat.bilinear(data.ell, k) == data.n_value
+    assert not any(x % data.n_value for x in lat.image(k))
+    return CuspData(lat, data.ell, data.n_value, tuple(k), data.k0, data.v0,
+                    data.lift_rows)
 
 
 def knz_form(prec=11):
@@ -109,6 +121,18 @@ def test_enumerate_walls_empty_for_holomorphic():
     f = WHForm(DISC_UU, 0, {(Fraction(0), ()): 24}, 2)
     f0 = reduce_f0(f, CUSP_UU)
     assert enumerate_walls(f0, CUSP_UU, (2, -1), 3) == []
+
+
+def test_enumerate_walls_rejects_a_negative_radius():
+    # the radius is squared, so -2 would quietly give the walls of radius 2
+    f0 = reduce_f0(one_over_delta_form(), CUSP_UU)
+    for radius in (-2, Fraction(-1, 3)):
+        with pytest.raises(ValueError, match="radius must be >= 0"):
+            enumerate_walls(f0, CUSP_UU, (2, -1), radius)
+    # radius 0 keeps the walls orthogonal to w
+    assert enumerate_walls(f0, CUSP_UU, (2, -1), 0) == []
+    assert enumerate_walls(f0, CUSP_UU, (1, -1), 0) == [(Fraction(-1), Fraction(-1)),
+                                                        (Fraction(1), Fraction(1))]
 
 
 def test_walls_monotone_in_radius():
@@ -193,7 +217,7 @@ def test_zeta_mu_nontrivial():
     # N = 2 instance with an explicit k off the default: [lift, k]/N = 1/2
     # occurs and zeta = -1
     lat = GramLattice([[0, 2, 0], [2, 0, 0], [0, 0, 2]])
-    data = cusp_data(lat, (1, 0, 0), k=(0, 1, 1))
+    data = _with_k(cusp_data(lat, (1, 0, 0)), (0, 1, 1))
     assert data.n_value == 2
     d = discriminant_form(lat)
     values = {e(data.reduction[c][1]).try_rational() for c in d.cosets()
@@ -502,8 +526,9 @@ def test_product_with_nontrivial_zeta():
     w = (2, -1, Fraction(1, 4))
     half = Fraction(1, 2)
     bodies = {}
-    for kk, zeta_expected in ((None, 1), ((0, 1, 0, 0, Fraction(1, 2)), -1)):
-        data = cusp_data(lat, (1, 0, 0, 0, 0), k=kk)
+    default = cusp_data(lat, (1, 0, 0, 0, 0))
+    for data, zeta_expected in ((default, 1),
+                                (_with_k(default, (0, 1, 0, 0, Fraction(1, 2))), -1)):
         assert data.n_value == 2
         assert e(data.reduction[target][1]).try_rational() == zeta_expected
         f0 = reduce_f0(f, data)
@@ -603,8 +628,8 @@ REDUCTION_CASES = {
     "V0-Z4": lambda: _nontrivial_zeta_case()[1],
     "V0-Z4-integral-k": lambda: cusp_data(_nontrivial_zeta_case()[1].lattice,
                                           (1, 0, 0, 0, 0)),
-    "N2-dual-k": lambda: cusp_data(GramLattice([[0, 2, 0], [2, 0, 0], [0, 0, 4]]), (1, 0, 0),
-                                   k=(0, 1, Fraction(1, 2))),
+    "N2-dual-k": lambda: _with_k(cusp_data(GramLattice([[0, 2, 0], [2, 0, 0], [0, 0, 4]]),
+                                           (1, 0, 0)), (0, 1, Fraction(1, 2))),
     "N2": lambda: cusp_data(N2_LATTICE, (1, 0, 0)),
 }
 
@@ -747,7 +772,7 @@ def _nontrivial_zeta_case():
     f = WHForm(d, Fraction(-1, 2), {(Fraction(-1, 2), target): 1,
                                      (Fraction(-1), d.zero): 2,
                                      (Fraction(-2), d.zero): 1}, 3)
-    data = cusp_data(lat, (1, 0, 0, 0, 0), k=(0, 1, 0, 0, Fraction(1, 2)))
+    data = _with_k(cusp_data(lat, (1, 0, 0, 0, 0)), (0, 1, 0, 0, Fraction(1, 2)))
     # rational_gcd(w) = 1/14, so cutoff 42 bounds the grading by 3
     return f, data, (Fraction(5, 2), -1, Fraction(1, 7)), 42
 

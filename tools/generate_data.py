@@ -18,7 +18,7 @@ from borcherds_kit.lattice import (
     discriminant_form,
     glue_lattice,
 )
-from borcherds_kit.io import save_form, save_lattice
+from borcherds_kit.io import save_form, save_lattice, save_series
 from borcherds_kit.qseries import FracQSeries, delta_series, eisenstein, j_series
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "borcherds_kit" / "data"
@@ -90,7 +90,6 @@ def main(out=OUT):
     save_form(out / "e4sq-over-delta.json", f, "e8-plus-2u")
     save_form(out / "e4sq-over-delta-x24.json", f.scale(24), "e8-plus-2u")
 
-    from borcherds_kit.io import save_series
     save_series(out / "e6.json", eisenstein(6, 10))
 
     print(f"wrote {len(list(out.glob('*.json')))} files to {out}")
